@@ -62,7 +62,8 @@ def phi(alpha):
     m = 0
     while True:
         m += 1
-        term = term * q / (m * m)
+        term *= q
+        term /= m * m
         total += term
         if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
             break
@@ -263,8 +264,10 @@ def remainder_series(coeff, sines):
     orders = coeff.shape[0] - 1
     Ac = np.zeros(coeff.shape[1:])
     As = np.zeros(coeff.shape[1:])
+    term = np.empty(coeff.shape[1:])
     for k in range(1, orders + 1):
-        term = coeff[k] * sines[k] / (np.pi * k)
+        np.multiply(coeff[k], sines[k], out=term)
+        term /= np.pi * k
         if k % 2 == 0:
             Ac += term
         else:
@@ -400,8 +403,23 @@ def _frozen_phase_derivatives(params, sines, W):
     return Dx, Dy
 
 
-def apply_corrugation(params, N, norm_metric=None, raise_on_loss=True):
-    """Apply the corrugation at corrugation number N and audit the result."""
+@dataclass
+class _Probe:
+    """The corrugated jet at one N and the quantities acceptance reads."""
+
+    N: int
+    out: EmbeddingJet
+    gF: MetricField
+    Lx: np.ndarray
+    Ly: np.ndarray
+    xhat: np.ndarray
+    sup_default: float
+    spacelike_min: float
+    c0_shift: float
+
+
+def _probe(params, N, norm_metric):
+    """Corrugate at N; measure the defect, spacelikeness and C0 shift only."""
     if N < 1:
         raise DomainError("corrugation number must be positive")
     x = params.phase0 * float(N)
@@ -418,27 +436,54 @@ def apply_corrugation(params, N, norm_metric=None, raise_on_loss=True):
 
     out = EmbeddingJet(params.f.grid, pos, dfx, dfy)
     gF = pullback_metric(out)
-    spacelike_min = gF.min_eigenvalue()
-    if raise_on_loss and spacelike_min <= SPACELIKE_TOL:
-        raise LostSpacelike(
-            "corrugated jet min eigenvalue %.3e at N=%d" % (spacelike_min, N)
-        )
+    return _Probe(
+        N=N,
+        out=out,
+        gF=gF,
+        Lx=Lx,
+        Ly=Ly,
+        xhat=xhat,
+        sup_default=float(np.max(operator_norm_form(gF - params.mu, norm_metric))),
+        spacelike_min=gF.min_eigenvalue(),
+        c0_shift=c0_distance(out, params.f),
+    )
 
-    if norm_metric is None:
-        norm_metric = params.mu
-    record = CorrugationStepRecord(
-        N=int(N),
+
+def _step_record(params, probe, norm_metric):
+    """Full record of a probe: C1 shifts and the step audits."""
+    out = probe.out
+    return CorrugationStepRecord(
+        N=int(probe.N),
         alpha_max=params.alpha_max,
         orders=params.orders,
         eta_max=float(np.max(params.eta)),
-        sup_default=float(np.max(operator_norm_form(gF - params.mu, norm_metric))),
-        c0_shift=c0_distance(out, params.f),
+        sup_default=probe.sup_default,
+        c0_shift=probe.c0_shift,
         c1_shift=c1_increment(out, params.f, norm_metric),
         c1_shift_euclid=c1_increment(out, params.f, MetricField.identity(params.f.grid.shape)),
-        spacelike_min=spacelike_min,
-        audits=_step_audits(params, out, Lx, Ly, xhat, N, spacelike_min > SPACELIKE_TOL),
+        spacelike_min=probe.spacelike_min,
+        audits=_step_audits(
+            params,
+            out,
+            probe.Lx,
+            probe.Ly,
+            probe.xhat,
+            probe.N,
+            probe.spacelike_min > SPACELIKE_TOL,
+        ),
     )
-    return out, record
+
+
+def apply_corrugation(params, N, norm_metric=None, raise_on_loss=True):
+    """Apply the corrugation at corrugation number N and audit the result."""
+    if norm_metric is None:
+        norm_metric = params.mu
+    probe = _probe(params, N, norm_metric)
+    if raise_on_loss and probe.spacelike_min <= SPACELIKE_TOL:
+        raise LostSpacelike(
+            "corrugated jet min eigenvalue %.3e at N=%d" % (probe.spacelike_min, N)
+        )
+    return probe.out, _step_record(params, probe, norm_metric)
 
 
 def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
@@ -557,19 +602,22 @@ def select_corrugation_number(
     defect against mu is at most epsilon, the output stays spacelike, the
     position shift fits c0_budget (when given) and the output remains long
     for next_metric (when given). Raises BudgetExceeded past the cap.
+    Only the accepted N is audited; the record equals the one
+    apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
+    if norm_metric is None:
+        norm_metric = params.mu
     N = int(start)
     while N <= cap:
-        out, rec = apply_corrugation(params, N, norm_metric=norm_metric, raise_on_loss=False)
-        ok = rec.sup_default <= epsilon and rec.spacelike_min > SPACELIKE_TOL
+        probe = _probe(params, N, norm_metric)
+        ok = probe.sup_default <= epsilon and probe.spacelike_min > SPACELIKE_TOL
         if ok and c0_budget is not None:
-            ok = rec.c0_shift <= c0_budget
+            ok = probe.c0_shift <= c0_budget
         if ok and next_metric is not None:
-            gap = pullback_metric(out) - next_metric
-            ok = gap.min_eigenvalue() >= -1e-12
+            ok = (probe.gF - next_metric).min_eigenvalue() >= -1e-12
         if ok:
-            return out, rec
+            return probe.out, _step_record(params, probe, norm_metric)
         N *= 2
     raise BudgetExceeded("no corrugation number up to %d met the bounds" % cap)
 

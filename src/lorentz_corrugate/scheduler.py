@@ -254,6 +254,7 @@ def run_stage(
         records = []
         per_step_eps = 0.0
         retries = 0
+        sup_def = float(np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm)))
     else:
         per_step_eps = stage_bound / active
         eps_cap = 0.9 * stage_bound
@@ -287,7 +288,6 @@ def run_stage(
             tightened = True
             per_step_eps *= 0.5
 
-    sup_def = float(np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm)))
     c0_shift = c0_distance(f_n, f_prev)
     c1_inc = c1_increment(f_n, f_prev, g_norm)
     c1_inc_e = c1_increment(f_n, f_prev, MetricField.identity(g_norm.shape))

@@ -4,10 +4,13 @@ the exact pullback identity, and the corrugation-number search.
 Library Bessel/quadrature/root-finding routines serve as independent
 oracles for the hand-rolled series and solvers.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
+from lorentz_corrugate import corrugation
 from lorentz_corrugate.corrugation import (
     ALPHA_CAP,
     amplitude,
@@ -84,6 +87,36 @@ def test_phi_prime_matches_library_bessel():
     ref = special.iv(1, a)
     assert np.max(np.abs(phi_prime(a) - ref) / ref) < 1e-13
     assert float(phi_prime(0.0)) == 0.0
+
+
+def _phi_reference(alpha):
+    """The series loop of phi with a fresh array per term."""
+    z = np.asarray(alpha, dtype=float)
+    q = (z / 2.0) ** 2
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    m = 0
+    while True:
+        m += 1
+        term = term * q / (m * m)
+        total += term
+        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
+            break
+    return total if total.shape else float(total)
+
+
+def test_phi_in_place_series_matches_reference():
+    rng = np.random.default_rng(13)
+    for a in (
+        rng.uniform(0.0, 5.0, size=100),
+        rng.uniform(0.0, ALPHA_CAP, size=(7, 9)),
+        np.linspace(0.0, 40.0, 33)[::3],
+    ):
+        assert np.array_equal(phi(a), _phi_reference(a))
+    for a in (0.0, 0.7, 2.0, np.float64(3.5), np.array(12.0)):
+        value = phi(a)
+        assert type(value) is float
+        assert value == _phi_reference(a)
 
 
 def test_phi_domain_guard():
@@ -227,6 +260,41 @@ def test_remainder_series_vs_quadrature():
             qc, qs = remainder_quadrature(a, x, samples_per_period=32768)
             assert abs(float(Ac[0]) - qc) < 1e-6
             assert abs(float(As[0]) - qs) < 1e-6
+
+
+def _remainder_reference(coeff, sines):
+    """The harmonic sum of remainder_series with a fresh array per term."""
+    Ac = np.zeros(coeff.shape[1:])
+    As = np.zeros(coeff.shape[1:])
+    for k in range(1, coeff.shape[0]):
+        term = coeff[k] * sines[k] / (np.pi * k)
+        if k % 2 == 0:
+            Ac += term
+        else:
+            As += term
+    return Ac, As
+
+
+def test_remainder_series_in_place_matches_reference():
+    """Bitwise equal on whole tables and on the four neighbor-shifted
+    strided slices that the frozen-phase derivatives pass."""
+    grid, f, eta = strip_jet(33)
+    params = prepare_step(f, eta, LinearForm(1.0, 0.3))
+    x = params.phase0 * 48.0
+    sines = sin_table(x - np.floor(x), params.orders)
+    C = params.coeff
+    pairs = [
+        (C, sines),
+        (C[:, 1:, :], sines[:, :-1, :]),
+        (C[:, :-1, :], sines[:, 1:, :]),
+        (C[:, :, 1:], sines[:, :, :-1]),
+        (C[:, :, :-1], sines[:, :, 1:]),
+    ]
+    for coeff, sn in pairs:
+        Ac, As = remainder_series(coeff, sn)
+        rc, rs = _remainder_reference(coeff, sn)
+        assert np.array_equal(Ac, rc)
+        assert np.array_equal(As, rs)
 
 
 def test_remainder_vanishes_at_integer_phase():
@@ -380,6 +448,53 @@ def test_select_monotone_in_epsilon():
     assert loose.sup_default <= 0.05
     assert tight.sup_default <= 0.0125
     assert tight.N >= loose.N
+
+
+def _assert_same_step(got, want):
+    """Identical jets and records: every field and every audit, exactly."""
+    (out, rec), (ref_out, ref) = got, want
+    for name in ("pos", "dfx", "dfy"):
+        assert np.array_equal(getattr(out, name), getattr(ref_out, name))
+    for fld in dataclasses.fields(rec):
+        if fld.name != "audits":
+            assert getattr(rec, fld.name) == getattr(ref, fld.name), fld.name
+    assert list(rec.audits) == list(ref.audits)
+    for key, value in rec.audits.items():
+        assert value == ref.audits[key], key
+
+
+@pytest.mark.parametrize(
+    "ell, epsilon, c0_budget, next_metric",
+    [
+        (STRIP_FORM, 0.0125, None, None),
+        (LinearForm(1.0, 0.3), 1e-3, None, None),
+        (LinearForm(1.0, 0.3), 0.05, 3e-3, MetricField.constant(0.4, 0.0, 0.4, (33, 33))),
+    ],
+)
+def test_select_record_equals_apply_at_accepted_N(ell, epsilon, c0_budget, next_metric):
+    """Selection audits only the accepted N; its record is the one the
+    audited step gives at that N."""
+    grid, f, eta = strip_jet(33)
+    got = select_corrugation_number(
+        f, eta, ell, epsilon, c0_budget=c0_budget, next_metric=next_metric
+    )
+    want = apply_corrugation(prepare_step(f, eta, ell), got[1].N, raise_on_loss=False)
+    _assert_same_step(got, want)
+
+
+def test_select_audits_once(monkeypatch):
+    calls = []
+    original = corrugation._step_audits
+
+    def counted(*args):
+        calls.append(args[5])
+        return original(*args)
+
+    monkeypatch.setattr(corrugation, "_step_audits", counted)
+    grid, f, eta = strip_jet(33)
+    _, rec = select_corrugation_number(f, eta, LinearForm(1.0, 0.3), 1e-3)
+    assert rec.N > 16  # the ladder rejected at least one probe
+    assert calls == [rec.N]
 
 
 def test_select_budget_exhaustion():
