@@ -1,7 +1,9 @@
 """Quantitative constants controlling one corrugation step and their chains.
 
-psi bounds the C1 increment of a step per unit sqrt(eta) dl(u); its square
-splits as psi = sqrt(2 psi1) + sqrt(psi2). All three have removable
+phi(alpha) is the full-turn average of cosh(alpha cos 2 pi s), the loop
+average every step solves for its amplitude. psi bounds the C1 increment
+of a step per unit sqrt(eta) dl(u); its square splits as
+psi = sqrt(2 psi1) + sqrt(psi2). All three have removable
 singularities at alpha = 0 with limits sqrt(3) + sqrt(2), 3/2 and 2; below
 a small threshold the limits are returned so the three stay algebraically
 consistent. The per-run constants M (padded sup of psi), K (differential
@@ -14,15 +16,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrugation import phi
 from .errors import DomainError
 from .fields import form_norm, operator_norm_form, operator_norm_map
 from .lorentz import euclidean_norm, timelike_unit_normal
 
+ALPHA_CAP = 500.0
 SMALL_ALPHA = 1e-4
 PSI_LIMIT = np.sqrt(3.0) + np.sqrt(2.0)
 PSI1_LIMIT = 1.5
 PSI2_LIMIT = 2.0
+
+
+def phi(alpha):
+    """Average of cosh(alpha cos 2 pi s) over a full turn, by power series.
+
+    The series is sum_m (alpha/2)^(2m) / (m!)^2, absolutely convergent;
+    evaluation stops when the running term falls below 1e-17 of the sum.
+    """
+    z = np.asarray(alpha, dtype=float)
+    if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
+        raise DomainError("phi needs 0 <= alpha <= %g" % ALPHA_CAP)
+    q = (z / 2.0) ** 2
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    m = 0
+    while True:
+        m += 1
+        term *= q
+        term /= m * m
+        total += term
+        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
+            break
+    return total if total.shape else float(total)
+
+
+def phi_prime(alpha):
+    """Derivative of phi, the same average against cos(2 pi s) sinh."""
+    z = np.asarray(alpha, dtype=float)
+    if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
+        raise DomainError("phi_prime needs 0 <= alpha <= %g" % ALPHA_CAP)
+    half = z / 2.0
+    q = half**2
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    m = 0
+    while True:
+        m += 1
+        term = term * q / (m * (m + 1))
+        total += term
+        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
+            break
+    out = half * total
+    return out if out.shape else float(out)
 
 
 def _split(alpha):

@@ -39,7 +39,6 @@ class RunConfig:
     eps: float = 0.05
     dictionary_k: int = 5
     scenario: str = "flat-shrink"
-    quadrature_samples: int = 64
     n_cap: int = 2**20
     select_start: int = 16
     alpha_max_hint: float = 2.0
@@ -60,8 +59,6 @@ class RunConfig:
             raise ConfigError(
                 "scenario %r not registered (%s)" % (self.scenario, ", ".join(sorted(SCENARIOS)))
             )
-        if self.quadrature_samples < 2:
-            raise ConfigError("quadrature_samples must be at least 2")
         if self.n_cap < self.select_start or self.select_start < 1:
             raise ConfigError("need 1 <= select_start <= n_cap")
         if self.alpha_max_hint <= 0.0:

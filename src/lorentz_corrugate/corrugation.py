@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import ALPHA_CAP, growth_constant, increment_constant, phi, phi_prime
 from .errors import BudgetExceeded, DomainError, LostSpacelike, NotRiemannian
 from .fields import (
     EmbeddingJet,
@@ -43,51 +44,7 @@ from .fields import (
 )
 from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
-ALPHA_CAP = 500.0
 SPACELIKE_TOL = 1e-10
-
-
-def phi(alpha):
-    """Average of cosh(alpha cos 2 pi s) over a full turn, by power series.
-
-    The series is sum_m (alpha/2)^(2m) / (m!)^2, absolutely convergent;
-    evaluation stops when the running term falls below 1e-17 of the sum.
-    """
-    z = np.asarray(alpha, dtype=float)
-    if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
-        raise DomainError("phi needs 0 <= alpha <= %g" % ALPHA_CAP)
-    q = (z / 2.0) ** 2
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    m = 0
-    while True:
-        m += 1
-        term *= q
-        term /= m * m
-        total += term
-        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
-            break
-    return total if total.shape else float(total)
-
-
-def phi_prime(alpha):
-    """Derivative of phi, the same average against cos(2 pi s) sinh."""
-    z = np.asarray(alpha, dtype=float)
-    if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
-        raise DomainError("phi_prime needs 0 <= alpha <= %g" % ALPHA_CAP)
-    half = z / 2.0
-    q = half**2
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    m = 0
-    while True:
-        m += 1
-        term = term * q / (m * (m + 1))
-        total += term
-        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
-            break
-    out = half * total
-    return out if out.shape else float(out)
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -488,8 +445,6 @@ def apply_corrugation(params, N, norm_metric=None, raise_on_loss=True):
 
 def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
     """Exact-identity, bound and normal audits for one step."""
-    from .bounds import growth_constant, increment_constant
-
     fr = params.frame
     mu = params.mu
 

@@ -18,8 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConeViolation, DomainError, GridMismatch
-from .fields import LinearForm, MetricField
+from .errors import ConeViolation, DomainError
+from .fields import LinearForm
 
 MAX_FORMS = 12
 
@@ -47,7 +47,6 @@ class FormDictionary:
     """Ordered tuple of pairwise non-parallel unit forms."""
 
     forms: tuple
-    canonical: bool = False
 
     def __post_init__(self):
         k = len(self.forms)
@@ -76,7 +75,7 @@ class FormDictionary:
 def build_dictionary(k):
     """Evenly spread directions theta_i = (i-1) pi / k, i = 1..k."""
     forms = tuple(LinearForm.from_angle((i * np.pi) / k) for i in range(k))
-    return FormDictionary(forms=forms, canonical=True)
+    return FormDictionary(forms=forms)
 
 
 @dataclass
@@ -98,15 +97,6 @@ class PrimitiveDecomposition:
 def reconstruct(decomp):
     """Sum of eta_j * ell_j (x) ell_j as a MetricField."""
     return decomp.reconstruct()
-
-
-def _closed_form_k3(delta):
-    """Exact coefficients for the canonical 3-form dictionary."""
-    E, F, G = delta.E, delta.F, delta.G
-    c1 = E - G / 3.0
-    c2 = 2.0 * G / 3.0 + 2.0 * F / np.sqrt(3.0)
-    c3 = 2.0 * G / 3.0 - 2.0 * F / np.sqrt(3.0)
-    return [c1, c2, c3]
 
 
 def _support_plan(A):
@@ -187,23 +177,6 @@ def decompose(delta, dictionary, tol_residual=1e-9, threads=None):
     """
     delta.require_psd(tol=1e-12, what="decomposition input")
     shape = delta.shape
-
-    if dictionary.canonical and dictionary.k == 3:
-        coeffs = _closed_form_k3(delta)
-        worst = min(float(np.min(c)) for c in coeffs)
-        if worst < -1e-12:
-            i, j = np.unravel_index(
-                np.argmin(np.minimum.reduce([np.asarray(c) for c in coeffs])), shape
-            )
-            raise ConeViolation(
-                "closed-form coefficient %.3e < 0 at node (%d, %d); "
-                "matrix E=%.6g F=%.6g G=%.6g"
-                % (worst, i, j, delta.E[i, j], delta.F[i, j], delta.G[i, j])
-            )
-        etas = [np.maximum(np.asarray(c, dtype=float), 0.0) for c in coeffs]
-        dec = PrimitiveDecomposition(forms=dictionary.forms, etas=etas, residual=0.0)
-        dec.residual = float(np.max((delta - dec.reconstruct()).frobenius()))
-        return dec
 
     A = dictionary.weighted_matrix()
     plan = _support_plan(A)

@@ -114,9 +114,6 @@ class MetricField:
     def min_eigenvalue(self):
         return float(np.min(self.eigenvalues()[0]))
 
-    def is_positive_definite(self, tol=0.0):
-        return self.min_eigenvalue() > tol
-
     def require_positive_definite(self, tol=0.0, what="metric"):
         m = self.min_eigenvalue()
         if not m > tol:
@@ -136,9 +133,6 @@ class MetricField:
             + self.F * (u[..., 0] * w[..., 1] + u[..., 1] * w[..., 0])
             + self.G * u[..., 1] * w[..., 1]
         )
-
-    def max_abs(self):
-        return float(max(np.max(np.abs(self.E)), np.max(np.abs(self.F)), np.max(np.abs(self.G))))
 
     def frobenius(self):
         """Pointwise Frobenius norm of the component matrix."""

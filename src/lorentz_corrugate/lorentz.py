@@ -38,16 +38,6 @@ def euclidean_norm(v):
     return np.sqrt(euclidean_inner(v, v))
 
 
-def is_spacelike(v, tol=0.0):
-    """True where h(v, v) > tol."""
-    return minkowski_inner(v, v) > tol
-
-
-def exp_point(p, w):
-    """Exponential map of flat space: translate p by w."""
-    return np.asarray(p, dtype=float) + np.asarray(w, dtype=float)
-
-
 def timelike_unit_normal(t1, t2):
     """Future-pointing h-unit timelike normal of the plane span(t1, t2).
 

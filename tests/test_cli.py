@@ -19,6 +19,7 @@ from lorentz_corrugate.fields import (
     write_scalar_csv,
 )
 from lorentz_corrugate.scenarios import strip_eta_field
+from lorentz_corrugate.verify import CLAIMS, Inputs
 
 
 def test_info_lists_scenarios(capsys):
@@ -159,6 +160,11 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     bad.write_text(json.dumps({"grid": 33, "nonsense": 1}))
     assert main(["run", "--config", str(bad), "--outdir", str(tmp_path / "x")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # run never read quadrature_samples; the key is gone from run.json
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps({"grid": 33, "quadrature_samples": 64}))
+    assert main(["run", "--config", str(dropped), "--outdir", str(tmp_path / "q")]) == 2
+    assert "unknown config keys: quadrature_samples" in capsys.readouterr().err
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main(["run", "--config", str(notjson), "--outdir", str(tmp_path / "y")]) == 2
@@ -212,6 +218,21 @@ def test_verify_quick(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert lines and all(ln.startswith("PASS") for ln in lines)
     assert "checks passed" in out
+
+
+def test_staged_run_claim_needs_step_records():
+    inputs = Inputs("quick")
+    check, _ = CLAIMS["staged-run-audits"]
+    res = check("staged-run-audits", inputs)
+    # the true worst margin is reported, not a floor of 0
+    assert res.passed and res.measured < 0.0
+    # a ledger without step records audits nothing, so it cannot pass
+    for row in inputs.ledger.rows:
+        row.step_records = []
+    res = check("staged-run-audits", inputs)
+    assert not res.passed
+    assert res.measured == -np.inf
+    assert "over 0 steps" in res.note
 
 
 def test_console_script_installed(tmp_path):

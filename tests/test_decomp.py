@@ -28,7 +28,6 @@ def cone_field(rng, dictionary, shape, scale=1.0):
 def test_build_dictionary_angles():
     dic = build_dictionary(5)
     assert dic.k == 5
-    assert dic.canonical
     for i, f in enumerate(dic.forms):
         th = i * np.pi / 5
         assert f.a == pytest.approx(np.cos(th), abs=1e-15)

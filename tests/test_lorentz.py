@@ -6,8 +6,6 @@ from lorentz_corrugate.errors import DegeneratePlane
 from lorentz_corrugate.lorentz import (
     HSIG,
     euclidean_norm,
-    exp_point,
-    is_spacelike,
     minkowski_inner,
     timelike_unit_normal,
 )
@@ -34,19 +32,6 @@ def test_inner_broadcasts():
     assert out.shape == (4, 5)
     expect = np.einsum("...i,...i->...", v * HSIG, w)
     assert np.allclose(out, expect, atol=1e-15)
-
-
-def test_is_spacelike():
-    assert is_spacelike([1.0, 0.0, 0.5])
-    assert not is_spacelike([0.0, 0.0, 1.0])
-    # Null vectors are not spacelike.
-    assert not is_spacelike([1.0, 0.0, 1.0])
-
-
-def test_exp_point_translates():
-    p = np.array([1.0, 2.0, 3.0])
-    w = np.array([0.5, -0.5, 0.25])
-    assert np.array_equal(exp_point(p, w), p + w)
 
 
 def test_normal_frozen_example():
