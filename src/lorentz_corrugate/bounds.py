@@ -155,7 +155,10 @@ def form_family_constant(decomposition, g):
 
 
 def c1_budget_constant(increment, form_constant, f0, g):
-    """T = 2 M c (|df0|_{g} + |n0|), the chained C1 drift budget."""
+    """T = 2 M c (|df0|_{g} + |n0|), the chained C1 drift budget.
+
+    The scheduler takes it at c = 1 and scales by each stage's measured c.
+    """
     df_norm = float(np.max(operator_norm_map(f0.dfx, f0.dfy, g)))
     n0 = timelike_unit_normal(f0.dfx, f0.dfy)
     n_norm = float(np.max(euclidean_norm(n0)))

@@ -7,8 +7,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .bounds import compute_constants
 from .corrugation import cp_step, remainder_quadrature, select_corrugation_number
@@ -21,6 +19,8 @@ from .fields import (
     export_obj,
     read_metric_csv,
     read_scalar_csv,
+    write_grid_csv,
+    write_table,
 )
 from .scenarios import SCENARIOS, flat_inclusion, scenario, strip_eta_field
 from .scheduler import run_nash_kuiper
@@ -122,10 +122,7 @@ def _cmd_bounds(args):
     for name, value in rows:
         print("%-*s  %s" % (width, name, FLOAT_FMT % value))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("name,value\n")
-            for name, value in rows:
-                fh.write(("%s," + FLOAT_FMT + "\n") % (name, value))
+        write_table(args.csv, ("name", "value"), rows)
     return 0
 
 
@@ -134,13 +131,7 @@ def _cmd_decompose(args):
     dic = build_dictionary(args.k)
     dec = decompose(delta, dic, threads=args.threads)
     nx, ny = delta.shape
-    with open(args.out, "w") as fh:
-        header = ",".join("eta_%d" % (j + 1) for j in range(dic.k))
-        fh.write("x_idx,y_idx,%s\n" % header)
-        for i in range(nx):
-            for j in range(ny):
-                vals = ",".join(FLOAT_FMT % dec.etas[q][i, j] for q in range(dic.k))
-                fh.write("%d,%d,%s\n" % (i, j, vals))
+    write_grid_csv(args.out, {"eta_%d" % (q + 1): eta for q, eta in enumerate(dec.etas)})
     print("decomposed %dx%d field over %d forms, residual %.3e" % (nx, ny, dic.k, dec.residual))
     return 0
 
@@ -182,13 +173,7 @@ def _write_record(path, rec, samples):
     qc, qs = remainder_quadrature(rec.alpha_max, 0.37, samples_per_period=samples)
     rows.append(("quadrature_crosscheck_Ac", qc))
     rows.append(("quadrature_crosscheck_As", qs))
-    with open(path, "w") as fh:
-        fh.write("name,value\n")
-        for name, value in rows:
-            if isinstance(value, (int, np.integer)):
-                fh.write("%s,%d\n" % (name, value))
-            else:
-                fh.write(("%s," + FLOAT_FMT + "\n") % (name, value))
+    write_table(path, ("name", "value"), rows)
 
 
 def _cmd_run(args):

@@ -56,10 +56,9 @@ def phi_quadrature(alpha, samples=4096):
 
 @dataclass
 class AmplitudeSolveResult:
-    """Solution of phi(alpha) = y with the achieved value and iteration count."""
+    """Solution of phi(alpha) = y with its iteration count."""
 
     alpha: np.ndarray
-    phi_value: np.ndarray
     iterations: int
 
 
@@ -106,7 +105,7 @@ def phi_inverse(y, tol=1e-12, max_iter=200):
     a = np.where(y == 1.0, 0.0, a)
     if iters > max_iter:
         raise DomainError("amplitude solve exceeded %d iterations" % max_iter)
-    return AmplitudeSolveResult(alpha=a, phi_value=phi(a), iterations=iters)
+    return AmplitudeSolveResult(alpha=a, iterations=iters)
 
 
 def radial_factor(eta, dlu):

@@ -208,14 +208,3 @@ def decompose(delta, dictionary, tol_residual=1e-9, threads=None):
         )
     etas = [coeff[:, j].reshape(shape) for j in range(dictionary.k)]
     return PrimitiveDecomposition(forms=dictionary.forms, etas=etas, residual=sup)
-
-
-def decomposition_jump_audit(dec):
-    """Max nearest-neighbor jump of each coefficient field, for smoothness reports."""
-    worst = 0.0
-    for eta in dec.etas:
-        if eta.shape[0] > 1:
-            worst = max(worst, float(np.max(np.abs(np.diff(eta, axis=0)))))
-        if eta.shape[1] > 1:
-            worst = max(worst, float(np.max(np.abs(np.diff(eta, axis=1)))))
-    return worst

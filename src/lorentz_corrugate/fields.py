@@ -7,12 +7,13 @@ consistency audit reports, but does not assert, their agreement).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, LostSpacelike, NotLong, NotPSD, SingularMetric
+from .errors import ConfigError, DomainError, GridMismatch, NotLong, NotPSD, SingularMetric
 from .lorentz import minkowski_inner, timelike_unit_normal
 
 FLOAT_FMT = "%.17g"
@@ -121,7 +122,7 @@ class MetricField:
 
     def require_psd(self, tol=1e-12, what="field"):
         m = self.min_eigenvalue()
-        if m < -tol:
+        if not m >= -tol:
             raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (what, m, tol))
 
     def inner(self, u, w):
@@ -208,12 +209,6 @@ class EmbeddingJet:
         u = np.asarray(u, dtype=float)
         return u[..., 0:1] * self.dfx + u[..., 1:2] * self.dfy
 
-    def require_spacelike(self, tol=1e-10):
-        g = pullback_metric(self)
-        m = g.min_eigenvalue()
-        if not m > tol:
-            raise LostSpacelike("pullback min eigenvalue %.3e <= %.1e" % (m, tol))
-
 
 def pullback_metric(f):
     """f*h as a MetricField: pairwise h-inner products of the partials."""
@@ -235,7 +230,7 @@ def require_long(f, g, tol=1e-12):
     """Raise NotLong unless f*h - g is positive semidefinite (within tol)."""
     d = isometric_default(f, g)
     m = d.min_eigenvalue()
-    if m < -tol:
+    if not m >= -tol:
         raise NotLong("default min eigenvalue %.3e < -%.1e" % (m, tol))
     return d
 
@@ -404,58 +399,103 @@ def export_obj(f, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _cell(value):
+    """One CSV cell: str as-is, bool and integers with %d, floats with FLOAT_FMT."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, np.integer)):
+        return "%d" % value
+    return FLOAT_FMT % value
+
+
+def write_table(path, header, rows):
+    """Write a CSV of header names and one line per row, each cell typed by _cell.
+
+    Serves the name,value tables (header ("name", "value")) and the ledger.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_grid_csv(path, columns):
+    """Write fields over a grid as x_idx,y_idx,<names...> rows in row-major order.
+
+    columns maps each name to an (nx, ny) array. Floats carry 17 significant
+    digits, so read_grid_csv returns the doubles bitwise.
+    """
+    names = list(columns)
+    arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    row = "%d,%d," + ",".join([FLOAT_FMT] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(["x_idx", "y_idx"] + names) + "\n")
+        for i in range(arrays[0].shape[0]):
+            values = zip(*(a[i].tolist() for a in arrays))
+            fh.writelines(row % (i, j, *v) for j, v in enumerate(values))
+
+
+def read_grid_csv(path, names=None):
+    """Read a grid CSV into {name: (nx, ny) array}, checking it on the way.
+
+    names selects the value columns (default: all, in file order). The grid
+    is inferred from the largest node indices. The header must be
+    x_idx,y_idx followed by distinct names, every cell numeric, every value
+    finite, and the rows must give each node of the grid exactly once with
+    integral indices; anything else raises ConfigError naming the file.
+    """
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        if header[:2] != ["x_idx", "y_idx"] or len(header) < 3 or len(set(header)) < len(header):
+            raise ConfigError("%s: header must be x_idx,y_idx followed by distinct names" % path)
+        try:
+            with warnings.catch_warnings():
+                # an empty body only warns; make it an error like a bad cell
+                warnings.simplefilter("error")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from None
+    if data.shape[1] != len(header):
+        raise ConfigError("%s: %d header names but %d columns" % (path, len(header), data.shape[1]))
+    names = header[2:] if names is None else list(names)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ConfigError("%s: no column %s" % (path, ",".join(missing)))
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("%s: NaN or infinite value" % path)
+    rows = len(data)
+    idx = data[:, :2]
+    if np.any(idx < 0.0) or np.any(idx >= rows) or np.any(idx != np.floor(idx)):
+        raise ConfigError("%s: node indices must be integers in [0, %d)" % (path, rows))
+    xi, yi = idx.astype(np.intp).T
+    nx, ny = int(xi.max()) + 1, int(yi.max()) + 1
+    seen = np.zeros(rows, dtype=bool)
+    if nx * ny == rows:
+        seen[xi * ny + yi] = True
+    if not seen.all():
+        raise ConfigError("%s: rows do not give each node of a %dx%d grid once" % (path, nx, ny))
+    out = {}
+    for name in names:
+        out[name] = np.empty((nx, ny))
+        out[name][xi, yi] = data[:, header.index(name)]
+    return out
+
+
 def write_metric_csv(path, mf):
     """Write a metric field as x_idx,y_idx,E,F,G rows in row-major order."""
-    nx, ny = mf.shape
-    with open(path, "w") as fh:
-        fh.write("x_idx,y_idx,E,F,G\n")
-        for i in range(nx):
-            for j in range(ny):
-                fh.write(
-                    ("%d,%d," + ",".join([FLOAT_FMT] * 3) + "\n")
-                    % (i, j, mf.E[i, j], mf.F[i, j], mf.G[i, j])
-                )
+    write_grid_csv(path, {"E": mf.E, "F": mf.F, "G": mf.G})
 
 
 def read_metric_csv(path):
     """Read a metric field written by write_metric_csv; infers the grid."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    xi = data["x_idx"].astype(int)
-    yi = data["y_idx"].astype(int)
-    nx, ny = int(xi.max()) + 1, int(yi.max()) + 1
-    if len(data) != nx * ny:
-        raise DomainError("metric CSV is not a complete %dx%d grid" % (nx, ny))
-    E = np.zeros((nx, ny))
-    F = np.zeros((nx, ny))
-    G = np.zeros((nx, ny))
-    E[xi, yi] = data["E"]
-    F[xi, yi] = data["F"]
-    G[xi, yi] = data["G"]
-    return MetricField(E, F, G)
+    c = read_grid_csv(path, ("E", "F", "G"))
+    return MetricField(c["E"], c["F"], c["G"])
 
 
 def write_scalar_csv(path, field, name="value"):
     """Write a scalar field as x_idx,y_idx,<name> rows."""
-    field = np.asarray(field, dtype=float)
-    nx, ny = field.shape
-    with open(path, "w") as fh:
-        fh.write("x_idx,y_idx,%s\n" % name)
-        for i in range(nx):
-            for j in range(ny):
-                fh.write(("%d,%d," + FLOAT_FMT + "\n") % (i, j, field[i, j]))
+    write_grid_csv(path, {name: field})
 
 
 def read_scalar_csv(path):
-    """Read a scalar field written by write_scalar_csv."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    xi = data["x_idx"].astype(int)
-    yi = data["y_idx"].astype(int)
-    nx, ny = int(xi.max()) + 1, int(yi.max()) + 1
-    if len(data) != nx * ny:
-        raise DomainError("scalar CSV is not a complete %dx%d grid" % (nx, ny))
-    out = np.zeros((nx, ny))
-    value_col = data.dtype.names[2]
-    out[xi, yi] = data[value_col]
-    return out
+    """Read the first value column of a grid CSV, as write_scalar_csv writes it."""
+    return next(iter(read_grid_csv(path).values()))

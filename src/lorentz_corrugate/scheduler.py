@@ -21,23 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import compute_constants, form_family_constant
+from .bounds import c1_budget_constant, compute_constants, form_family_constant
 from .corrugation import successive_cp
 from .decomp import build_dictionary, decompose
 from .errors import BudgetExceeded, DomainError, EngineError
 from .fields import (
-    FLOAT_FMT,
     MetricField,
     c0_distance,
     c1_increment,
     export_obj,
     isometric_default,
     operator_norm_form,
-    operator_norm_map,
     pullback_metric,
     require_long,
+    write_table,
 )
-from .lorentz import euclidean_norm, timelike_unit_normal
 
 
 @dataclass
@@ -144,44 +142,19 @@ class StageRow:
     sup_vs_target: float
     step_records: list = field(default_factory=list)
 
+    # Ledger columns in file order: StageRow attributes, except steps and
+    # n_values, which ledger_cells derives from the list of N values.
     LEDGER_COLUMNS = (
-        "stage,delta,sup_default,stage_bound,stage_bound_pass,c0_shift,c0_budget,c0_pass,"
-        "c1_increment,c1_increment_euclid,c1_bound,c1_bound_pass,c1_bound_pass_euclid,"
-        "triangle_pass,steps,n_values,alpha_max,per_step_eps,retries,"
-        "decomp_residual,form_constant,long_next_min_eig,sup_vs_target"
+        "stage", "delta", "sup_default", "stage_bound", "stage_bound_pass",
+        "c0_shift", "c0_budget", "c0_pass", "c1_increment", "c1_increment_euclid",
+        "c1_bound", "c1_bound_pass", "c1_bound_pass_euclid", "triangle_pass",
+        "steps", "n_values", "alpha_max", "per_step_eps", "retries",
+        "decomp_residual", "form_constant", "long_next_min_eig", "sup_vs_target",
     )
 
-    def csv_line(self):
-        def num(x):
-            return FLOAT_FMT % x
-
-        return ",".join(
-            [
-                "%d" % self.stage,
-                num(self.delta),
-                num(self.sup_default),
-                num(self.stage_bound),
-                "%d" % self.stage_bound_pass,
-                num(self.c0_shift),
-                num(self.c0_budget),
-                "%d" % self.c0_pass,
-                num(self.c1_increment),
-                num(self.c1_increment_euclid),
-                num(self.c1_bound),
-                "%d" % self.c1_bound_pass,
-                "%d" % self.c1_bound_pass_euclid,
-                "%d" % self.triangle_pass,
-                "%d" % len(self.n_values),
-                ";".join(str(n) for n in self.n_values),
-                num(self.alpha_max),
-                num(self.per_step_eps),
-                "%d" % self.retries,
-                num(self.decomp_residual),
-                num(self.form_constant),
-                num(self.long_next_min_eig),
-                num(self.sup_vs_target),
-            ]
-        )
+    def ledger_cells(self):
+        derived = {"steps": len(self.n_values), "n_values": ";".join(map(str, self.n_values))}
+        return [derived[c] if c in derived else getattr(self, c) for c in self.LEDGER_COLUMNS]
 
 
 @dataclass
@@ -193,24 +166,10 @@ class RunLedger:
     schedule: Schedule
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(StageRow.LEDGER_COLUMNS + "\n")
-            for row in self.rows:
-                fh.write(row.csv_line() + "\n")
+        write_table(path, StageRow.LEDGER_COLUMNS, (row.ledger_cells() for row in self.rows))
 
     def write_constants_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("name,value\n")
-            for key in sorted(self.summary):
-                val = self.summary[key]
-                if isinstance(val, str):
-                    fh.write("%s,%s\n" % (key, val))
-                elif isinstance(val, bool):
-                    fh.write("%s,%d\n" % (key, val))
-                elif isinstance(val, (int, np.integer)):
-                    fh.write("%s,%d\n" % (key, val))
-                else:
-                    fh.write(("%s," + FLOAT_FMT + "\n") % (key, val))
+        write_table(path, ("name", "value"), ((k, self.summary[k]) for k in sorted(self.summary)))
 
 
 def run_stage(
@@ -356,9 +315,8 @@ def run_nash_kuiper(
     g_beyond = g + schedule.delta_next * Delta
 
     delta_norm = float(np.max(operator_norm_form(Delta, g)))
-    n0 = timelike_unit_normal(f0.dfx, f0.dfy)
-    df0_norm = float(np.max(operator_norm_map(f0.dfx, f0.dfy, g)))
-    t_base = 2.0 * constants.increment * (df0_norm + float(np.max(euclidean_norm(n0))))
+    # T per unit form constant; each stage scales it by its measured c.
+    t_base = c1_budget_constant(constants.increment, 1.0, f0, g)
 
     rows = []
     sup_vs_g = [float(np.max(operator_norm_form(isometric_default(f0, g), g)))]

@@ -95,6 +95,23 @@ def test_corrugate_eta_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize("bad", ["zero", "nan"])
+def test_corrugate_malformed_eta_file_is_usage_error(tmp_path, capsys, bad):
+    eta_path = tmp_path / "eta.csv"
+    write_scalar_csv(str(eta_path), strip_eta_field(Grid(5, 5)))
+    lines = eta_path.read_text().splitlines()
+    assert lines[7].startswith("1,1,")
+    lines[7] = "1,1," + bad
+    eta_path.write_text("\n".join(lines) + "\n")
+    obj = tmp_path / "o.obj"
+    code = main(
+        ["corrugate", "--grid", "5", "--eta-file", str(eta_path), "--N", "16", "--out", str(obj)]
+    )
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not obj.exists()
+
+
 def test_corrugate_rejects_zero_form(tmp_path):
     obj = str(tmp_path / "z.obj")
     assert main(["corrugate", "--grid", "17", "--N", "8", "--ell", "0,0", "--out", obj]) == 2
@@ -120,6 +137,16 @@ def test_decompose_missing_metric_is_usage_error(tmp_path, capsys):
     code = main(["decompose", "--metric", str(tmp_path / "nope.csv"), "--out", str(out)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["1,1,1,zero,1", "1,1,nan,0,1", "1,0,1,0,1"])
+def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
+    metric = tmp_path / "delta.csv"
+    metric.write_text("x_idx,y_idx,E,F,G\n0,0,1,0,1\n0,1,1,0,1\n1,0,1,0,1\n%s\n" % bad_row)
+    out = tmp_path / "etas.csv"
+    assert main(["decompose", "--metric", str(metric), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_table(tmp_path, capsys):

@@ -7,7 +7,6 @@ from lorentz_corrugate.decomp import (
     PrimitiveDecomposition,
     build_dictionary,
     decompose,
-    decomposition_jump_audit,
     reconstruct,
     resolve_threads,
 )
@@ -176,13 +175,3 @@ def test_threads_bit_identical(monkeypatch):
     env = decompose(delta, dic)
     for a, b in zip(one.etas, env.etas):
         assert np.array_equal(a, b)
-
-
-def test_jump_audit():
-    dic = build_dictionary(3)
-    x = np.linspace(0.0, 1.0, 5)
-    eta = np.broadcast_to(x[:, None], (5, 4)).copy()
-    dec = PrimitiveDecomposition(
-        forms=dic.forms, etas=[eta, np.zeros((5, 4)), np.zeros((5, 4))], residual=0.0
-    )
-    assert decomposition_jump_audit(dec) == pytest.approx(0.25)

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from lorentz_corrugate.cli import _write_record
+from lorentz_corrugate.corrugation import CorrugationStepRecord
 from lorentz_corrugate.errors import (
+    ConfigError,
     DomainError,
     GridMismatch,
-    LostSpacelike,
     NotLong,
     NotPSD,
     SingularMetric,
@@ -33,6 +35,7 @@ from lorentz_corrugate.fields import (
 )
 from lorentz_corrugate.lorentz import minkowski_inner
 from lorentz_corrugate.scenarios import flat_inclusion
+from lorentz_corrugate.scheduler import RunLedger, StageRow
 
 
 def graph_jet(grid, zx, zy):
@@ -116,6 +119,11 @@ def test_metric_pd_and_psd_guards():
     near.require_psd()
     with pytest.raises(SingularMetric):
         near.require_positive_definite()
+    # NaN compares False both ways, so it must not slip past the PSD gate.
+    nan = MetricField.constant(1.0, 0.0, 1.0, (2, 2))
+    nan.G[1, 0] = np.nan
+    with pytest.raises(NotPSD):
+        nan.require_psd()
 
 
 def test_metric_inner_matches_matrix_product():
@@ -214,13 +222,6 @@ def test_apply_d():
     assert np.array_equal(got, expect)
 
 
-def test_require_spacelike():
-    flat_inclusion(Grid(3, 3)).require_spacelike()
-    steep = graph_jet(Grid(3, 3), 1.2, 0.0)
-    with pytest.raises(LostSpacelike):
-        steep.require_spacelike()
-
-
 def test_longness():
     f = flat_inclusion(Grid(5, 5))
     g_short = MetricField.constant(0.5, 0.0, 0.5, (5, 5))
@@ -229,6 +230,9 @@ def test_longness():
     g_big = MetricField.constant(2.0, 0.0, 0.5, (5, 5))
     with pytest.raises(NotLong):
         require_long(f, g_big)
+    g_short.E[2, 2] = np.nan
+    with pytest.raises(NotLong):
+        require_long(f, g_short)
     with pytest.raises(GridMismatch):
         isometric_default(f, MetricField.identity((4, 4)))
 
@@ -377,5 +381,92 @@ def test_scalar_csv_roundtrip(tmp_path):
 def test_metric_csv_incomplete(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x_idx,y_idx,E,F,G\n0,0,1,0,1\n1,1,1,0,1\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         read_metric_csv(str(path))
+
+
+METRIC_HEADER = "x_idx,y_idx,E,F,G\n"
+# three of the four nodes of a 2x2 grid; each case supplies the fourth row
+THREE_NODES = "0,0,1,0,1\n0,1,1,0,1\n1,0,1,0,1\n"
+MALFORMED_METRIC_CSV = {
+    "non-numeric cell": METRIC_HEADER + THREE_NODES + "1,1,1,zero,1\n",
+    "nan value": METRIC_HEADER + THREE_NODES + "1,1,nan,0,1\n",
+    "inf value": METRIC_HEADER + THREE_NODES + "1,1,1,0,inf\n",
+    "header without E,F,G": "x_idx,y_idx,A,B,C\n" + THREE_NODES + "1,1,1,0,1\n",
+    "duplicated node": METRIC_HEADER + THREE_NODES + "1,0,1,0,1\n",
+    "negative index": METRIC_HEADER + THREE_NODES + "-1,1,1,0,1\n",
+    "non-integral index": METRIC_HEADER + THREE_NODES + "1,0.5,1,0,1\n",
+    "ragged row": METRIC_HEADER + THREE_NODES + "1,1,1,0\n",
+    "no rows": METRIC_HEADER,
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_METRIC_CSV))
+def test_grid_csv_rejects_malformed(tmp_path, case):
+    path = tmp_path / "bad.csv"
+    path.write_text(MALFORMED_METRIC_CSV[case])
+    with pytest.raises(ConfigError, match="bad.csv"):
+        read_metric_csv(str(path))
+
+
+def test_csv_writers_golden_format(tmp_path):
+    # Pins every CSV format byte for byte: ints and flags as %d, strings
+    # as-is, floats with 17 significant digits (nan and inf included).
+    row = StageRow(
+        stage=2, delta=0.25, sup_default=0.1, stage_bound=1e-3, stage_bound_pass=True,
+        c0_shift=2.5e-20, c0_budget=0.00625, c0_pass=True, c1_increment=1.0 / 3.0,
+        c1_increment_euclid=2.0, c1_bound=123456.789, c1_bound_pass=False,
+        c1_bound_pass_euclid=True, triangle_pass=True, n_values=[16, 1024, 262144],
+        alpha_max=0.7, per_step_eps=float("nan"), retries=1, decomp_residual=0.0,
+        form_constant=1.5, long_next_min_eig=-1e-17, sup_vs_target=float("inf"),
+    )
+    summary = {
+        "mode": "practical", "monotone_pass": True, "stages": 6, "probes": np.int64(7),
+        "eps": 0.05, "c0_total": 1e-300,
+    }
+    ledger = RunLedger(rows=[row], summary=summary, schedule=None)
+    ledger.write_csv(str(tmp_path / "ledger.csv"))
+    ledger.write_constants_csv(str(tmp_path / "constants.csv"))
+    rec = CorrugationStepRecord(
+        N=64, alpha_max=0.0, orders=3, eta_max=0.25, sup_default=0.1, c0_shift=1.0 / 3.0,
+        c1_shift=np.float64(2.0), c1_shift_euclid=1e-300, spacelike_min=-0.5,
+        audits={"identity_max": 1e-16, "growth_margin": float("-inf"), "normal_ortho_budget": 0.15625},
+    )
+    # alpha_max = 0 makes both quadrature cross-checks exactly 0.
+    _write_record(str(tmp_path / "record.csv"), rec, 64)
+    E = np.array([[1.0, 0.1, 2.0], [1e-17, 3.0, -0.5]])
+    write_metric_csv(str(tmp_path / "grid.csv"), MetricField(E, E / 3.0, -E))
+
+    header, line = (tmp_path / "ledger.csv").read_text().splitlines()
+    assert header == (
+        "stage,delta,sup_default,stage_bound,stage_bound_pass,c0_shift,c0_budget,c0_pass,"
+        "c1_increment,c1_increment_euclid,c1_bound,c1_bound_pass,c1_bound_pass_euclid,"
+        "triangle_pass,steps,n_values,alpha_max,per_step_eps,retries,"
+        "decomp_residual,form_constant,long_next_min_eig,sup_vs_target"
+    )
+    assert line == (
+        "2,0.25,0.10000000000000001,0.001,1,2.4999999999999999e-20,0.0062500000000000003,1,"
+        "0.33333333333333331,2,123456.789,0,1,1,3,16;1024;262144,0.69999999999999996,nan,1,"
+        "0,1.5,-1.0000000000000001e-17,inf"
+    )
+    assert len(header.split(",")) == len(line.split(",")) == 23
+    assert (tmp_path / "constants.csv").read_text() == (
+        "name,value\nc0_total,1e-300\neps,0.050000000000000003\nmode,practical\n"
+        "monotone_pass,1\nprobes,7\nstages,6\n"
+    )
+    assert (tmp_path / "record.csv").read_text() == (
+        "name,value\nN,64\nalpha_max,0\norders,3\neta_max,0.25\nsup_default,0.10000000000000001\n"
+        "c0_shift,0.33333333333333331\nc1_shift,2\nc1_shift_euclid,1e-300\nspacelike_min,-0.5\n"
+        "growth_margin,-inf\nidentity_max,9.9999999999999998e-17\nnormal_ortho_budget,0.15625\n"
+        "quadrature_crosscheck_Ac,0\nquadrature_crosscheck_As,0\n"
+    )
+    assert (tmp_path / "grid.csv").read_text() == (
+        "x_idx,y_idx,E,F,G\n"
+        "0,0,1,0.33333333333333331,-1\n"
+        "0,1,0.10000000000000001,0.033333333333333333,-0.10000000000000001\n"
+        "0,2,2,0.66666666666666663,-2\n"
+        "1,0,1.0000000000000001e-17,3.3333333333333337e-18,-1.0000000000000001e-17\n"
+        "1,1,3,1,-3\n"
+        "1,2,-0.5,-0.16666666666666666,0.5\n"
+    )
