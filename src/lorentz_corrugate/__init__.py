@@ -31,7 +31,7 @@ from .fields import (
     operator_norm_map,
     pullback_metric,
 )
-from .decomp import FormDictionary, PrimitiveDecomposition, build_dictionary, decompose, reconstruct
+from .decomp import FormDictionary, PrimitiveDecomposition, build_dictionary, decompose
 from .corrugation import (
     amplitude,
     apply_corrugation,
@@ -46,7 +46,6 @@ from .corrugation import (
 )
 from .bounds import (
     BoundConstants,
-    chained_growth_constant,
     compute_constants,
     growth_constant,
     increment_constant,

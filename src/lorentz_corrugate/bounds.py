@@ -1,4 +1,4 @@
-"""Quantitative constants controlling one corrugation step and their chains.
+"""Quantitative constants controlling one corrugation step and one stage.
 
 phi(alpha) is the full-turn average of cosh(alpha cos 2 pi s), the loop
 average every step solves for its amplitude. psi bounds the C1 increment
@@ -6,9 +6,9 @@ of a step per unit sqrt(eta) dl(u); its square splits as
 psi = sqrt(2 psi1) + sqrt(psi2). All three have removable
 singularities at alpha = 0 with limits sqrt(3) + sqrt(2), 3/2 and 2; below
 a small threshold the limits are returned so the three stay algebraically
-consistent. The per-run constants M (padded sup of psi), K (differential
-growth), (2K)^k (growth chained through a dictionary sweep), the form
-family constant c and the C1 budget T feed the scheduler's audits.
+consistent. M (padded sup of psi) and K (differential growth) feed the step
+audits; the form family constant c and T = 2 M c (|df|_g + |n|_E) make the
+scheduler's one-stage C1 bound.
 """
 from __future__ import annotations
 
@@ -130,13 +130,6 @@ def growth_constant(alpha_max):
     return 2.0 * np.cosh(a) + 1.0
 
 
-def chained_growth_constant(alpha_max, k):
-    """(2K)^k, the growth factor across one full dictionary sweep."""
-    if k < 1:
-        raise DomainError("chained growth needs at least one form")
-    return (2.0 * growth_constant(alpha_max)) ** int(k)
-
-
 def form_family_constant(decomposition, g):
     """Measured c with sum_j sqrt(eta_j) |dl_j|_g <= c |sum eta_j dl_j^2|_g^(1/2).
 
@@ -154,14 +147,16 @@ def form_family_constant(decomposition, g):
     return float(np.max(num[mask] / den[mask]))
 
 
-def c1_budget_constant(increment, form_constant, f0, g):
-    """T = 2 M c (|df0|_{g} + |n0|), the chained C1 drift budget.
+def c1_budget_constant(increment, form_constant, f, g):
+    """T = 2 M c (|df|_g + |n|_E), the C1 drift of one stage started at f.
 
-    The scheduler takes it at c = 1 and scales by each stage's measured c.
+    A stage whose metric moves by |g_n - g_{n-1}| may shift the
+    differential by at most T |g_n - g_{n-1}|^(1/2) (Nash; Conti, De Lellis
+    and Szekelyhidi); the scheduler takes f as the stage's start jet.
     """
-    df_norm = float(np.max(operator_norm_map(f0.dfx, f0.dfy, g)))
-    n0 = timelike_unit_normal(f0.dfx, f0.dfy)
-    n_norm = float(np.max(euclidean_norm(n0)))
+    df_norm = float(np.max(operator_norm_map(f.dfx, f.dfy, g)))
+    n = timelike_unit_normal(f.dfx, f.dfy)
+    n_norm = float(np.max(euclidean_norm(n)))
     return 2.0 * increment * form_constant * (df_norm + n_norm)
 
 
@@ -173,7 +168,6 @@ class BoundConstants:
     k: int
     increment: float
     growth: float
-    chained_growth: float
     form_constant: float = float("nan")
     c1_budget: float = float("nan")
 
@@ -183,7 +177,6 @@ class BoundConstants:
             ("dictionary_size", float(self.k)),
             ("increment_constant", self.increment),
             ("growth_constant", self.growth),
-            ("chained_growth_constant", self.chained_growth),
         ]
         if np.isfinite(self.form_constant):
             out.append(("form_constant", self.form_constant))
@@ -199,7 +192,6 @@ def compute_constants(alpha_max, k, decomposition=None, f0=None, g=None):
         k=int(k),
         increment=increment_constant(alpha_max),
         growth=growth_constant(alpha_max),
-        chained_growth=chained_growth_constant(alpha_max, k),
     )
     if decomposition is not None and g is not None:
         bc.form_constant = form_family_constant(decomposition, g)

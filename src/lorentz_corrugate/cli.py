@@ -11,7 +11,7 @@ from . import __version__
 from .bounds import compute_constants
 from .corrugation import cp_step, remainder_quadrature, select_corrugation_number
 from .decomp import MAX_FORMS, build_dictionary, decompose, resolve_threads
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, NotPSD
 from .fields import (
     FLOAT_FMT,
     Grid,
@@ -26,22 +26,18 @@ from .scenarios import SCENARIOS, flat_inclusion, scenario, strip_eta_field
 from .scheduler import run_nash_kuiper
 from .verify import run_checks
 
-MODES = ("practical", "theoretical")
-
-
 @dataclass
 class RunConfig:
     """Keys of run.json; every field is echoed into config.resolved.json."""
 
     grid: int = 257
     stages: int = 6
-    mode: str = "practical"
+    mode: str = "practical"  # the dyadic schedule, the only one
     eps: float = 0.05
     dictionary_k: int = 5
     scenario: str = "flat-shrink"
     n_cap: int = 2**20
     select_start: int = 16
-    alpha_max_hint: float = 2.0
     threads: int = 0  # 0 means: env override or machine parallelism
 
     def validate(self):
@@ -49,8 +45,8 @@ class RunConfig:
             raise ConfigError("grid must be at least 2")
         if self.stages < 1:
             raise ConfigError("stages must be positive")
-        if self.mode not in MODES:
-            raise ConfigError("mode must be one of %s" % (MODES,))
+        if self.mode != "practical":
+            raise ConfigError("mode must be 'practical', the only schedule")
         if not 0.0 < self.eps:
             raise ConfigError("eps must be positive")
         if not 3 <= self.dictionary_k <= MAX_FORMS:
@@ -61,8 +57,6 @@ class RunConfig:
             )
         if self.n_cap < self.select_start or self.select_start < 1:
             raise ConfigError("need 1 <= select_start <= n_cap")
-        if self.alpha_max_hint <= 0.0:
-            raise ConfigError("alpha_max_hint must be positive")
         if self.threads < 0:
             raise ConfigError("threads must be nonnegative")
 
@@ -129,7 +123,11 @@ def _cmd_bounds(args):
 def _cmd_decompose(args):
     delta = read_metric_csv(args.metric)
     dic = build_dictionary(args.k)
-    dec = decompose(delta, dic, threads=args.threads)
+    try:
+        dec = decompose(delta, dic, threads=args.threads)
+    except NotPSD as exc:
+        # decompose raises NotPSD only for its input: an indefinite defect CSV
+        raise ConfigError("%s: %s" % (args.metric, exc)) from None
     nx, ny = delta.shape
     write_grid_csv(args.out, {"eta_%d" % (q + 1): eta for q, eta in enumerate(dec.etas)})
     print("decomposed %dx%d field over %d forms, residual %.3e" % (nx, ny, dic.k, dec.residual))
@@ -142,6 +140,8 @@ def _cmd_corrugate(args):
     eta = read_scalar_csv(args.eta_file) if args.eta_file else strip_eta_field(gr)
     if eta.shape != gr.shape:
         raise ConfigError("eta field shape %s does not match --grid %d" % (eta.shape, args.grid))
+    if eta.min() < 0.0:
+        raise ConfigError("%s: eta must be nonnegative, min %.3e" % (args.eta_file, eta.min()))
     ell = _parse_ell(args.ell)
     if args.N is not None:
         out, rec = cp_step(f, eta, ell, args.N)
@@ -193,20 +193,17 @@ def _cmd_run(args):
         f0,
         g,
         stages=cfg.stages,
-        mode=cfg.mode,
         eps=cfg.eps,
         dictionary=build_dictionary(cfg.dictionary_k),
-        alpha_max_hint=cfg.alpha_max_hint,
         outdir=args.outdir,
         select_start=cfg.select_start,
         n_cap=cfg.n_cap,
         threads=resolved["threads"],
     )
     s = ledger.summary
-    print("stages: %d (%s), grid %dx%d" % (cfg.stages, cfg.mode, cfg.grid, cfg.grid))
+    print("stages: %d, grid %dx%d" % (cfg.stages, cfg.grid, cfg.grid))
     print("final sup default: %.6e (initial %.6e)" % (s["final_sup_default"], s["initial_sup_default"]))
     print("C0 drift: %.6e of budget %.6e" % (s["c0_total"], s["c0_budget_total"]))
-    print("summability partial sum: %.6e" % s["summability_partial_sum"])
     print("artifacts in %s" % args.outdir)
     return 0
 

@@ -87,16 +87,12 @@ class PrimitiveDecomposition:
     residual: float
 
     def reconstruct(self):
+        """Sum of eta_j * ell_j (x) ell_j as a MetricField."""
         out = None
         for ell, eta in zip(self.forms, self.etas):
             term = ell.outer(eta)
             out = term if out is None else out + term
         return out
-
-
-def reconstruct(decomp):
-    """Sum of eta_j * ell_j (x) ell_j as a MetricField."""
-    return decomp.reconstruct()
 
 
 def _support_plan(A):

@@ -1,7 +1,8 @@
 """Exception hierarchy for the corrugation engine.
 
-EngineError covers domain failures (CLI exit code 1); ConfigError covers bad
-user input before any numerics run (exit code 2).
+EngineError covers failures of the numerics on valid input (CLI exit code
+1); ConfigError covers bad user input, a value its file's own domain forbids
+included, caught before any output is written (exit code 2).
 """
 
 

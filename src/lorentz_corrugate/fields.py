@@ -2,8 +2,7 @@
 
 Everything lives on a regular grid over the unit square C = [0,1]^2. A first
 order jet stores positions and both partial derivative fields explicitly;
-derivatives are exact data, never finite differences of the positions (a
-consistency audit reports, but does not assert, their agreement).
+derivatives are exact data, never finite differences of the positions.
 """
 from __future__ import annotations
 
@@ -350,27 +349,6 @@ def corrugation_frame(f, ell):
     t = f.apply_d(u)
     n = timelike_unit_normal(t, vhat)
     return FrameField(v=v, u=u, vhat=vhat, t=t, n=n, dlu=dlu)
-
-
-def jet_consistency_audit(f):
-    """Compare stored partials with central differences of the positions.
-
-    Returns a dict with the max interior deviation per axis and the
-    deviation scaled by the grid steps. Reported only, never asserted: the
-    jet's derivative fields are exact data and the finite difference carries
-    its own truncation error.
-    """
-    hx, hy = f.grid.hx, f.grid.hy
-    ddx = (f.pos[2:, :, :] - f.pos[:-2, :, :]) / (2.0 * hx)
-    ddy = (f.pos[:, 2:, :] - f.pos[:, :-2, :]) / (2.0 * hy)
-    ex = float(np.max(np.abs(ddx - f.dfx[1:-1, :, :]))) if f.grid.nx > 2 else 0.0
-    ey = float(np.max(np.abs(ddy - f.dfy[:, 1:-1, :]))) if f.grid.ny > 2 else 0.0
-    scale = hx + hy
-    return {
-        "max_err_x": ex,
-        "max_err_y": ey,
-        "per_step": (ex + ey) / scale,
-    }
 
 
 def export_obj(f, path):

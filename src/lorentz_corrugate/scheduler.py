@@ -8,10 +8,12 @@ budget tuned so the stage lands inside its acceptance inequality
 and audits the C0 and C1 drift against their budgets. All field norms are
 sup-node operator norms measured against the fixed target metric g.
 
-Two delta-schedules exist: the theoretical one keeps the chained growth
-series summable (ratio below 0.9) but shrinks too fast to watch, the
-practical dyadic one converges at observable scale; the summability partial
-sums are reported either way.
+The schedule is dyadic, delta_n = 2^-n, so each stage removes half of the
+remaining surplus. A stage's C1 bound is the one-stage estimate taken at
+the stage's own start jet f_{n-1},
+    a_n + 2 M c sqrt|g_n - g_{n-1}| (|df_{n-1}|_g + |n_{n-1}|_E),
+with M the largest increment constant the stage's steps measured and c the
+stage's form family constant.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import c1_budget_constant, compute_constants, form_family_constant
+from .bounds import c1_budget_constant, form_family_constant
 from .corrugation import successive_cp
 from .decomp import build_dictionary, decompose
 from .errors import BudgetExceeded, DomainError, EngineError
@@ -43,15 +45,12 @@ class Schedule:
     """Stage interpolation weights and C0 budgets.
 
     deltas holds delta_0 = 1 down to delta_T; delta_next extends one more
-    stage for the final stage-acceptance target. summability terms are
-    sqrt(delta_{n-1} - delta_n) * (2 K_tilde)^n for n = 1..T.
+    stage for the final stage-acceptance target.
     """
 
     deltas: list
     a_seq: list
     stages: int
-    mode: str
-    K_tilde: float
     eps: float
     delta_next: float
 
@@ -64,41 +63,17 @@ class Schedule:
         if any(a <= 0.0 for a in self.a_seq) or sum(self.a_seq) >= self.eps:
             raise DomainError("C0 budgets must be positive with sum below eps")
 
-    def summability_terms(self):
-        out = []
-        for n in range(1, self.stages + 1):
-            gap = self.deltas[n - 1] - self.deltas[n]
-            out.append(math.sqrt(gap) * (2.0 * self.K_tilde) ** n)
-        return out
 
-
-def make_schedule(K_tilde, stages, mode, eps=0.05):
-    """Build the delta-schedule for a run.
-
-    theoretical: delta_n = rho^n with sqrt(rho) * 2 K_tilde <= 0.9 (a 5%
-    safety factor keeps the measured term ratio strictly inside 0.9).
-    practical: delta_n = 2^-n regardless of K_tilde.
-    """
+def make_schedule(stages, eps=0.05):
+    """The dyadic schedule delta_n = 2^-n with C0 budgets a_n = eps 2^-(n+1)."""
     if stages < 1:
         raise DomainError("need at least one stage")
-    if mode == "theoretical":
-        rho = 0.95 * (0.9 / (2.0 * K_tilde)) ** 2
-        deltas = [rho**n for n in range(stages + 1)]
-        delta_next = rho ** (stages + 1)
-    elif mode == "practical":
-        deltas = [2.0**-n for n in range(stages + 1)]
-        delta_next = 2.0 ** -(stages + 1)
-    else:
-        raise DomainError("mode must be theoretical or practical")
-    a_seq = [eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)]
     return Schedule(
-        deltas=deltas,
-        a_seq=a_seq,
+        deltas=[2.0**-n for n in range(stages + 1)],
+        a_seq=[eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)],
         stages=stages,
-        mode=mode,
-        K_tilde=float(K_tilde),
         eps=float(eps),
-        delta_next=delta_next,
+        delta_next=2.0 ** -(stages + 1),
     )
 
 
@@ -178,11 +153,9 @@ def run_stage(
     g_next,
     a_n,
     dictionary,
-    constants,
     g_norm,
     stage_index,
     delta_prev_norm,
-    t_base,
     select_start=16,
     n_cap=2**20,
     threads=None,
@@ -198,8 +171,9 @@ def run_stage(
     misses the acceptance inequality the budget is halved instead. Both
     directions exhausted means the stage genuinely cannot satisfy the
     bounds and the failure propagates. The C1 drift allowance is
-    a_n + T * |g_n - g_{n-1}|^(1/2) * (2 K_tilde)^n with the measured
-    per-stage form constant folded into T.
+    a_n + 2 M c |g_n - g_{n-1}|^(1/2) (|df_{n-1}|_g + |n_{n-1}|_E), taken
+    at f_prev with the stage's largest measured increment constant M and
+    its form constant c.
     """
     require_long(f_prev, g_n)
     D_n = isometric_default(f_prev, g_n)
@@ -250,9 +224,10 @@ def run_stage(
     c0_shift = c0_distance(f_n, f_prev)
     c1_inc = c1_increment(f_n, f_prev, g_norm)
     c1_inc_e = c1_increment(f_n, f_prev, MetricField.identity(g_norm.shape))
-    c1_bound = a_n + t_base * c_stage * math.sqrt(delta_prev_norm) * (
-        2.0 * constants.chained_growth
-    ) ** stage_index
+    M_stage = max((r.audits["increment_constant"] for r in records), default=0.0)
+    c1_bound = a_n + c1_budget_constant(M_stage, c_stage, f_prev, g_norm) * math.sqrt(
+        delta_prev_norm
+    )
     sup_Dn = float(np.max(operator_norm_form(D_n, g_norm)))
     triangle_pass = math.sqrt(sup_Dn) <= 2.0 * math.sqrt(delta_prev_norm) + 1e-12
     long_next = float((pullback_metric(f_n) - g_next).min_eigenvalue())
@@ -289,10 +264,8 @@ def run_nash_kuiper(
     f0,
     g,
     stages=6,
-    mode="practical",
     eps=0.05,
     dictionary=None,
-    alpha_max_hint=2.0,
     outdir=None,
     select_start=16,
     n_cap=2**20,
@@ -309,14 +282,11 @@ def run_nash_kuiper(
     Delta = require_long(f0, g)
     g.require_positive_definite(what="target metric")
 
-    constants = compute_constants(alpha_max_hint, dictionary.k)
-    schedule = make_schedule(constants.chained_growth, stages, mode, eps=eps)
+    schedule = make_schedule(stages, eps=eps)
     gs = stage_metrics(g, Delta, schedule)
     g_beyond = g + schedule.delta_next * Delta
 
     delta_norm = float(np.max(operator_norm_form(Delta, g)))
-    # T per unit form constant; each stage scales it by its measured c.
-    t_base = c1_budget_constant(constants.increment, 1.0, f0, g)
 
     rows = []
     sup_vs_g = [float(np.max(operator_norm_form(isometric_default(f0, g), g)))]
@@ -332,30 +302,18 @@ def run_nash_kuiper(
     def summarize(final):
         alpha_measured = max((r.alpha_max for r in rows), default=0.0)
         c_max = max((r.form_constant for r in rows), default=0.0)
-        terms = schedule.summability_terms()
-        scaled = [t * math.sqrt(delta_norm) for t in terms]
-        ratios = [terms[i + 1] / terms[i] for i in range(len(terms) - 1) if terms[i] > 0.0]
         monotone = all(sup_vs_g[i + 1] < sup_vs_g[i] for i in range(len(sup_vs_g) - 1))
         summary = {
-            "mode": schedule.mode,
             "stages": schedule.stages,
             "eps": schedule.eps,
-            "alpha_max_hint": constants.alpha_max,
             "alpha_max_measured": alpha_measured,
-            "alpha_hint_respected": alpha_measured <= constants.alpha_max,
-            "increment_constant": constants.increment,
-            "growth_constant": constants.growth,
-            "chained_growth_constant": constants.chained_growth,
             "form_constant_max": c_max,
-            "c1_budget_constant": t_base * c_max,
             "delta_norm": delta_norm,
             "initial_sup_default": sup_vs_g[0],
             "final_sup_default": sup_vs_g[-1],
             "c0_total": c0_distance(final, f0) if rows else 0.0,
             "c0_budget_total": sum(schedule.a_seq),
             "monotone_pass": monotone,
-            "summability_partial_sum": sum(scaled),
-            "summability_max_ratio": max(ratios) if ratios else 0.0,
         }
         return RunLedger(rows=rows, summary=summary, schedule=schedule)
 
@@ -375,11 +333,9 @@ def run_nash_kuiper(
                 g_next,
                 schedule.a_seq[n - 1],
                 dictionary,
-                constants,
                 g_norm=g,
                 stage_index=n,
                 delta_prev_norm=delta_prev_norm,
-                t_base=t_base,
                 select_start=select_start,
                 n_cap=n_cap,
                 threads=threads,

@@ -29,14 +29,13 @@ from .fields import (
     LinearForm,
     MetricField,
     corrugation_frame,
-    jet_consistency_audit,
     operator_norm_form,
     operator_norm_map,
     pullback_metric,
 )
 from .lorentz import minkowski_inner, timelike_unit_normal
 from .scenarios import collar_eta_field, flat_inclusion, scenario, strip_eta_field, STRIP_FORM
-from .scheduler import make_schedule, run_nash_kuiper
+from .scheduler import run_nash_kuiper
 
 
 @dataclass
@@ -79,7 +78,7 @@ class Inputs:
     @cached_property
     def ledger(self):
         f0, g = scenario("flat-shrink").build(Grid(self.run_grid, self.run_grid))
-        return run_nash_kuiper(f0, g, stages=self.run_stages, mode="practical", eps=0.05)[1]
+        return run_nash_kuiper(f0, g, stages=self.run_stages, eps=0.05)[1]
 
 
 def _perturbed_jet(grid, rng, scale=0.15):
@@ -243,8 +242,7 @@ def _check_envelope(n, inputs):
         M = bnd.increment_constant(amax)
         a = rng.uniform(0.0, amax, size=4096)
         worst = max(worst, float(np.max(bnd.psi(np.maximum(a, 1e-9)) / M)))
-    k_ok = bnd.chained_growth_constant(1.0, 3) == (2.0 * bnd.growth_constant(1.0)) ** 3
-    return CheckResult(n, worst <= 1.0 and k_ok, worst, 1.0, note="psi below padded sup")
+    return CheckResult(n, worst <= 1.0, worst, 1.0, note="psi below padded sup")
 
 
 def _check_decomp(n, inputs):
@@ -381,27 +379,6 @@ def _check_normal_step(n, inputs):
     )
 
 
-def _check_summability(n, inputs):
-    worst = 0.0
-    for alpha_max, k in ((1.0, 3), (2.0, 5)):
-        sch = make_schedule(bnd.chained_growth_constant(alpha_max, k), 20, "theoretical")
-        terms = sch.summability_terms()
-        worst = max(worst, max(terms[i + 1] / terms[i] for i in range(len(terms) - 1)))
-    return CheckResult(n, worst <= 0.9, worst, 0.9, note="geometric tail of schedule terms")
-
-
-def _check_jet_report(n, inputs):
-    out, _ = cor.cp_step(*_strip_setup(65), N=24)
-    audit = jet_consistency_audit(out)
-    return CheckResult(
-        n,
-        True,
-        audit["per_step"],
-        float("inf"),
-        note="finite differences vs stored partials, reported only",
-    )
-
-
 def _check_decay(n, inputs):
     params = cor.prepare_step(*_strip_setup(257))
     errs = {}
@@ -447,8 +424,6 @@ CLAIMS = {
     "compact-support-gluing": (_check_gluing, False),
     "staged-run-audits": (_check_staged_run, False),
     "corrugated-normal": (_check_normal_step, False),
-    "schedule-summability": (_check_summability, False),
-    "jet-consistency-report": (_check_jet_report, False),
     "oscillation-decay": (_check_decay, True),
     "end-to-end-convergence": (_check_convergence, True),
 }

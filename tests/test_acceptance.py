@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven primary claims, one test each.
+"""Acceptance gate: the ten primary claims, one test each.
 
 Every claim is defined once, in lorentz_corrugate.verify. This module runs
 the full registry once, the canonical flat-shrink 257x257 six-stage run
@@ -25,7 +25,6 @@ CRITERIA = {
     8: ("corrugated-normal",),
     9: ("staged-run-audits", "end-to-end-convergence"),
     10: ("primitive-decomposition",),
-    11: ("schedule-summability",),
 }
 
 # Seconds a criterion's claims may take together; the canonical run counts
@@ -90,7 +89,3 @@ def test_criterion_09_end_to_end_convergence(full):
 
 def test_criterion_10_decomposition_round_trip(full):
     verdict(full, 10)
-
-
-def test_criterion_11_schedule_summability(full):
-    verdict(full, 11)

@@ -7,7 +7,6 @@ from lorentz_corrugate.bounds import (
     PSI1_LIMIT,
     PSI2_LIMIT,
     PSI_LIMIT,
-    chained_growth_constant,
     compute_constants,
     c1_budget_constant,
     form_family_constant,
@@ -69,13 +68,6 @@ def test_growth_constant_values():
         growth_constant(-1e-9)
 
 
-def test_chained_growth():
-    # K = 3 at alpha 0, so (2K)^3 = 216
-    assert chained_growth_constant(0.0, 3) == 216.0
-    with pytest.raises(DomainError):
-        chained_growth_constant(1.0, 0)
-
-
 def test_form_family_constant_bounds_measured_sum():
     grid = Grid(17, 17)
     g = MetricField.identity(grid.shape)
@@ -117,11 +109,10 @@ def test_compute_constants_pack():
     dec = decompose(isometric_default(f, target), build_dictionary(5))
     bc = compute_constants(1.2, 5, decomposition=dec, f0=f, g=g)
     assert bc.growth == growth_constant(1.2)
-    assert bc.chained_growth == (2.0 * bc.growth) ** 5
     assert bc.increment >= PSI_LIMIT
     assert np.isfinite(bc.form_constant) and bc.form_constant > 0.0
     assert np.isfinite(bc.c1_budget) and bc.c1_budget > 0.0
     names = [r[0] for r in bc.rows()]
     assert "form_constant" in names and "c1_budget_constant" in names
     bare = compute_constants(1.2, 5)
-    assert len(bare.rows()) == 5
+    assert len(bare.rows()) == 4

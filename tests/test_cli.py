@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lorentz_corrugate
-from lorentz_corrugate.cli import main
+from lorentz_corrugate.cli import RunConfig, main
 from lorentz_corrugate.fields import (
     Grid,
     MetricField,
@@ -95,7 +95,8 @@ def test_corrugate_eta_file(tmp_path):
     )
 
 
-@pytest.mark.parametrize("bad", ["zero", "nan"])
+# -0.5 is well-formed but outside the coefficient domain: an input fault too
+@pytest.mark.parametrize("bad", ["zero", "nan", "-0.5"])
 def test_corrugate_malformed_eta_file_is_usage_error(tmp_path, capsys, bad):
     eta_path = tmp_path / "eta.csv"
     write_scalar_csv(str(eta_path), strip_eta_field(Grid(5, 5)))
@@ -139,7 +140,8 @@ def test_decompose_missing_metric_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_row", ["1,1,1,zero,1", "1,1,nan,0,1", "1,0,1,0,1"])
+# 1,1,1,0,-0.5 is well-formed but indefinite, outside the defect field's domain
+@pytest.mark.parametrize("bad_row", ["1,1,1,zero,1", "1,1,nan,0,1", "1,0,1,0,1", "1,1,1,0,-0.5"])
 def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
     metric = tmp_path / "delta.csv"
     metric.write_text("x_idx,y_idx,E,F,G\n0,0,1,0,1\n0,1,1,0,1\n1,0,1,0,1\n%s\n" % bad_row)
@@ -153,8 +155,8 @@ def test_bounds_table(tmp_path, capsys):
     csv = tmp_path / "bounds.csv"
     assert main(["bounds", "--alpha-max", "1.0", "--k", "5", "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
-    assert "increment_constant" in out and "chained_growth_constant" in out
-    assert len(csv.read_text().splitlines()) == 6
+    assert "increment_constant" in out and "growth_constant" in out
+    assert len(csv.read_text().splitlines()) == 5
     assert (
         main(["bounds", "--alpha-max", "1.0", "--k", "5", "--scenario", "flat-shrink", "--grid", "17"])
         == 0
@@ -207,6 +209,32 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     boolean = tmp_path / "boolean.json"
     boolean.write_text(json.dumps({"stages": True}))
     assert main(["run", "--config", str(boolean), "--outdir", str(tmp_path / "u")]) == 2
+
+
+def test_run_json_compatibility(tmp_path, capsys):
+    # exactly the keys perfbench/workloads.py writes into its run.json
+    keys = {
+        "grid": 17,
+        "stages": 1,
+        "mode": "practical",
+        "eps": 0.05,
+        "dictionary_k": 5,
+        "scenario": "flat-shrink",
+    }
+    RunConfig(**keys).validate()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(keys))
+    assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "ok")]) == 0
+    # the dyadic schedule is the only one, and alpha_max_hint is gone
+    for extra, message in (
+        ({"mode": "theoretical"}, "mode must be 'practical'"),
+        ({"alpha_max_hint": 2.0}, "unknown config keys: alpha_max_hint"),
+    ):
+        cfg.write_text(json.dumps(dict(keys, **extra)))
+        outdir = tmp_path / "rejected"
+        assert main(["run", "--config", str(cfg), "--outdir", str(outdir)]) == 2
+        assert "config error: " + message in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 def test_run_engine_failure_exit_code(tmp_path, capsys):

@@ -7,7 +7,6 @@ from lorentz_corrugate.decomp import (
     PrimitiveDecomposition,
     build_dictionary,
     decompose,
-    reconstruct,
     resolve_threads,
 )
 from lorentz_corrugate.errors import ConeViolation, DomainError, NotPSD
@@ -85,7 +84,7 @@ def test_roundtrip_k5():
         delta = cone_field(rng, dic, (9, 9))
         dec = decompose(delta, dic)
         assert dec.residual <= 1e-9
-        back = reconstruct(dec)
+        back = dec.reconstruct()
         assert float(np.max((back - delta).frobenius())) <= 1e-9
         for eta in dec.etas:
             assert np.all(eta >= 0.0)
@@ -106,7 +105,7 @@ def test_matches_nnls_oracle():
     delta = MetricField(a, f, c)
     dec = decompose(delta, dic, tol_residual=np.inf)
     b = np.stack([delta.E, np.sqrt(2.0) * delta.F, delta.G], axis=-1)
-    mine = reconstruct(dec)
+    mine = dec.reconstruct()
     for i in range(shape[0]):
         for j in range(shape[1]):
             x, rnorm = nnls(A, b[i, j])

@@ -23,7 +23,6 @@ from lorentz_corrugate.fields import (
     export_obj,
     form_norm,
     isometric_default,
-    jet_consistency_audit,
     operator_norm_form,
     operator_norm_map,
     pullback_metric,
@@ -329,19 +328,6 @@ def test_frame_orthonormal_random():
 
 
 # ---------------------------------------------------------------- audits and io
-
-
-def test_jet_audit_exact_for_quadratic():
-    grid = Grid(9, 7)
-    X, Y = grid.mesh()
-    pos = np.stack([X, Y, X**2], axis=-1)
-    dfx = np.stack([np.ones(grid.shape), np.zeros(grid.shape), 2.0 * X], axis=-1)
-    dfy = np.stack([np.zeros(grid.shape), np.ones(grid.shape), np.zeros(grid.shape)], axis=-1)
-    rep = jet_consistency_audit(EmbeddingJet(grid, pos, dfx, dfy))
-    # Central differences are exact on quadratics.
-    assert rep["max_err_x"] < 1e-13
-    assert rep["max_err_y"] < 1e-13
-    assert rep["per_step"] < 1e-12
 
 
 def test_export_obj_layout(tmp_path):
