@@ -53,5 +53,5 @@ from .bounds import (
     psi1,
     psi2,
 )
-from .scheduler import RunLedger, Schedule, make_schedule, run_nash_kuiper, run_stage, stage_metrics
+from .scheduler import RunLedger, run_nash_kuiper, run_stage
 from .scenarios import scenario, SCENARIOS

@@ -8,8 +8,8 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .bounds import compute_constants
-from .corrugation import cp_step, remainder_quadrature, select_corrugation_number
+from .bounds import ALPHA_CAP, compute_constants
+from .corrugation import LADDER_START, cp_step, remainder_quadrature, select_corrugation_number
 from .decomp import MAX_FORMS, build_dictionary, decompose, resolve_threads
 from .errors import ConfigError, EngineError, NotPSD
 from .fields import (
@@ -17,6 +17,7 @@ from .fields import (
     Grid,
     LinearForm,
     export_obj,
+    isometric_default,
     read_metric_csv,
     read_scalar_csv,
     write_grid_csv,
@@ -25,6 +26,17 @@ from .fields import (
 from .scenarios import SCENARIOS, flat_inclusion, scenario, strip_eta_field
 from .scheduler import run_nash_kuiper
 from .verify import run_checks
+
+
+def _need(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _need_scenario(name):
+    registered = ", ".join(sorted(SCENARIOS))
+    _need(name in SCENARIOS, "scenario %r not registered (%s)" % (name, registered))
+
 
 @dataclass
 class RunConfig:
@@ -37,28 +49,17 @@ class RunConfig:
     dictionary_k: int = 5
     scenario: str = "flat-shrink"
     n_cap: int = 2**20
-    select_start: int = 16
     threads: int = 0  # 0 means: env override or machine parallelism
 
     def validate(self):
-        if self.grid < 2:
-            raise ConfigError("grid must be at least 2")
-        if self.stages < 1:
-            raise ConfigError("stages must be positive")
-        if self.mode != "practical":
-            raise ConfigError("mode must be 'practical', the only schedule")
-        if not 0.0 < self.eps:
-            raise ConfigError("eps must be positive")
-        if not 3 <= self.dictionary_k <= MAX_FORMS:
-            raise ConfigError("dictionary_k must be in [3, %d]" % MAX_FORMS)
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                "scenario %r not registered (%s)" % (self.scenario, ", ".join(sorted(SCENARIOS)))
-            )
-        if self.n_cap < self.select_start or self.select_start < 1:
-            raise ConfigError("need 1 <= select_start <= n_cap")
-        if self.threads < 0:
-            raise ConfigError("threads must be nonnegative")
+        _need(self.grid >= 2, "grid must be at least 2")
+        _need(self.stages >= 1, "stages must be positive")
+        _need(self.mode == "practical", "mode must be 'practical', the only schedule")
+        _need(self.eps > 0.0, "eps must be positive")
+        _need(3 <= self.dictionary_k <= MAX_FORMS, "dictionary_k must be in [3, %d]" % MAX_FORMS)
+        _need_scenario(self.scenario)
+        _need(self.n_cap >= LADDER_START, "n_cap must be at least %d" % LADDER_START)
+        _need(self.threads >= 0, "threads must be nonnegative")
 
     @classmethod
     def from_file(cls, path):
@@ -101,17 +102,35 @@ def _parse_ell(text):
     return LinearForm(a, b)
 
 
-def _cmd_bounds(args):
-    bc = compute_constants(args.alpha_max, args.k)
-    if args.scenario is not None:
-        gr = Grid(args.grid, args.grid)
-        sc = scenario(args.scenario)
-        f0, g = sc.build(gr)
-        from .fields import isometric_default
+def _check_options(args):
+    """Reject option values outside the engine's domain, as RunConfig.validate does.
 
+    Runs before any command reads or writes a file, so a bad value exits 2.
+    """
+    if args.command == "bounds":
+        _need(0.0 < args.alpha_max <= ALPHA_CAP, "--alpha-max must be in (0, %g]" % ALPHA_CAP)
+        if args.scenario is not None:
+            _need_scenario(args.scenario)
+            _need(3 <= args.k <= MAX_FORMS, "--k must be in [3, %d]" % MAX_FORMS)
+            _need(args.grid >= 2, "--grid must be at least 2")
+    elif args.command == "decompose":
+        _need(3 <= args.k <= MAX_FORMS, "--k must be in [3, %d]" % MAX_FORMS)
+        _need(args.threads is None or args.threads >= 1, "--threads must be at least 1")
+    elif args.command == "corrugate":
+        _need((args.N is None) != (args.eps is None), "give exactly one of --N or --eps")
+        _need(args.grid >= 2, "--grid must be at least 2")
+        _need(args.N is None or args.N >= 1, "--N must be positive")
+        _need(args.eps is None or args.eps > 0.0, "--eps must be positive")
+        _need(args.quadrature_samples >= 1, "--quadrature-samples must be positive")
+
+
+def _cmd_bounds(args):
+    measured = {}
+    if args.scenario is not None:
+        f0, g = scenario(args.scenario).build(Grid(args.grid, args.grid))
         dec = decompose(isometric_default(f0, g), build_dictionary(args.k))
-        bc = compute_constants(args.alpha_max, args.k, decomposition=dec, f0=f0, g=g)
-    rows = bc.rows()
+        measured = dict(decomposition=dec, f0=f0, g=g)
+    rows = compute_constants(args.alpha_max, args.k, **measured).rows()
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print("%-*s  %s" % (width, name, FLOAT_FMT % value))
@@ -196,7 +215,6 @@ def _cmd_run(args):
         eps=cfg.eps,
         dictionary=build_dictionary(cfg.dictionary_k),
         outdir=args.outdir,
-        select_start=cfg.select_start,
         n_cap=cfg.n_cap,
         threads=resolved["threads"],
     )
@@ -275,10 +293,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "corrugate" and (args.N is None) == (args.eps is None):
-        print("error: give exactly one of --N or --eps", file=sys.stderr)
-        return 2
     try:
+        _check_options(args)
         return args.fn(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -45,6 +45,8 @@ from .fields import (
 from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
 SPACELIKE_TOL = 1e-10
+# Every N-selection climbs the doubling ladder N = 16, 32, ... from here.
+LADDER_START = 16
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -127,28 +129,6 @@ def radial_factor(eta, dlu):
 def amplitude(r, dlu):
     """Amplitude with loop average r phi(alpha) matching 1/dl(u)."""
     return phi_inverse(1.0 / (np.asarray(r) * np.asarray(dlu)))
-
-
-def loop_gamma(r, alpha, t, n, s):
-    """Loop point gamma(s) = r (cosh(theta) t + sinh(theta) n)."""
-    theta = np.asarray(alpha) * np.cos(2.0 * np.pi * np.asarray(s))
-    r = np.asarray(r)
-    return r[..., None] * (np.cosh(theta)[..., None] * t + np.sinh(theta)[..., None] * n)
-
-
-def loop_average(r, alpha, t):
-    """Closed-form loop average r phi(alpha) t."""
-    return (np.asarray(r) * phi(alpha))[..., None] * t
-
-
-def loop_average_quadrature(r, alpha, t, n, samples=2048):
-    """Trapezoid average of the loop over one period, as a cross-check."""
-    s = np.linspace(0.0, 1.0, samples + 1)
-    theta = np.multiply.outer(np.asarray(alpha, dtype=float), np.cos(2.0 * np.pi * s))
-    ch = np.trapezoid(np.cosh(theta), s, axis=-1)
-    sh = np.trapezoid(np.sinh(theta), s, axis=-1)
-    r = np.asarray(r)
-    return r[..., None] * (ch[..., None] * t + sh[..., None] * n)
 
 
 def series_orders(alpha_max, tol=1e-18):
@@ -547,22 +527,22 @@ def select_corrugation_number(
     norm_metric=None,
     c0_budget=None,
     next_metric=None,
-    start=16,
     cap=2**20,
 ):
     """Smallest doubling N whose corrugated jet meets every acceptance bound.
 
-    Tries N = start, 2*start, ... up to cap; accepts when the measured
-    defect against mu is at most epsilon, the output stays spacelike, the
-    position shift fits c0_budget (when given) and the output remains long
-    for next_metric (when given). Raises BudgetExceeded past the cap.
+    Tries N = 16, 32, ... (from LADDER_START) up to cap; accepts when the
+    measured defect against mu is at most epsilon, the output stays
+    spacelike, the position shift fits c0_budget (when given) and the
+    output remains long for next_metric (when given). Raises
+    BudgetExceeded past the cap.
     Only the accepted N is audited; the record equals the one
     apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
     if norm_metric is None:
         norm_metric = params.mu
-    N = int(start)
+    N = LADDER_START
     while N <= cap:
         probe = _probe(params, N, norm_metric)
         ok = probe.sup_default <= epsilon and probe.spacelike_min > SPACELIKE_TOL
@@ -583,7 +563,6 @@ def successive_cp(
     norm_metric=None,
     c0_budget_per_step=None,
     final_long_for=None,
-    start=16,
     cap=2**20,
 ):
     """Corrugate once per active dictionary form, in dictionary order.
@@ -608,7 +587,6 @@ def successive_cp(
             norm_metric=norm_metric,
             c0_budget=c0_budget_per_step,
             next_metric=final_long_for if last else None,
-            start=start,
             cap=cap,
         )
         records.append(rec)

@@ -8,8 +8,12 @@ budget tuned so the stage lands inside its acceptance inequality
 and audits the C0 and C1 drift against their budgets. All field norms are
 sup-node operator norms measured against the fixed target metric g.
 
-The schedule is dyadic, delta_n = 2^-n, so each stage removes half of the
-remaining surplus. A stage's C1 bound is the one-stage estimate taken at
+The schedule is dyadic and computed in run_nash_kuiper's stage loop:
+delta_n = 2^-n, so each stage removes half of the remaining surplus, and
+the C0 budgets a_n = eps 2^-(n+1) sum below eps. The last stage T is
+accepted against g_{T+1}, the next term of the same formula. Each ladder of
+corrugation numbers starts at N = 16 (corrugation.LADDER_START) and is
+capped by n_cap. A stage's C1 bound is the one-stage estimate taken at
 the stage's own start jet f_{n-1},
     a_n + 2 M c sqrt|g_n - g_{n-1}| (|df_{n-1}|_g + |n_{n-1}|_E),
 with M the largest increment constant the stage's steps measured and c the
@@ -39,54 +43,9 @@ from .fields import (
     write_table,
 )
 
-
-@dataclass
-class Schedule:
-    """Stage interpolation weights and C0 budgets.
-
-    deltas holds delta_0 = 1 down to delta_T; delta_next extends one more
-    stage for the final stage-acceptance target.
-    """
-
-    deltas: list
-    a_seq: list
-    stages: int
-    eps: float
-    delta_next: float
-
-    def __post_init__(self):
-        d = self.deltas
-        if len(d) != self.stages + 1 or d[0] != 1.0:
-            raise DomainError("deltas must run from delta_0 = 1 through delta_T")
-        if any(d[i] <= d[i + 1] for i in range(len(d) - 1)) or d[-1] <= self.delta_next:
-            raise DomainError("deltas must decrease strictly")
-        if any(a <= 0.0 for a in self.a_seq) or sum(self.a_seq) >= self.eps:
-            raise DomainError("C0 budgets must be positive with sum below eps")
-
-
-def make_schedule(stages, eps=0.05):
-    """The dyadic schedule delta_n = 2^-n with C0 budgets a_n = eps 2^-(n+1)."""
-    if stages < 1:
-        raise DomainError("need at least one stage")
-    return Schedule(
-        deltas=[2.0**-n for n in range(stages + 1)],
-        a_seq=[eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)],
-        stages=stages,
-        eps=float(eps),
-        delta_next=2.0 ** -(stages + 1),
-    )
-
-
-def stage_metrics(g, delta_field, schedule):
-    """g_n = g + delta_n * Delta for every stage, each checked definite."""
-    g.require_positive_definite(what="target metric")
-    delta_field.require_psd(what="isometric default")
-    out = []
-    for d in schedule.deltas:
-        gn = g + d * delta_field
-        gn.require_positive_definite(what="stage metric")
-        out.append(gn)
-    return out
+# Budget retries per stage: doublings after BudgetExceeded, or halvings
+# after a missed stage bound.
+MAX_RETRIES = 3
 
 
 @dataclass
@@ -138,7 +97,6 @@ class RunLedger:
 
     rows: list
     summary: dict
-    schedule: Schedule
 
     def write_csv(self, path):
         write_table(path, StageRow.LEDGER_COLUMNS, (row.ledger_cells() for row in self.rows))
@@ -155,11 +113,10 @@ def run_stage(
     dictionary,
     g_norm,
     stage_index,
+    delta,
     delta_prev_norm,
-    select_start=16,
     n_cap=2**20,
     threads=None,
-    max_retries=3,
 ):
     """One stage: decompose the defect, corrugate per form, audit budgets.
 
@@ -175,8 +132,7 @@ def run_stage(
     at f_prev with the stage's largest measured increment constant M and
     its form constant c.
     """
-    require_long(f_prev, g_n)
-    D_n = isometric_default(f_prev, g_n)
+    D_n = require_long(f_prev, g_n)
     stage_bound = float(np.max(operator_norm_form(g_next - g_n, g_norm)))
     dec = decompose(D_n, dictionary, threads=threads)
     c_stage = form_family_constant(dec, g_norm)
@@ -203,11 +159,10 @@ def run_stage(
                     norm_metric=g_norm,
                     c0_budget_per_step=c0_per_step,
                     final_long_for=g_next,
-                    start=select_start,
                     cap=n_cap,
                 )
             except BudgetExceeded:
-                if tightened or per_step_eps >= eps_cap or retries >= max_retries:
+                if tightened or per_step_eps >= eps_cap or retries >= MAX_RETRIES:
                     raise
                 retries += 1
                 per_step_eps = min(2.0 * per_step_eps, eps_cap)
@@ -215,7 +170,7 @@ def run_stage(
             sup_def = float(
                 np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm))
             )
-            if sup_def <= stage_bound or retries >= max_retries:
+            if sup_def <= stage_bound or retries >= MAX_RETRIES:
                 break
             retries += 1
             tightened = True
@@ -234,7 +189,7 @@ def run_stage(
 
     row = StageRow(
         stage=stage_index,
-        delta=float("nan"),
+        delta=delta,
         sup_default=sup_def,
         stage_bound=stage_bound,
         stage_bound_pass=sup_def <= stage_bound + 1e-12,
@@ -254,7 +209,7 @@ def run_stage(
         decomp_residual=dec.residual,
         form_constant=c_stage,
         long_next_min_eig=long_next,
-        sup_vs_target=float("nan"),
+        sup_vs_target=float(np.max(operator_norm_form(isometric_default(f_n, g_norm), g_norm))),
         step_records=records,
     )
     return f_n, row
@@ -267,7 +222,6 @@ def run_nash_kuiper(
     eps=0.05,
     dictionary=None,
     outdir=None,
-    select_start=16,
     n_cap=2**20,
     threads=None,
 ):
@@ -281,75 +235,63 @@ def run_nash_kuiper(
         dictionary = build_dictionary(5)
     Delta = require_long(f0, g)
     g.require_positive_definite(what="target metric")
-
-    schedule = make_schedule(stages, eps=eps)
-    gs = stage_metrics(g, Delta, schedule)
-    g_beyond = g + schedule.delta_next * Delta
-
+    if stages < 1:
+        raise DomainError("need at least one stage")
+    if not eps > 0.0:
+        raise DomainError("eps must be positive")
+    # g_0 is f0's induced metric; g_{T+1} is only the last stage's target.
+    gs = [g + 2.0**-n * Delta for n in range(stages + 2)]
+    for g_n in gs:
+        g_n.require_positive_definite(what="stage metric")
+    a_seq = [eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)]
     delta_norm = float(np.max(operator_norm_form(Delta, g)))
-
     rows = []
-    sup_vs_g = [float(np.max(operator_norm_form(isometric_default(f0, g), g)))]
-    cur = f0
 
-    def flush(ledger):
-        if outdir is None:
-            return
-        os.makedirs(outdir, exist_ok=True)
-        ledger.write_csv(os.path.join(outdir, "ledger.csv"))
-        ledger.write_constants_csv(os.path.join(outdir, "constants.csv"))
-
-    def summarize(final):
-        alpha_measured = max((r.alpha_max for r in rows), default=0.0)
-        c_max = max((r.form_constant for r in rows), default=0.0)
-        monotone = all(sup_vs_g[i + 1] < sup_vs_g[i] for i in range(len(sup_vs_g) - 1))
+    def finish(final):
+        """Summarize the stages run so far and write the ledger files."""
+        sups = [delta_norm] + [r.sup_vs_target for r in rows]
         summary = {
-            "stages": schedule.stages,
-            "eps": schedule.eps,
-            "alpha_max_measured": alpha_measured,
-            "form_constant_max": c_max,
+            "stages": stages,
+            "eps": float(eps),
+            "alpha_max_measured": max((r.alpha_max for r in rows), default=0.0),
+            "form_constant_max": max((r.form_constant for r in rows), default=0.0),
             "delta_norm": delta_norm,
-            "initial_sup_default": sup_vs_g[0],
-            "final_sup_default": sup_vs_g[-1],
+            "initial_sup_default": delta_norm,
+            "final_sup_default": sups[-1],
             "c0_total": c0_distance(final, f0) if rows else 0.0,
-            "c0_budget_total": sum(schedule.a_seq),
-            "monotone_pass": monotone,
+            "c0_budget_total": sum(a_seq),
+            "monotone_pass": all(b < a for a, b in zip(sups, sups[1:])),
         }
-        return RunLedger(rows=rows, summary=summary, schedule=schedule)
+        ledger = RunLedger(rows=rows, summary=summary)
+        if outdir is not None:
+            ledger.write_csv(os.path.join(outdir, "ledger.csv"))
+            ledger.write_constants_csv(os.path.join(outdir, "constants.csv"))
+        return ledger
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         export_obj(f0, os.path.join(outdir, "stage_000.obj"))
 
-    for n in range(1, schedule.stages + 1):
-        g_n = gs[n]
-        g_next = gs[n + 1] if n + 1 <= schedule.stages else g_beyond
-        g_prev = gs[n - 1]
-        delta_prev_norm = float(np.max(operator_norm_form(g_n - g_prev, g)))
+    cur = f0
+    for n in range(1, stages + 1):
         try:
             cur, row = run_stage(
                 cur,
-                g_n,
-                g_next,
-                schedule.a_seq[n - 1],
+                gs[n],
+                gs[n + 1],
+                a_seq[n - 1],
                 dictionary,
                 g_norm=g,
                 stage_index=n,
-                delta_prev_norm=delta_prev_norm,
-                select_start=select_start,
+                delta=2.0**-n,
+                delta_prev_norm=float(np.max(operator_norm_form(gs[n] - gs[n - 1], g))),
                 n_cap=n_cap,
                 threads=threads,
             )
         except EngineError:
-            flush(summarize(cur))
+            finish(cur)
             raise
-        row.delta = schedule.deltas[n]
-        sup_vs_g.append(float(np.max(operator_norm_form(isometric_default(cur, g), g))))
-        row.sup_vs_target = sup_vs_g[-1]
         rows.append(row)
         if outdir is not None:
             export_obj(cur, os.path.join(outdir, "stage_%03d.obj" % n))
-
-    ledger = summarize(cur)
-    flush(ledger)
-    return cur, ledger
+    return cur, finish(cur)

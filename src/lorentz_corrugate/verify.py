@@ -336,7 +336,14 @@ def _check_staged_run(n, inputs):
     steps = 0
     flags = ledger.summary["monotone_pass"]
     for row in ledger.rows:
-        flags = flags and row.stage_bound_pass and row.c0_pass and row.triangle_pass
+        flags = (
+            flags
+            and row.stage_bound_pass
+            and row.c0_pass
+            and row.c1_bound_pass
+            and row.c1_bound_pass_euclid
+            and row.triangle_pass
+        )
         for rec in row.step_records:
             steps += 1
             margin = max(
@@ -351,7 +358,8 @@ def _check_staged_run(n, inputs):
         ok,
         margin,
         1e-12,
-        note="stage flags and monotone %s, step bound margins over %d steps" % (bool(flags), steps),
+        note="stage flags (stage bound, C0, C1 g and euclid, triangle) and monotone %s, "
+        "step bound margins over %d steps" % (bool(flags), steps),
     )
 
 

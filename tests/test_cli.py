@@ -151,6 +151,33 @@ def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --alpha-max 1 --k 5 --scenario nosuch --csv {out}",
+        "bounds --alpha-max 0 --k 5 --csv {out}",
+        "bounds --alpha-max 600 --k 5 --csv {out}",
+        "bounds --alpha-max 1 --k 2 --scenario flat-shrink --csv {out}",
+        "bounds --alpha-max 1 --k 5 --scenario flat-shrink --grid 1 --csv {out}",
+        "corrugate --grid 1 --N 16 --out {out}",
+        "corrugate --grid 17 --N 0 --out {out}",
+        "corrugate --grid 17 --eps -1 --out {out}",
+        "corrugate --grid 17 --N 16 --quadrature-samples 0 --record {out}.csv --out {out}",
+        "decompose --metric {metric} --k 2 --out {out}",
+        "decompose --metric {metric} --k 13 --out {out}",
+        "decompose --metric {metric} --threads 0 --out {out}",
+    ],
+)
+def test_bad_option_value_is_usage_error(tmp_path, capsys, argv):
+    """An option value outside the engine's domain exits 2 before any work."""
+    metric = tmp_path / "delta.csv"
+    write_metric_csv(str(metric), MetricField.constant(0.25, 0.0, 0.25, (5, 5)))
+    out = tmp_path / "out"
+    assert main(argv.format(out=out, metric=metric).split()) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+
 def test_bounds_table(tmp_path, capsys):
     csv = tmp_path / "bounds.csv"
     assert main(["bounds", "--alpha-max", "1.0", "--k", "5", "--csv", str(csv)]) == 0
@@ -162,6 +189,8 @@ def test_bounds_table(tmp_path, capsys):
         == 0
     )
     assert "form_constant" in capsys.readouterr().out
+    # without --scenario no dictionary is built, so k is only echoed
+    assert main(["bounds", "--alpha-max", "1.0", "--k", "2"]) == 0
 
 
 def test_run_with_config(tmp_path, capsys):
@@ -288,6 +317,15 @@ def test_staged_run_claim_needs_step_records():
     assert not res.passed
     assert res.measured == -np.inf
     assert "over 0 steps" in res.note
+
+
+@pytest.mark.parametrize("flag", ["c1_bound_pass", "c1_bound_pass_euclid"])
+def test_staged_run_claim_reads_c1_flags(flag):
+    inputs = Inputs("quick")
+    check, _ = CLAIMS["staged-run-audits"]
+    assert check("staged-run-audits", inputs).passed
+    setattr(inputs.ledger.rows[1], flag, False)
+    assert not check("staged-run-audits", inputs).passed
 
 
 def test_console_script_installed(tmp_path):

@@ -17,9 +17,6 @@ from lorentz_corrugate.corrugation import (
     apply_corrugation,
     bessel_table,
     cp_step,
-    loop_average,
-    loop_average_quadrature,
-    loop_gamma,
     phi,
     phi_inverse,
     phi_prime,
@@ -188,6 +185,30 @@ def test_amplitude_average_condition():
     r = radial_factor(eta, dlu)
     a = np.asarray(amplitude(r, dlu).alpha)
     assert np.max(np.abs(r * phi(a) * dlu - 1.0)) < 1e-10
+
+
+# Reference loop family, in closed form and by quadrature; the engine only
+# evaluates its harmonic expansion.
+def loop_gamma(r, alpha, t, n, s):
+    """Loop point gamma(s) = r (cosh(theta) t + sinh(theta) n)."""
+    theta = np.asarray(alpha) * np.cos(2.0 * np.pi * np.asarray(s))
+    r = np.asarray(r)
+    return r[..., None] * (np.cosh(theta)[..., None] * t + np.sinh(theta)[..., None] * n)
+
+
+def loop_average(r, alpha, t):
+    """Closed-form loop average r phi(alpha) t."""
+    return (np.asarray(r) * phi(alpha))[..., None] * t
+
+
+def loop_average_quadrature(r, alpha, t, n, samples=2048):
+    """Trapezoid average of the loop over one period, as a cross-check."""
+    s = np.linspace(0.0, 1.0, samples + 1)
+    theta = np.multiply.outer(np.asarray(alpha, dtype=float), np.cos(2.0 * np.pi * s))
+    ch = np.trapezoid(np.cosh(theta), s, axis=-1)
+    sh = np.trapezoid(np.sinh(theta), s, axis=-1)
+    r = np.asarray(r)
+    return r[..., None] * (ch[..., None] * t + sh[..., None] * n)
 
 
 def test_loop_gamma_causal_norm():

@@ -411,7 +411,7 @@ def test_csv_writers_golden_format(tmp_path):
         "mode": "practical", "monotone_pass": True, "stages": 6, "probes": np.int64(7),
         "eps": 0.05, "c0_total": 1e-300,
     }
-    ledger = RunLedger(rows=[row], summary=summary, schedule=None)
+    ledger = RunLedger(rows=[row], summary=summary)
     ledger.write_csv(str(tmp_path / "ledger.csv"))
     ledger.write_constants_csv(str(tmp_path / "constants.csv"))
     rec = CorrugationStepRecord(

@@ -1,68 +1,46 @@
-"""Tests for the staged runner: schedules, stage metrics, budgets, ledger."""
+"""Tests for the staged runner: the dyadic schedule, budgets and retries, ledger."""
 import numpy as np
 import pytest
 
 from lorentz_corrugate import scheduler
-from lorentz_corrugate.errors import BudgetExceeded, DomainError, NotLong
+from lorentz_corrugate.decomp import build_dictionary
+from lorentz_corrugate.errors import BudgetExceeded, DomainError, NotLong, SingularMetric
 from lorentz_corrugate.fields import (
     EmbeddingJet,
     Grid,
     MetricField,
-    isometric_default,
-    pullback_metric,
 )
 from lorentz_corrugate.scenarios import flat_inclusion, scenario
-from lorentz_corrugate.scheduler import (
-    Schedule,
-    make_schedule,
-    run_nash_kuiper,
-    stage_metrics,
-)
+from lorentz_corrugate.scheduler import run_nash_kuiper
 
 
 def test_practical_schedule_is_dyadic():
-    s = make_schedule(6, eps=0.05)
-    assert s.deltas == [2.0**-n for n in range(7)]
-    assert s.delta_next == 2.0**-7
-    assert len(s.a_seq) == 6
-    assert sum(s.a_seq) < 0.05
-    assert s.a_seq[0] == 0.05 * 0.25
-
-
-def test_schedule_guards():
-    with pytest.raises(DomainError):
-        make_schedule(0)
-    with pytest.raises(DomainError):
-        Schedule(
-            deltas=[1.0, 0.5, 0.5],
-            a_seq=[0.01, 0.01],
-            stages=2,
-            eps=0.05,
-            delta_next=0.1,
-        )
-    with pytest.raises(DomainError):
-        Schedule(
-            deltas=[1.0, 0.5, 0.25],
-            a_seq=[0.03, 0.03],
-            stages=2,
-            eps=0.05,
-            delta_next=0.125,
-        )
+    """The ledger carries delta_n = 2^-n and C0 budgets a_n = eps 2^-(n+1)."""
+    f0, g = scenario("flat-shrink").build(Grid(17, 17))
+    _, ledger = run_nash_kuiper(f0, g, stages=4, eps=0.05)
+    assert [r.delta for r in ledger.rows] == [2.0**-n for n in range(1, 5)]
+    budgets = [r.c0_budget for r in ledger.rows]
+    assert budgets == [0.05 * 2.0 ** (-n - 1) for n in range(1, 5)]
+    assert budgets[0] == 0.05 * 0.25
+    assert ledger.summary["c0_budget_total"] == sum(budgets) < 0.05
+    for bad in ({"stages": 0}, {"eps": 0.0}, {"eps": -1.0}):
+        with pytest.raises(DomainError):
+            run_nash_kuiper(f0, g, **bad)
 
 
 def test_stage_metrics_interpolate_monotonically():
-    grid = Grid(17, 17)
-    f0, g = scenario("flat-shrink").build(grid)
-    delta = isometric_default(f0, g)
-    s = make_schedule(4)
-    gs = stage_metrics(g, delta, s)
-    assert len(gs) == 5
-    # delta_0 = 1 reproduces the induced metric of the initial jet
-    ind = pullback_metric(f0)
-    assert np.max(np.abs(gs[0].E - ind.E)) < 1e-15
-    for a, b in zip(gs, gs[1:]):
-        assert (a - b).min_eigenvalue() >= -1e-15
-        b.require_positive_definite()
+    """Stage n is accepted against g_{n+1} = g + 2^-(n+1) Delta, the last stage too."""
+    f0, g = scenario("flat-shrink").build(Grid(17, 17))
+    _, ledger = run_nash_kuiper(f0, g, stages=3)
+    delta_norm = ledger.summary["delta_norm"]
+    for row in ledger.rows:
+        # flat-shrink has a constant Delta: |g_{n+1} - g_n|_g = (delta_n - delta_{n+1}) |Delta|_g
+        assert row.stage_bound == pytest.approx(0.5 * row.delta * delta_norm, rel=1e-12)
+        assert row.long_next_min_eig >= -1e-12
+    # stage metrics are built on the target, which must be positive definite
+    indefinite = MetricField.constant(0.5, 0.0, -0.5, f0.grid.shape)
+    with pytest.raises(SingularMetric, match="target metric"):
+        run_nash_kuiper(f0, indefinite, stages=1)
 
 
 def test_run_rejects_short_embedding():
@@ -90,11 +68,27 @@ def test_run_flat_shrink_three_stages(tmp_path):
     assert s["final_sup_default"] < s["initial_sup_default"]
     assert s["c0_total"] <= s["c0_budget_total"]
     # defect tracks the remaining stage weight
-    assert s["final_sup_default"] <= 2.0 * ledger.schedule.deltas[-1] * s["delta_norm"]
+    assert s["final_sup_default"] <= 2.0 * ledger.rows[-1].delta * s["delta_norm"]
     assert (out / "ledger.csv").exists()
     assert (out / "constants.csv").exists()
     for n in range(4):
         assert (out / ("stage_%03d.obj" % n)).exists()
+
+
+def test_budget_retry_rescues_late_stages():
+    """Under n_cap 2^16 stages 5 and 6 pass only after doubling their per-step budget."""
+    f0, g = scenario("flat-shrink").build(Grid(33, 33))
+    _, ledger = run_nash_kuiper(f0, g, stages=6, dictionary=build_dictionary(5), n_cap=2**16)
+    assert [r.retries for r in ledger.rows] == [0, 0, 0, 0, 1, 2]
+    for row in ledger.rows:
+        assert row.stage_bound_pass and row.c0_pass and row.triangle_pass
+        assert row.c1_bound_pass and row.c1_bound_pass_euclid
+        assert max(row.n_values) <= 2**16
+        # each retry doubled the starting budget stage_bound / active
+        start = row.stage_bound / len(row.n_values)
+        want = min(2.0**row.retries * start, 0.9 * row.stage_bound)
+        assert row.per_step_eps == pytest.approx(want, rel=1e-12)
+    assert ledger.summary["monotone_pass"]
 
 
 def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
