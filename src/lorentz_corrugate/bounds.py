@@ -81,9 +81,15 @@ def _split(alpha):
 def psi(alpha):
     """C1 increment envelope (sqrt(2 cosh^2 - 2 phi) + sinh) / sqrt(phi^2 - 1)."""
     small, safe = _split(alpha)
-    p = phi(safe)
-    num = np.sqrt(2.0 * np.cosh(safe) ** 2 - 2.0 * p) + np.sinh(safe)
-    val = num / np.sqrt(p**2 - 1.0)
+    p = np.asarray(phi(safe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.sqrt(2.0 * np.cosh(safe) ** 2 - 2.0 * p) + np.sinh(safe)
+        val = num / np.sqrt(p**2 - 1.0)
+    # cosh^2 and phi^2 overflow above alpha ~ 355; there numerator and
+    # denominator are divided through by phi, which stays finite to ALPHA_CAP.
+    c, s = np.cosh(safe) / p, np.sinh(safe) / p
+    scaled = (np.sqrt(2.0 * c**2 - 2.0 / p) + s) / np.sqrt(1.0 - p**-2.0)
+    val = np.where(np.isfinite(val), val, scaled)
     out = np.where(small, PSI_LIMIT, val)
     return out if out.shape else float(out)
 

@@ -26,7 +26,7 @@ center node, one-sided at the boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +34,9 @@ from .bounds import ALPHA_CAP, growth_constant, increment_constant, phi, phi_pri
 from .errors import BudgetExceeded, DomainError, LostSpacelike, NotRiemannian
 from .fields import (
     EmbeddingJet,
+    FrameField,
+    Grid,
     MetricField,
-    c0_distance,
     c1_increment,
     corrugation_frame,
     operator_norm_form,
@@ -45,6 +46,8 @@ from .fields import (
 from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
 SPACELIKE_TOL = 1e-10
+# The corrugated pullback may undershoot the next stage's metric by this much.
+LONG_TOL = 1e-12
 # Every N-selection climbs the doubling ladder N = 16, 32, ... from here.
 LADDER_START = 16
 
@@ -242,6 +245,8 @@ class StepParams:
     phase0: np.ndarray
     orders: int
     mu: MetricField
+    hx: float
+    hy: float
 
 
 @dataclass
@@ -289,6 +294,8 @@ def prepare_step(f, eta, ell, orders=None):
         phase0=ell.phase(X, Y),
         orders=orders,
         mu=mu,
+        hx=f.grid.hx,
+        hy=f.grid.hy,
     )
 
 
@@ -321,7 +328,7 @@ def _frozen_phase_derivatives(params, sines, W):
     only the slow fields are differenced.
     """
     C = params.coeff
-    hx, hy = params.f.grid.hx, params.f.grid.hy
+    hx, hy = params.hx, params.hy
 
     Wp = _remainder_field(params, C[:, 1:, :], sines[:, :-1, :], (slice(1, None), slice(None)))
     Wm = _remainder_field(params, C[:, :-1, :], sines[:, 1:, :], (slice(None, -1), slice(None)))
@@ -341,7 +348,12 @@ def _frozen_phase_derivatives(params, sines, W):
 
 @dataclass
 class _Probe:
-    """The corrugated jet at one N and the quantities acceptance reads."""
+    """The corrugated jet at one N and the quantities acceptance reads.
+
+    Each quantity is a max (defect, C0 shift) or a min (spacelike and
+    long-for-next eigenvalues) over the probed nodes; long_min is None when
+    no next metric was given.
+    """
 
     N: int
     out: EmbeddingJet
@@ -352,10 +364,22 @@ class _Probe:
     sup_default: float
     spacelike_min: float
     c0_shift: float
+    long_min: float | None
 
 
-def _probe(params, N, norm_metric):
-    """Corrugate at N; measure the defect, spacelikeness and C0 shift only."""
+def _node_values(params, out, gF, norm_metric, next_metric):
+    """Per-node defect, spacelike eigenvalue, C0 shift and long-for-next eigenvalue."""
+    d = out.pos - params.f.pos
+    return (
+        operator_norm_form(gF - params.mu, norm_metric),
+        gF.eigenvalues()[0],
+        np.sqrt(np.einsum("...i,...i->...", d, d)),
+        None if next_metric is None else (gF - next_metric).eigenvalues()[0],
+    )
+
+
+def _probe(params, N, norm_metric, next_metric=None, mask=None):
+    """Corrugate at N; measure what acceptance reads over the nodes in mask (default all)."""
     if N < 1:
         raise DomainError("corrugation number must be positive")
     x = params.phase0 * float(N)
@@ -372,6 +396,11 @@ def _probe(params, N, norm_metric):
 
     out = EmbeddingJet(params.f.grid, pos, dfx, dfy)
     gF = pullback_metric(out)
+    defect, spacelike, c0, long = _node_values(params, out, gF, norm_metric, next_metric)
+
+    def over_mask(values, reduce):
+        return float(reduce(values if mask is None else values[mask]))
+
     return _Probe(
         N=N,
         out=out,
@@ -379,10 +408,59 @@ def _probe(params, N, norm_metric):
         Lx=Lx,
         Ly=Ly,
         xhat=xhat,
-        sup_default=float(np.max(operator_norm_form(gF - params.mu, norm_metric))),
-        spacelike_min=gF.min_eigenvalue(),
-        c0_shift=c0_distance(out, params.f),
+        sup_default=over_mask(defect, np.max),
+        spacelike_min=over_mask(spacelike, np.min),
+        c0_shift=over_mask(c0, np.max),
+        long_min=None if long is None else over_mask(long, np.min),
     )
+
+
+def _accepts(probe, epsilon, c0_budget):
+    """The acceptance tests of N-selection; C0 only with a budget, long only with a next metric."""
+    return (
+        probe.sup_default <= epsilon
+        and probe.spacelike_min > SPACELIKE_TOL
+        and (c0_budget is None or probe.c0_shift <= c0_budget)
+        and (probe.long_min is None or probe.long_min >= -LONG_TOL)
+    )
+
+
+def _boundary_blocks(params, norm_metric, next_metric):
+    """The probe's inputs on the two boundary blocks, each with its outer-line mask.
+
+    Rows [0, 1, n-2, n-1] with every column, then columns [0, 1, n-2, n-1]
+    with every row. The one-sided frozen-phase differences on a block's two
+    outer lines read exactly lines 1 and n-2, and every other operation is
+    per node, so on those lines a block probe computes bitwise the values of
+    the whole-grid probe (also when n < 4 and lines repeat).
+    """
+    f = params.f
+    outer = np.array([True, False, False, True])
+    blocks = []
+    for axis, n in enumerate(f.grid.shape):
+        lines = [0, 1, n - 2, n - 1]
+
+        def take(a, lead=0):
+            return np.take(a, lines, axis=axis + lead)
+
+        def metric(m):
+            return None if m is None else MetricField(take(m.E), take(m.F), take(m.G))
+
+        grid = Grid(4, f.grid.ny) if axis == 0 else Grid(f.grid.nx, 4)
+        block = replace(
+            params,
+            f=EmbeddingJet(grid, take(f.pos), take(f.dfx), take(f.dfy)),
+            eta=take(params.eta),
+            frame=FrameField(**{k: take(v) for k, v in vars(params.frame).items()}),
+            r=take(params.r),
+            alpha=take(params.alpha),
+            coeff=take(params.coeff, lead=1),
+            phase0=take(params.phase0),
+            mu=metric(params.mu),
+        )
+        mask = np.broadcast_to(outer[:, None] if axis == 0 else outer, grid.shape)
+        blocks.append((block, metric(norm_metric), metric(next_metric), mask))
+    return blocks
 
 
 def _step_record(params, probe, norm_metric):
@@ -536,22 +614,31 @@ def select_corrugation_number(
     spacelike, the position shift fits c0_budget (when given) and the
     output remains long for next_metric (when given). Raises
     BudgetExceeded past the cap.
+
+    Each N is first screened on the grid's four boundary lines
+    (_boundary_blocks), which cost a few percent of a whole-grid probe.
+    Every acceptance quantity is a max or a min over nodes and the screen
+    reproduces the whole-grid values on those lines bitwise, so a violation
+    there proves that the whole grid fails: the screen can only reject an N
+    the whole-grid probe would reject, and the chosen N is the one the
+    unscreened ladder chooses. An N the screen passes gets the whole-grid
+    probe and the same acceptance tests.
     Only the accepted N is audited; the record equals the one
     apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
     if norm_metric is None:
         norm_metric = params.mu
+    blocks = _boundary_blocks(params, norm_metric, next_metric)
     N = LADDER_START
     while N <= cap:
-        probe = _probe(params, N, norm_metric)
-        ok = probe.sup_default <= epsilon and probe.spacelike_min > SPACELIKE_TOL
-        if ok and c0_budget is not None:
-            ok = probe.c0_shift <= c0_budget
-        if ok and next_metric is not None:
-            ok = (probe.gF - next_metric).min_eigenvalue() >= -1e-12
-        if ok:
-            return probe.out, _step_record(params, probe, norm_metric)
+        if all(
+            _accepts(_probe(block, N, block_norm, block_next, mask), epsilon, c0_budget)
+            for block, block_norm, block_next, mask in blocks
+        ):
+            probe = _probe(params, N, norm_metric, next_metric)
+            if _accepts(probe, epsilon, c0_budget):
+                return probe.out, _step_record(params, probe, norm_metric)
         N *= 2
     raise BudgetExceeded("no corrugation number up to %d met the bounds" % cap)
 

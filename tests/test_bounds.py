@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorentz_corrugate.bounds import (
+    ALPHA_CAP,
     PSI1_LIMIT,
     PSI2_LIMIT,
     PSI_LIMIT,
@@ -12,6 +13,7 @@ from lorentz_corrugate.bounds import (
     form_family_constant,
     growth_constant,
     increment_constant,
+    phi,
     psi,
     psi1,
     psi2,
@@ -59,6 +61,25 @@ def test_increment_constant_dominates_psi():
         assert np.all(psi(a) <= M)
     with pytest.raises(DomainError):
         increment_constant(0.0)
+
+
+def _psi_direct(a):
+    """psi straight from its formula, finite up to alpha ~ 355."""
+    p = np.asarray(phi(a))
+    return (np.sqrt(2.0 * np.cosh(a) ** 2 - 2.0 * p) + np.sinh(a)) / np.sqrt(p**2 - 1.0)
+
+
+def test_increment_constant_finite_up_to_alpha_cap():
+    # below the overflow of cosh^2 the values are the direct formula's, bitwise
+    a = np.array([1e-3, 0.5, 2.0, 30.0, 300.0, 350.0, 355.0])
+    assert np.array_equal(psi(a), _psi_direct(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_psi_direct(400.0))
+    # above it psi divides through by phi and joins the direct branch smoothly
+    assert psi(356.0) == pytest.approx(psi(355.0), rel=2e-3)
+    assert psi(400.0) == pytest.approx(psi(355.0) * np.sqrt(400.0 / 355.0), rel=1e-2)
+    Ms = [increment_constant(a) for a in (300.0, 355.0, 356.0, 400.0, ALPHA_CAP)]
+    assert np.all(np.isfinite(Ms)) and Ms == sorted(Ms)
 
 
 def test_growth_constant_values():

@@ -191,6 +191,10 @@ def test_bounds_table(tmp_path, capsys):
     assert "form_constant" in capsys.readouterr().out
     # without --scenario no dictionary is built, so k is only echoed
     assert main(["bounds", "--alpha-max", "1.0", "--k", "2"]) == 0
+    # cosh(alpha)^2 overflows above alpha ~ 355; the constant stays finite
+    assert main(["bounds", "--alpha-max", "400", "--k", "5"]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert np.isfinite(float(rows["increment_constant"]))
 
 
 def test_run_with_config(tmp_path, capsys):

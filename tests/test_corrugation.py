@@ -518,6 +518,110 @@ def test_select_audits_once(monkeypatch):
     assert calls == [rec.N]
 
 
+# --- boundary screen of N-selection ---
+
+
+@pytest.mark.parametrize(
+    "shape, ell",
+    [
+        ((33, 40), STRIP_FORM),
+        ((33, 40), LinearForm(1.0, 0.3)),
+        ((2, 2), LinearForm(1.0, 0.3)),
+        ((3, 5), LinearForm(0.6, -0.8)),
+    ],
+)
+def test_boundary_screen_values_equal_whole_grid(shape, ell):
+    """On the outer lines of both blocks the per-node acceptance values are
+    the whole-grid probe's, bitwise; lines repeat on the 2x2 and 3x5 grids."""
+    grid = Grid(*shape)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), ell)
+    norm = MetricField.identity(shape)
+    nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
+    blocks = corrugation._boundary_blocks(params, norm, nxt)
+    for N in (1, 16, 48, 1024, 2**20):
+        whole = corrugation._probe(params, N, norm, nxt)
+        want = corrugation._node_values(params, whole.out, whole.gF, norm, nxt)
+        for axis, (block, block_norm, block_next, mask) in enumerate(blocks):
+            probe = corrugation._probe(block, N, block_norm, block_next, mask)
+            got = corrugation._node_values(block, probe.out, probe.gF, block_norm, block_next)
+            n = shape[axis]
+            for g, w in zip(got, want):
+                assert np.array_equal(np.take(g, [0, 3], axis), np.take(w, [0, n - 1], axis))
+            # the block probe reduces over exactly those lines
+            outer = [np.take(w, [0, n - 1], axis) for w in want]
+            assert probe.sup_default == np.max(outer[0])
+            assert probe.spacelike_min == np.min(outer[1])
+            assert probe.c0_shift == np.max(outer[2])
+            assert probe.long_min == np.min(outer[3])
+
+
+def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None, cap=2**20):
+    """Reference ladder without the boundary screen: the whole-grid probe at every N."""
+    params = prepare_step(f, eta, ell)
+    N = corrugation.LADDER_START
+    while N <= cap:
+        probe = corrugation._probe(params, N, params.mu)
+        ok = probe.sup_default <= epsilon and probe.spacelike_min > corrugation.SPACELIKE_TOL
+        if ok and c0_budget is not None:
+            ok = probe.c0_shift <= c0_budget
+        if ok and next_metric is not None:
+            ok = (probe.gF - next_metric).min_eigenvalue() >= -1e-12
+        if ok:
+            return probe.out, corrugation._step_record(params, probe, params.mu)
+        N *= 2
+    raise BudgetExceeded("reference ladder exhausted")
+
+
+def _count_whole_grid_probes(monkeypatch, shape):
+    """Record, per _probe call, whether it probed the whole grid of this shape."""
+    calls = []
+    original = corrugation._probe
+
+    def counted(params, *args):
+        calls.append(params.f.grid.shape == shape)
+        return original(params, *args)
+
+    monkeypatch.setattr(corrugation, "_probe", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ell, epsilon, c0_budget, next_metric, collar",
+    [
+        (STRIP_FORM, 0.0125, None, None, False),
+        (LinearForm(1.0, 0.3), 1e-3, None, None, False),
+        (LinearForm(1.0, 0.3), 0.05, 3e-3, MetricField.constant(0.4, 0.0, 0.4, (33, 33)), False),
+        # eta vanishes on the boundary lines, so only the whole grid can reject
+        (LinearForm(1.0, 0.3), 1e-3, None, None, True),
+    ],
+)
+def test_select_equals_unscreened_ladder(monkeypatch, ell, epsilon, c0_budget, next_metric, collar):
+    grid, f, eta = strip_jet(33)
+    if collar:
+        eta = collar_eta_field(grid)
+    want = _unscreened_select(f, eta, ell, epsilon, c0_budget=c0_budget, next_metric=next_metric)
+    whole = _count_whole_grid_probes(monkeypatch, grid.shape)
+    got = select_corrugation_number(
+        f, eta, ell, epsilon, c0_budget=c0_budget, next_metric=next_metric
+    )
+    _assert_same_step(got, want)
+    if collar:
+        assert sum(whole) > 1  # whole-grid probes rejected what the screen passed
+
+
+def test_select_probes_whole_grid_once_per_step(monkeypatch):
+    """The screen rejects every refused N, so each step makes one whole-grid probe."""
+    grid = Grid(33, 33)
+    f = flat_inclusion(grid)
+    g1 = MetricField.constant(0.75, 0.0, 0.75, grid.shape)
+    dec = decompose(isometric_default(f, g1), build_dictionary(3))
+    whole = _count_whole_grid_probes(monkeypatch, grid.shape)
+    _, records = successive_cp(f, dec, 1e-3, norm_metric=g1)
+    assert any(rec.N > corrugation.LADDER_START for rec in records)  # rejections happened
+    assert sum(whole) == len(records) == 3
+    assert len(whole) > 2 * len(records)
+
+
 def test_select_budget_exhaustion():
     # tilted form so no ladder N aligns with the node lattice
     grid, f, eta = strip_jet(17)
