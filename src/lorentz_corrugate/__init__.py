@@ -45,7 +45,6 @@ from .corrugation import (
     successive_cp,
 )
 from .bounds import (
-    BoundConstants,
     compute_constants,
     growth_constant,
     increment_constant,

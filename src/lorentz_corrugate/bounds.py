@@ -12,8 +12,6 @@ scheduler's one-stage C1 bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -25,6 +23,10 @@ SMALL_ALPHA = 1e-4
 PSI_LIMIT = np.sqrt(3.0) + np.sqrt(2.0)
 PSI1_LIMIT = 1.5
 PSI2_LIMIT = 2.0
+# increment_constant samples psi at this many amplitudes and pads the sup by
+# this factor to cover the sampling gaps.
+INCREMENT_SAMPLES = 4096
+INCREMENT_PAD = 1.01
 
 
 def phi(alpha):
@@ -78,41 +80,54 @@ def _split(alpha):
     return small, np.where(small, 1.0, a)
 
 
-def psi(alpha):
-    """C1 increment envelope (sqrt(2 cosh^2 - 2 phi) + sinh) / sqrt(phi^2 - 1)."""
+def _envelope(alpha, direct, scaled, limit):
+    """direct(alpha, phi), with limit below SMALL_ALPHA.
+
+    cosh^2 and phi^2 overflow above alpha ~ 355. Where direct is not finite,
+    scaled(cosh / phi, sinh / phi, phi) gives the same quotient with
+    numerator and denominator divided through by phi, finite up to ALPHA_CAP.
+    """
     small, safe = _split(alpha)
     p = np.asarray(phi(safe))
     with np.errstate(over="ignore", invalid="ignore"):
-        num = np.sqrt(2.0 * np.cosh(safe) ** 2 - 2.0 * p) + np.sinh(safe)
-        val = num / np.sqrt(p**2 - 1.0)
-    # cosh^2 and phi^2 overflow above alpha ~ 355; there numerator and
-    # denominator are divided through by phi, which stays finite to ALPHA_CAP.
+        val = direct(safe, p)
     c, s = np.cosh(safe) / p, np.sinh(safe) / p
-    scaled = (np.sqrt(2.0 * c**2 - 2.0 / p) + s) / np.sqrt(1.0 - p**-2.0)
-    val = np.where(np.isfinite(val), val, scaled)
-    out = np.where(small, PSI_LIMIT, val)
+    val = np.where(np.isfinite(val), val, scaled(c, s, p))
+    out = np.where(small, limit, val)
     return out if out.shape else float(out)
+
+
+def psi(alpha):
+    """C1 increment envelope (sqrt(2 cosh^2 - 2 phi) + sinh) / sqrt(phi^2 - 1)."""
+    return _envelope(
+        alpha,
+        lambda a, p: (np.sqrt(2.0 * np.cosh(a) ** 2 - 2.0 * p) + np.sinh(a)) / np.sqrt(p**2 - 1.0),
+        lambda c, s, p: (np.sqrt(2.0 * c**2 - 2.0 / p) + s) / np.sqrt(1.0 - p**-2.0),
+        PSI_LIMIT,
+    )
 
 
 def psi1(alpha):
     """(cosh^2 - phi) / (phi^2 - 1), the squared even part of psi."""
-    small, safe = _split(alpha)
-    p = phi(safe)
-    val = (np.cosh(safe) ** 2 - p) / (p**2 - 1.0)
-    out = np.where(small, PSI1_LIMIT, val)
-    return out if out.shape else float(out)
+    return _envelope(
+        alpha,
+        lambda a, p: (np.cosh(a) ** 2 - p) / (p**2 - 1.0),
+        lambda c, s, p: (c**2 - 1.0 / p) / (1.0 - p**-2.0),
+        PSI1_LIMIT,
+    )
 
 
 def psi2(alpha):
     """sinh^2 / (phi^2 - 1), the squared odd part of psi."""
-    small, safe = _split(alpha)
-    p = phi(safe)
-    val = np.sinh(safe) ** 2 / (p**2 - 1.0)
-    out = np.where(small, PSI2_LIMIT, val)
-    return out if out.shape else float(out)
+    return _envelope(
+        alpha,
+        lambda a, p: np.sinh(a) ** 2 / (p**2 - 1.0),
+        lambda c, s, p: s**2 / (1.0 - p**-2.0),
+        PSI2_LIMIT,
+    )
 
 
-def increment_constant(alpha_max, samples=4096, pad=1.01):
+def increment_constant(alpha_max):
     """Padded sup of psi over (0, alpha_max].
 
     Dense sampling (log and linear mixed) joined with the alpha -> 0 limit;
@@ -121,11 +136,12 @@ def increment_constant(alpha_max, samples=4096, pad=1.01):
     a = float(alpha_max)
     if a <= 0.0:
         raise DomainError("increment_constant needs alpha_max > 0")
+    half = INCREMENT_SAMPLES // 2
     grid = np.concatenate(
-        [np.geomspace(a * 1e-6, a, samples // 2), np.linspace(a / samples, a, samples // 2)]
+        [np.geomspace(a * 1e-6, a, half), np.linspace(a / INCREMENT_SAMPLES, a, half)]
     )
     sup = max(float(np.max(psi(grid))), PSI_LIMIT)
-    return pad * sup
+    return INCREMENT_PAD * sup
 
 
 def growth_constant(alpha_max):
@@ -166,41 +182,21 @@ def c1_budget_constant(increment, form_constant, f, g):
     return 2.0 * increment * form_constant * (df_norm + n_norm)
 
 
-@dataclass
-class BoundConstants:
-    """Constant pack for a run at a given amplitude cap and dictionary size."""
-
-    alpha_max: float
-    k: int
-    increment: float
-    growth: float
-    form_constant: float = float("nan")
-    c1_budget: float = float("nan")
-
-    def rows(self):
-        out = [
-            ("alpha_max", self.alpha_max),
-            ("dictionary_size", float(self.k)),
-            ("increment_constant", self.increment),
-            ("growth_constant", self.growth),
-        ]
-        if np.isfinite(self.form_constant):
-            out.append(("form_constant", self.form_constant))
-        if np.isfinite(self.c1_budget):
-            out.append(("c1_budget_constant", self.c1_budget))
-        return out
-
-
 def compute_constants(alpha_max, k, decomposition=None, f0=None, g=None):
-    """BoundConstants for (alpha_max, k); c and T when initial data is given."""
-    bc = BoundConstants(
-        alpha_max=float(alpha_max),
-        k=int(k),
-        increment=increment_constant(alpha_max),
-        growth=growth_constant(alpha_max),
-    )
-    if decomposition is not None and g is not None:
-        bc.form_constant = form_family_constant(decomposition, g)
-        if f0 is not None:
-            bc.c1_budget = c1_budget_constant(bc.increment, bc.form_constant, f0, g)
-    return bc
+    """The (name, value) rows of the constants table for (alpha_max, k).
+
+    Given a scenario's decomposition, initial jet f0 and target g, the rows
+    also hold its form family constant c and drift budget constant T.
+    """
+    increment = increment_constant(alpha_max)
+    rows = [
+        ("alpha_max", float(alpha_max)),
+        ("dictionary_size", float(k)),
+        ("increment_constant", increment),
+        ("growth_constant", growth_constant(alpha_max)),
+    ]
+    if decomposition is not None:
+        c = form_family_constant(decomposition, g)
+        rows.append(("form_constant", c))
+        rows.append(("c1_budget_constant", c1_budget_constant(increment, c, f0, g)))
+    return rows

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .bounds import ALPHA_CAP, compute_constants
-from .corrugation import LADDER_START, cp_step, remainder_quadrature, select_corrugation_number
+from .corrugation import LADDER_START, cp_step, select_corrugation_number
 from .decomp import MAX_FORMS, build_dictionary, decompose, resolve_threads
 from .errors import ConfigError, EngineError, NotPSD
 from .fields import (
@@ -55,7 +56,7 @@ class RunConfig:
         _need(self.grid >= 2, "grid must be at least 2")
         _need(self.stages >= 1, "stages must be positive")
         _need(self.mode == "practical", "mode must be 'practical', the only schedule")
-        _need(self.eps > 0.0, "eps must be positive")
+        _need(math.isfinite(self.eps) and self.eps > 0.0, "eps must be positive and finite")
         _need(3 <= self.dictionary_k <= MAX_FORMS, "dictionary_k must be in [3, %d]" % MAX_FORMS)
         _need_scenario(self.scenario)
         _need(self.n_cap >= LADDER_START, "n_cap must be at least %d" % LADDER_START)
@@ -70,6 +71,7 @@ class RunConfig:
             raise ConfigError("cannot read config: %s" % exc) from None
         except json.JSONDecodeError as exc:
             raise ConfigError("config is not valid JSON: %s" % exc) from None
+        _need(isinstance(raw, dict), "config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -97,8 +99,8 @@ def _parse_ell(text):
         a, b = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError("--ell expects 'a,b' with two floats") from None
-    if a == 0.0 and b == 0.0:
-        raise ConfigError("--ell must be nonzero")
+    _need(math.isfinite(a) and math.isfinite(b), "--ell must be finite")
+    _need(a != 0.0 or b != 0.0, "--ell must be nonzero")
     return LinearForm(a, b)
 
 
@@ -120,8 +122,10 @@ def _check_options(args):
         _need((args.N is None) != (args.eps is None), "give exactly one of --N or --eps")
         _need(args.grid >= 2, "--grid must be at least 2")
         _need(args.N is None or args.N >= 1, "--N must be positive")
-        _need(args.eps is None or args.eps > 0.0, "--eps must be positive")
-        _need(args.quadrature_samples >= 1, "--quadrature-samples must be positive")
+        _need(
+            args.eps is None or (math.isfinite(args.eps) and args.eps > 0.0),
+            "--eps must be positive and finite",
+        )
 
 
 def _cmd_bounds(args):
@@ -130,7 +134,7 @@ def _cmd_bounds(args):
         f0, g = scenario(args.scenario).build(Grid(args.grid, args.grid))
         dec = decompose(isometric_default(f0, g), build_dictionary(args.k))
         measured = dict(decomposition=dec, f0=f0, g=g)
-    rows = compute_constants(args.alpha_max, args.k, **measured).rows()
+    rows = compute_constants(args.alpha_max, args.k, **measured)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print("%-*s  %s" % (width, name, FLOAT_FMT % value))
@@ -172,11 +176,11 @@ def _cmd_corrugate(args):
         % (rec.N, rec.sup_default, rec.alpha_max, rec.c0_shift)
     )
     if args.record:
-        _write_record(args.record, rec, args.quadrature_samples)
+        _write_record(args.record, rec)
     return 0
 
 
-def _write_record(path, rec, samples):
+def _write_record(path, rec):
     rows = [
         ("N", rec.N),
         ("alpha_max", rec.alpha_max),
@@ -189,9 +193,6 @@ def _write_record(path, rec, samples):
         ("spacelike_min", rec.spacelike_min),
     ]
     rows += sorted(rec.audits.items())
-    qc, qs = remainder_quadrature(rec.alpha_max, 0.37, samples_per_period=samples)
-    rows.append(("quadrature_crosscheck_Ac", qc))
-    rows.append(("quadrature_crosscheck_As", qs))
     write_table(path, ("name", "value"), rows)
 
 
@@ -273,7 +274,6 @@ def build_parser():
     c.add_argument("--grid", type=int, default=257)
     c.add_argument("--out", required=True)
     c.add_argument("--record", default=None)
-    c.add_argument("--quadrature-samples", type=int, default=64)
     c.set_defaults(fn=_cmd_corrugate)
 
     r = sub.add_parser("run", help="staged run toward the target metric")

@@ -33,6 +33,7 @@ import numpy as np
 from .bounds import ALPHA_CAP, growth_constant, increment_constant, phi, phi_prime
 from .errors import BudgetExceeded, DomainError, LostSpacelike, NotRiemannian
 from .fields import (
+    LONG_TOL,
     EmbeddingJet,
     FrameField,
     Grid,
@@ -46,8 +47,10 @@ from .fields import (
 from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
 SPACELIKE_TOL = 1e-10
-# The corrugated pullback may undershoot the next stage's metric by this much.
-LONG_TOL = 1e-12
+# phi_inverse polishes until |phi(alpha) - y| <= PHI_INVERSE_TOL * max(1, max y).
+PHI_INVERSE_TOL = 1e-12
+# series_orders keeps the harmonics whose coefficients can exceed this.
+SERIES_TOL = 1e-18
 # Every N-selection climbs the doubling ladder N = 16, 32, ... from here.
 LADDER_START = 16
 
@@ -67,12 +70,14 @@ class AmplitudeSolveResult:
     iterations: int
 
 
-def phi_inverse(y, tol=1e-12, max_iter=200):
+def phi_inverse(y):
     """Solve phi(alpha) = y for alpha >= 0.
 
-    Bracket doubling, fixed bisection, then Newton polish with phi_prime;
-    deterministic and vectorized. y may be an array; values inside
-    [1 - 1e-12, 1) are clamped to 1, smaller values raise DomainError.
+    Bracket doubling (1, 2, ..., 256, then ALPHA_CAP), 45 bisections, then
+    at most 6 Newton steps with phi_prime: 61 iterations at most.
+    Deterministic and vectorized. y may be an array; values inside
+    [1 - 1e-12, 1) are clamped to 1, smaller values and values above
+    phi(ALPHA_CAP) raise DomainError.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 1.0 - 1e-12):
@@ -88,7 +93,10 @@ def phi_inverse(y, tol=1e-12, max_iter=200):
             break
         hi = np.where(need, 2.0 * hi, hi)
         if np.max(hi) > ALPHA_CAP:
-            raise DomainError("amplitude beyond cap %g" % ALPHA_CAP)
+            # 256 doubles past the cap and stops at it; a doubled cap means y > phi(cap)
+            if np.max(hi) == 2.0 * ALPHA_CAP:
+                raise DomainError("amplitude beyond cap %g" % ALPHA_CAP)
+            hi = np.minimum(hi, ALPHA_CAP)
     lo = np.zeros_like(y)
 
     for _ in range(45):
@@ -101,15 +109,13 @@ def phi_inverse(y, tol=1e-12, max_iter=200):
     a = 0.5 * (lo + hi)
     for _ in range(6):
         fa = phi(a) - y
-        if np.max(np.abs(fa)) <= tol * np.maximum(1.0, np.max(y)):
+        if np.max(np.abs(fa)) <= PHI_INVERSE_TOL * np.maximum(1.0, np.max(y)):
             break
         da = phi_prime(a)
         step = np.where(da > 0.0, fa / np.where(da > 0.0, da, 1.0), 0.0)
         a = np.clip(a - step, lo, hi)
         iters += 1
     a = np.where(y == 1.0, 0.0, a)
-    if iters > max_iter:
-        raise DomainError("amplitude solve exceeded %d iterations" % max_iter)
     return AmplitudeSolveResult(alpha=a, iterations=iters)
 
 
@@ -134,12 +140,12 @@ def amplitude(r, dlu):
     return phi_inverse(1.0 / (np.asarray(r) * np.asarray(dlu)))
 
 
-def series_orders(alpha_max, tol=1e-18):
-    """Number of harmonics so dropped coefficients are below tol."""
+def series_orders(alpha_max):
+    """Number of harmonics so dropped coefficients are below SERIES_TOL."""
     a = max(float(alpha_max), 1e-6) / 2.0
     t = 1.0
     m = 0
-    while t > tol and m < 200:
+    while t > SERIES_TOL and m < 200:
         m += 1
         t *= a / m
     return max(10, min(m + 6, 120))
@@ -265,7 +271,7 @@ class CorrugationStepRecord:
     audits: dict = field(default_factory=dict)
 
 
-def prepare_step(f, eta, ell, orders=None):
+def prepare_step(f, eta, ell):
     """Frame, radius, amplitude and coefficient tables for a step."""
     eta = np.asarray(eta, dtype=float)
     if eta.shape != f.grid.shape:
@@ -277,8 +283,7 @@ def prepare_step(f, eta, ell, orders=None):
     amp = amplitude(r, frame.dlu)
     alpha = np.asarray(amp.alpha)
     alpha_max = float(np.max(alpha))
-    if orders is None:
-        orders = series_orders(alpha_max)
+    orders = series_orders(alpha_max)
     coeff = bessel_table(alpha, orders)
     X, Y = f.grid.mesh()
     mu = pullback_metric(f) - ell.outer(eta)
@@ -488,16 +493,18 @@ def _step_record(params, probe, norm_metric):
     )
 
 
-def apply_corrugation(params, N, norm_metric=None, raise_on_loss=True):
-    """Apply the corrugation at corrugation number N and audit the result."""
-    if norm_metric is None:
-        norm_metric = params.mu
-    probe = _probe(params, N, norm_metric)
+def apply_corrugation(params, N, raise_on_loss=True):
+    """Apply the corrugation at corrugation number N and audit the result.
+
+    The defect and the C1 shift are measured against the step's own
+    intermediate metric mu.
+    """
+    probe = _probe(params, N, params.mu)
     if raise_on_loss and probe.spacelike_min <= SPACELIKE_TOL:
         raise LostSpacelike(
             "corrugated jet min eigenvalue %.3e at N=%d" % (probe.spacelike_min, N)
         )
-    return probe.out, _step_record(params, probe, norm_metric)
+    return probe.out, _step_record(params, probe, params.mu)
 
 
 def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
@@ -591,10 +598,9 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
     }
 
 
-def cp_step(f, eta, ell, N, norm_metric=None, orders=None, raise_on_loss=True):
+def cp_step(f, eta, ell, N):
     """One corrugation step: prepare, apply at N, return (jet, record)."""
-    params = prepare_step(f, eta, ell, orders=orders)
-    return apply_corrugation(params, N, norm_metric=norm_metric, raise_on_loss=raise_on_loss)
+    return apply_corrugation(prepare_step(f, eta, ell), N)
 
 
 def select_corrugation_number(

@@ -25,6 +25,9 @@ MAX_FORMS = 12
 
 _FEAS_TOL = 1e-11
 _OPT_TOL = 1e-10
+# Sup-node Frobenius reconstruction tolerance; beyond it the field is
+# outside the dictionary cone.
+RESIDUAL_TOL = 1e-9
 
 
 def resolve_threads(value=None):
@@ -152,17 +155,14 @@ def _solve_chunk(b, A, plan, feas_tol, opt_tol):
     return coeff, resid
 
 
-def decompose(delta, dictionary, tol_residual=1e-9, threads=None):
+def decompose(delta, dictionary, threads=None):
     """Nonnegative per-node coefficients of delta over the dictionary.
 
     Parameters
     ----------
     delta : MetricField
-        Pointwise positive semidefinite field (within 1e-12).
+        Pointwise positive semidefinite field (within fields.LONG_TOL).
     dictionary : FormDictionary
-    tol_residual : float
-        Sup-node Frobenius reconstruction tolerance; beyond it the field is
-        outside the dictionary cone and ConeViolation is raised.
     threads : int or None
         Node-block parallel width; None reads LORENTZ_CORRUGATE_THREADS.
         Results are identical for any value.
@@ -170,8 +170,10 @@ def decompose(delta, dictionary, tol_residual=1e-9, threads=None):
     Returns
     -------
     PrimitiveDecomposition
+
+    Raises ConeViolation when the sup-node residual exceeds RESIDUAL_TOL.
     """
-    delta.require_psd(tol=1e-12, what="decomposition input")
+    delta.require_psd(what="decomposition input")
     shape = delta.shape
 
     A = dictionary.weighted_matrix()
@@ -194,7 +196,7 @@ def decompose(delta, dictionary, tol_residual=1e-9, threads=None):
         resid = np.concatenate([p[1] for p in parts], axis=0)
 
     sup = float(np.max(resid)) if resid.size else 0.0
-    if sup > tol_residual:
+    if sup > RESIDUAL_TOL:
         flat = int(np.argmax(resid))
         i, j = np.unravel_index(flat, shape)
         raise ConeViolation(

@@ -16,6 +16,9 @@ from .errors import ConfigError, DomainError, GridMismatch, NotLong, NotPSD, Sin
 from .lorentz import minkowski_inner, timelike_unit_normal
 
 FLOAT_FMT = "%.17g"
+# A form field counts as positive semidefinite, and a jet as long for a
+# metric, when its least eigenvalue is at least -LONG_TOL.
+LONG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,6 @@ class MetricField:
 
     __rmul__ = __mul__
 
-    def copy(self):
-        return MetricField(self.E.copy(), self.F.copy(), self.G.copy())
-
     def det(self):
         return self.E * self.G - self.F**2
 
@@ -114,15 +114,15 @@ class MetricField:
     def min_eigenvalue(self):
         return float(np.min(self.eigenvalues()[0]))
 
-    def require_positive_definite(self, tol=0.0, what="metric"):
+    def require_positive_definite(self, what="metric"):
         m = self.min_eigenvalue()
-        if not m > tol:
+        if not m > 0.0:
             raise SingularMetric("%s not positive definite: min eigenvalue %.3e" % (what, m))
 
-    def require_psd(self, tol=1e-12, what="field"):
+    def require_psd(self, what="field"):
         m = self.min_eigenvalue()
-        if not m >= -tol:
-            raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (what, m, tol))
+        if not m >= -LONG_TOL:
+            raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (what, m, LONG_TOL))
 
     def inner(self, u, w):
         """g(u, w) for tangent vectors given as (..., 2) component arrays."""
@@ -166,11 +166,9 @@ class LinearForm:
     def kernel_direction(self):
         return np.array([-self.b, self.a])
 
-    def outer(self, eta=1.0, shape=None):
+    def outer(self, eta):
         """eta * ell (x) ell as a MetricField; eta may be a scalar or array."""
         eta = np.asarray(eta, dtype=float)
-        if shape is not None and eta.shape == ():
-            eta = np.full(shape, float(eta))
         return MetricField(eta * self.a * self.a, eta * self.a * self.b, eta * self.b * self.b)
 
 
@@ -200,9 +198,6 @@ class EmbeddingJet:
                 raise GridMismatch("%s has shape %s, expected %s" % (name, arr.shape, want))
             setattr(self, name, arr)
 
-    def copy(self):
-        return EmbeddingJet(self.grid, self.pos.copy(), self.dfx.copy(), self.dfy.copy())
-
     def apply_d(self, u):
         """df(u) for tangent vectors u with trailing axis of length 2."""
         u = np.asarray(u, dtype=float)
@@ -225,12 +220,12 @@ def isometric_default(f, g):
     return pullback_metric(f) - g
 
 
-def require_long(f, g, tol=1e-12):
-    """Raise NotLong unless f*h - g is positive semidefinite (within tol)."""
+def require_long(f, g):
+    """Raise NotLong unless f*h - g is positive semidefinite (within LONG_TOL)."""
     d = isometric_default(f, g)
     m = d.min_eigenvalue()
-    if not m >= -tol:
-        raise NotLong("default min eigenvalue %.3e < -%.1e" % (m, tol))
+    if not m >= -LONG_TOL:
+        raise NotLong("default min eigenvalue %.3e < -%.1e" % (m, LONG_TOL))
     return d
 
 
@@ -326,7 +321,7 @@ def corrugation_frame(f, ell):
         t = df(u), n the timelike unit normal.
     """
     g = pullback_metric(f)
-    g.require_positive_definite(tol=0.0, what="pullback")
+    g.require_positive_definite(what="pullback")
     shape = f.grid.shape
 
     kd = ell.kernel_direction()
@@ -469,11 +464,6 @@ def read_metric_csv(path):
     return MetricField(c["E"], c["F"], c["G"])
 
 
-def write_scalar_csv(path, field, name="value"):
-    """Write a scalar field as x_idx,y_idx,<name> rows."""
-    write_grid_csv(path, {name: field})
-
-
 def read_scalar_csv(path):
-    """Read the first value column of a grid CSV, as write_scalar_csv writes it."""
+    """Read the first value column of a grid CSV as an (nx, ny) array."""
     return next(iter(read_grid_csv(path).values()))

@@ -1,10 +1,10 @@
 """Built-in example scenarios: initial embeddings and target metrics.
 
-Each scenario builds, for a given grid, a long spacelike initial jet and a
-target metric with positive semidefinite default f*h - g. The strip
-scenario's coefficient peaks at 0.5 in the grid center (odd grids place a
-node exactly there) and varies smoothly, so single-step decay measurements
-see a nonconstant corrugation field.
+Each scenario builds, for a given grid, the flat inclusion as its long
+spacelike initial jet and a target metric with positive semidefinite
+default f*h - g. The strip scenario's coefficient peaks at 0.5 in the grid
+center (odd grids place a node exactly there) and varies smoothly, so
+single-step decay measurements see a nonconstant corrugation field.
 """
 from __future__ import annotations
 
@@ -33,18 +33,23 @@ def strip_eta_field(grid):
     return 0.5 * (0.7 + 0.3 * np.sin(np.pi * X) * np.sin(np.pi * Y))
 
 
-def collar_eta_field(grid, width=0.1, height=0.4):
-    """Coefficient vanishing identically on a collar of the given width.
+COLLAR_WIDTH = 0.1
+COLLAR_HEIGHT = 0.4
+
+
+def collar_eta_field(grid):
+    """Bump of peak COLLAR_HEIGHT vanishing on a collar of width COLLAR_WIDTH.
 
     Inside the collar the value is exactly 0.0 (masked, not just small), so
     corrugation leaves collar nodes bitwise untouched.
     """
     X, Y = grid.mesh()
-    sx = (X - width) / (1.0 - 2.0 * width)
-    sy = (Y - width) / (1.0 - 2.0 * width)
+    w = COLLAR_WIDTH
+    sx = (X - w) / (1.0 - 2.0 * w)
+    sy = (Y - w) / (1.0 - 2.0 * w)
     bump = np.sin(np.pi * np.clip(sx, 0.0, 1.0)) ** 2 * np.sin(np.pi * np.clip(sy, 0.0, 1.0)) ** 2
-    inside = (X > width) & (X < 1.0 - width) & (Y > width) & (Y < 1.0 - width)
-    return np.where(inside, height * bump, 0.0)
+    inside = (X > w) & (X < 1.0 - w) & (Y > w) & (Y < 1.0 - w)
+    return np.where(inside, COLLAR_HEIGHT * bump, 0.0)
 
 
 STRIP_FORM = LinearForm(1.0, 0.0)
@@ -52,15 +57,13 @@ STRIP_FORM = LinearForm(1.0, 0.0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Named pair of builders for the initial jet and the target metric."""
+    """A target metric builder; every scenario starts from the flat inclusion."""
 
-    name: str
     description: str
-    build_initial: object
     build_target: object
 
     def build(self, grid):
-        f0 = self.build_initial(grid)
+        f0 = flat_inclusion(grid)
         g = self.build_target(grid, f0)
         return f0, g
 
@@ -79,21 +82,15 @@ def _strip_target(grid, f0):
 
 SCENARIOS = {
     "flat-shrink": Scenario(
-        name="flat-shrink",
         description="inclusion plane toward 0.5*(dx^2+dy^2), default 0.5*I",
-        build_initial=flat_inclusion,
         build_target=_flat_shrink_target,
     ),
     "aniso-shrink": Scenario(
-        name="aniso-shrink",
         description="inclusion plane toward diag(0.6, 0.8)",
-        build_initial=flat_inclusion,
         build_target=_aniso_shrink_target,
     ),
     "strip-primitive": Scenario(
-        name="strip-primitive",
         description="single primitive: target f*h - eta dx^2, sup eta = 0.5",
-        build_initial=flat_inclusion,
         build_target=_strip_target,
     ),
 }

@@ -237,8 +237,8 @@ def run_nash_kuiper(
     g.require_positive_definite(what="target metric")
     if stages < 1:
         raise DomainError("need at least one stage")
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError("eps must be positive and finite")
     # g_0 is f0's induced metric; g_{T+1} is only the last stage's target.
     gs = [g + 2.0**-n * Delta for n in range(stages + 2)]
     for g_n in gs:

@@ -81,8 +81,9 @@ class Inputs:
         return run_nash_kuiper(f0, g, stages=self.run_stages, eps=0.05)[1]
 
 
-def _perturbed_jet(grid, rng, scale=0.15):
+def _perturbed_jet(grid, rng):
     """Random spacelike graph-like jet with exact analytic differentials."""
+    scale = 0.15
     X, Y = grid.mesh()
     ax, ay, bx, by = rng.uniform(0.5, 2.5, size=4)
     w = scale * np.sin(ax * X + bx * Y) * np.cos(ay * Y)
@@ -437,7 +438,7 @@ CLAIMS = {
 }
 
 
-def run_checks(level="quick"):
+def run_checks(level):
     """Run the registry at level 'quick' or 'full'; returns a list of CheckResult."""
     inputs = Inputs(level)
     results = []

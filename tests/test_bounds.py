@@ -1,5 +1,7 @@
 """Tests for the quantitative constants: the increment envelope psi and its
 split, the growth constants, and the measured family/budget constants."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def test_psi_split_identity():
         lhs = psi(a)
         rhs = np.sqrt(2.0 * psi1(a)) + np.sqrt(psi2(a))
         assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [360.0, 400.0, ALPHA_CAP])
+def test_psi_split_finite_above_overflow(alpha):
+    """Above alpha ~ 355, where cosh^2 and phi^2 overflow, psi, psi1 and psi2
+    all divide through by phi: finite, silent, and the split still holds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [fn(alpha) for fn in (psi, psi1, psi2)]
+        array = [fn(np.array([0.5, alpha])) for fn in (psi, psi1, psi2)]
+    for p, p1, p2 in (scalar, [a[1] for a in array], [a[0] for a in array]):
+        assert np.isfinite([p, p1, p2]).all()
+        assert abs(p - (np.sqrt(2.0 * p1) + np.sqrt(p2))) <= 1e-10 * p
+    assert [a[1] for a in array] == scalar
 
 
 def test_psi_rejects_negative():
@@ -128,12 +144,12 @@ def test_compute_constants_pack():
     g = MetricField.identity(grid.shape)
     target = MetricField.constant(0.5, 0.0, 0.5, grid.shape)
     dec = decompose(isometric_default(f, target), build_dictionary(5))
-    bc = compute_constants(1.2, 5, decomposition=dec, f0=f, g=g)
-    assert bc.growth == growth_constant(1.2)
-    assert bc.increment >= PSI_LIMIT
-    assert np.isfinite(bc.form_constant) and bc.form_constant > 0.0
-    assert np.isfinite(bc.c1_budget) and bc.c1_budget > 0.0
-    names = [r[0] for r in bc.rows()]
-    assert "form_constant" in names and "c1_budget_constant" in names
+    rows = dict(compute_constants(1.2, 5, decomposition=dec, f0=f, g=g))
+    assert rows["growth_constant"] == growth_constant(1.2)
+    assert rows["increment_constant"] >= PSI_LIMIT
+    assert np.isfinite(rows["form_constant"]) and rows["form_constant"] > 0.0
+    assert np.isfinite(rows["c1_budget_constant"]) and rows["c1_budget_constant"] > 0.0
     bare = compute_constants(1.2, 5)
-    assert len(bare.rows()) == 4
+    assert [name for name, _ in bare] == [
+        "alpha_max", "dictionary_size", "increment_constant", "growth_constant"
+    ]

@@ -15,8 +15,8 @@ from lorentz_corrugate.fields import (
     Grid,
     MetricField,
     read_metric_csv,
+    write_grid_csv,
     write_metric_csv,
-    write_scalar_csv,
 )
 from lorentz_corrugate.scenarios import strip_eta_field
 from lorentz_corrugate.verify import CLAIMS, Inputs
@@ -80,7 +80,7 @@ def test_corrugate_by_epsilon(tmp_path, capsys):
 def test_corrugate_eta_file(tmp_path):
     grid = Grid(17, 17)
     eta_path = tmp_path / "eta.csv"
-    write_scalar_csv(str(eta_path), strip_eta_field(grid))
+    write_grid_csv(str(eta_path), {"value": strip_eta_field(grid)})
     obj = tmp_path / "o.obj"
     code = main(
         ["corrugate", "--grid", "17", "--eta-file", str(eta_path), "--N", "16", "--out", str(obj)]
@@ -99,7 +99,7 @@ def test_corrugate_eta_file(tmp_path):
 @pytest.mark.parametrize("bad", ["zero", "nan", "-0.5"])
 def test_corrugate_malformed_eta_file_is_usage_error(tmp_path, capsys, bad):
     eta_path = tmp_path / "eta.csv"
-    write_scalar_csv(str(eta_path), strip_eta_field(Grid(5, 5)))
+    write_grid_csv(str(eta_path), {"value": strip_eta_field(Grid(5, 5))})
     lines = eta_path.read_text().splitlines()
     assert lines[7].startswith("1,1,")
     lines[7] = "1,1," + bad
@@ -162,7 +162,10 @@ def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
         "corrugate --grid 1 --N 16 --out {out}",
         "corrugate --grid 17 --N 0 --out {out}",
         "corrugate --grid 17 --eps -1 --out {out}",
-        "corrugate --grid 17 --N 16 --quadrature-samples 0 --record {out}.csv --out {out}",
+        "corrugate --grid 17 --eps inf --out {out}",
+        "corrugate --grid 17 --N 16 --ell nan,0 --out {out}",
+        "corrugate --grid 17 --N 16 --ell inf,0 --out {out}",
+        "corrugate --grid 17 --N 16 --ell 1,nan --out {out}",
         "decompose --metric {metric} --k 2 --out {out}",
         "decompose --metric {metric} --k 13 --out {out}",
         "decompose --metric {metric} --threads 0 --out {out}",
@@ -242,6 +245,21 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     boolean = tmp_path / "boolean.json"
     boolean.write_text(json.dumps({"stages": True}))
     assert main(["run", "--config", str(boolean), "--outdir", str(tmp_path / "u")]) == 2
+    # a top level that is not an object, and an eps Python's json reads but
+    # no budget can be: an infinite eps would make every C0 and C1 check pass
+    for text, message in (
+        ("[]", "config must be a JSON object"),
+        ("null", "config must be a JSON object"),
+        ('"grid"', "config must be a JSON object"),
+        ('{"grid": 17, "stages": 1, "eps": Infinity}', "eps must be positive and finite"),
+    ):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        outdir = tmp_path / "doc"
+        capsys.readouterr()
+        assert main(["run", "--config", str(doc), "--outdir", str(outdir)]) == 2
+        assert "config error: " + message in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 def test_run_json_compatibility(tmp_path, capsys):

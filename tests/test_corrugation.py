@@ -158,6 +158,24 @@ def test_phi_inverse_library_oracle():
         assert abs(float(phi_inverse(y).alpha) - ref) < 1e-10
 
 
+def test_phi_inverse_brackets_up_to_alpha_cap():
+    """The last bracket doubling stops at ALPHA_CAP, so every amplitude up
+    to the cap solves, with the Newton polish in reach (61 iterations at most)."""
+    alphas = np.array([60.0, 200.0, 450.0, 499.0])
+    cases = [float(a) for a in alphas] + [np.append(alphas, 0.3)]
+    for a in cases:
+        y = phi(a)
+        res = phi_inverse(y)
+        assert np.asarray(res.alpha).shape == np.shape(a)
+        assert np.all(np.abs(res.alpha - a) <= 1e-12 * a)
+        assert np.all(np.abs(phi(res.alpha) - y) <= 1e-12 * y)
+        assert res.iterations <= 61
+    with pytest.raises(DomainError):
+        phi_inverse(1.01 * phi(ALPHA_CAP))
+    with pytest.raises(DomainError):
+        phi_inverse(np.array([2.0, 1.01 * phi(ALPHA_CAP)]))
+
+
 def test_phi_inverse_monotone_vectorized():
     y = np.linspace(1.0, 40.0, 80)
     a = np.asarray(phi_inverse(y).alpha)
@@ -447,7 +465,8 @@ def test_chained_steps_can_lose_spacelikeness():
     mid, _ = cp_step(f, dec.etas[act[0]], dec.forms[act[0]], 16)
     with pytest.raises(LostSpacelike):
         cp_step(mid, dec.etas[act[1]], dec.forms[act[1]], 4)
-    out, rec = cp_step(mid, dec.etas[act[1]], dec.forms[act[1]], 4, raise_on_loss=False)
+    params = prepare_step(mid, dec.etas[act[1]], dec.forms[act[1]])
+    out, rec = apply_corrugation(params, 4, raise_on_loss=False)
     assert rec.spacelike_min <= 0.0
     assert rec.audits["normal_unit_actual"] == np.inf
 

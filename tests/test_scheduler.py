@@ -23,7 +23,7 @@ def test_practical_schedule_is_dyadic():
     assert budgets == [0.05 * 2.0 ** (-n - 1) for n in range(1, 5)]
     assert budgets[0] == 0.05 * 0.25
     assert ledger.summary["c0_budget_total"] == sum(budgets) < 0.05
-    for bad in ({"stages": 0}, {"eps": 0.0}, {"eps": -1.0}):
+    for bad in ({"stages": 0}, {"eps": 0.0}, {"eps": -1.0}, {"eps": float("inf")}):
         with pytest.raises(DomainError):
             run_nash_kuiper(f0, g, **bad)
 
