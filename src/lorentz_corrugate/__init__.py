@@ -33,7 +33,6 @@ from .fields import (
 )
 from .decomp import FormDictionary, PrimitiveDecomposition, build_dictionary, decompose
 from .corrugation import (
-    amplitude,
     apply_corrugation,
     cp_step,
     phi,

@@ -29,15 +29,15 @@ INCREMENT_SAMPLES = 4096
 INCREMENT_PAD = 1.01
 
 
-def phi(alpha):
-    """Average of cosh(alpha cos 2 pi s) over a full turn, by power series.
+def _bessel_series(alpha, nu, name):
+    """(alpha, sum_m q^m nu! / (m! (m + nu)!)) with q = (alpha/2)^2, nu = 0 or 1.
 
-    The series is sum_m (alpha/2)^(2m) / (m!)^2, absolutely convergent;
+    The sum is I_nu(alpha) (2 / alpha)^nu nu!, absolutely convergent;
     evaluation stops when the running term falls below 1e-17 of the sum.
     """
     z = np.asarray(alpha, dtype=float)
     if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
-        raise DomainError("phi needs 0 <= alpha <= %g" % ALPHA_CAP)
+        raise DomainError("%s needs 0 <= alpha <= %g" % (name, ALPHA_CAP))
     q = (z / 2.0) ** 2
     term = np.ones_like(z)
     total = np.ones_like(z)
@@ -45,30 +45,23 @@ def phi(alpha):
     while True:
         m += 1
         term *= q
-        term /= m * m
+        term /= m * (m + nu)
         total += term
         if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
             break
+    return z, total
+
+
+def phi(alpha):
+    """Average of cosh(alpha cos 2 pi s) over a full turn: I_0(alpha)."""
+    _, total = _bessel_series(alpha, 0, "phi")
     return total if total.shape else float(total)
 
 
 def phi_prime(alpha):
-    """Derivative of phi, the same average against cos(2 pi s) sinh."""
-    z = np.asarray(alpha, dtype=float)
-    if np.any(z < 0.0) or np.any(z > ALPHA_CAP):
-        raise DomainError("phi_prime needs 0 <= alpha <= %g" % ALPHA_CAP)
-    half = z / 2.0
-    q = half**2
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    m = 0
-    while True:
-        m += 1
-        term = term * q / (m * (m + 1))
-        total += term
-        if np.max(term) <= 1e-17 * np.max(total) or m > 2000:
-            break
-    out = half * total
+    """Derivative of phi, the same average against cos(2 pi s) sinh: I_1(alpha)."""
+    z, total = _bessel_series(alpha, 1, "phi_prime")
+    out = z / 2.0 * total
     return out if out.shape else float(out)
 
 

@@ -99,8 +99,9 @@ def _parse_ell(text):
         a, b = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError("--ell expects 'a,b' with two floats") from None
-    _need(math.isfinite(a) and math.isfinite(b), "--ell must be finite")
-    _need(a != 0.0 or b != 0.0, "--ell must be nonzero")
+    # the frame squares the components: NaN, inf, zero and a^2 + b^2 that
+    # underflows to 0 or overflows to inf all fail this one test
+    _need(0.0 < a * a + b * b < math.inf, "--ell needs finite a, b with 0 < a^2 + b^2 < inf")
     return LinearForm(a, b)
 
 

@@ -47,8 +47,10 @@ from .fields import (
 from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
 SPACELIKE_TOL = 1e-10
-# phi_inverse polishes until |phi(alpha) - y| <= PHI_INVERSE_TOL * max(1, max y).
+# phi_inverse steps until |phi(alpha) - y| <= PHI_INVERSE_TOL * y at every
+# node (y >= 1), and gives up after PHI_INVERSE_MAX_ITER Newton steps.
 PHI_INVERSE_TOL = 1e-12
+PHI_INVERSE_MAX_ITER = 61
 # series_orders keeps the harmonics whose coefficients can exceed this.
 SERIES_TOL = 1e-18
 # Every N-selection climbs the doubling ladder N = 16, 32, ... from here.
@@ -64,59 +66,40 @@ def phi_quadrature(alpha, samples=4096):
 
 @dataclass
 class AmplitudeSolveResult:
-    """Solution of phi(alpha) = y with its iteration count."""
+    """Solution of phi(alpha) = y with its number of Newton steps."""
 
     alpha: np.ndarray
     iterations: int
 
 
 def phi_inverse(y):
-    """Solve phi(alpha) = y for alpha >= 0.
+    """Solve phi(alpha) = y for alpha >= 0 by Newton steps with phi_prime.
 
-    Bracket doubling (1, 2, ..., 256, then ALPHA_CAP), 45 bisections, then
-    at most 6 Newton steps with phi_prime: 61 iterations at most.
-    Deterministic and vectorized. y may be an array; values inside
-    [1 - 1e-12, 1) are clamped to 1, smaller values and values above
-    phi(ALPHA_CAP) raise DomainError.
+    phi <= cosh, so the start arccosh(y) is at or left of the root; phi is
+    convex and increasing, so the first step lands at or right of it and
+    later iterates decrease monotonically to it. Every node steps until all
+    of them have |phi(alpha) - y| <= PHI_INVERSE_TOL * y; steps are clipped
+    at ALPHA_CAP only. Deterministic and vectorized. y may be an
+    array; values inside [1 - 1e-12, 1) are clamped to 1; smaller values,
+    NaN, values above phi(ALPHA_CAP) and a solve that needs more than
+    PHI_INVERSE_MAX_ITER steps raise DomainError.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y < 1.0 - 1e-12):
+    if not np.all(y >= 1.0 - 1e-12):
         raise DomainError("phi_inverse needs y >= 1, got min %.17g" % float(np.min(y)))
+    if not np.all(y <= phi(ALPHA_CAP)):
+        raise DomainError("amplitude beyond cap %g" % ALPHA_CAP)
     y = np.maximum(y, 1.0)
-    iters = 0
-
-    hi = np.ones_like(y)
-    while True:
-        need = phi(hi) < y
-        iters += 1
-        if not np.any(need):
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-        if np.max(hi) > ALPHA_CAP:
-            # 256 doubles past the cap and stops at it; a doubled cap means y > phi(cap)
-            if np.max(hi) == 2.0 * ALPHA_CAP:
-                raise DomainError("amplitude beyond cap %g" % ALPHA_CAP)
-            hi = np.minimum(hi, ALPHA_CAP)
-    lo = np.zeros_like(y)
-
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        below = phi(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        iters += 1
-
-    a = 0.5 * (lo + hi)
-    for _ in range(6):
+    tol = PHI_INVERSE_TOL * y
+    a = np.arccosh(y)
+    for iterations in range(PHI_INVERSE_MAX_ITER + 1):
         fa = phi(a) - y
-        if np.max(np.abs(fa)) <= PHI_INVERSE_TOL * np.maximum(1.0, np.max(y)):
-            break
-        da = phi_prime(a)
-        step = np.where(da > 0.0, fa / np.where(da > 0.0, da, 1.0), 0.0)
-        a = np.clip(a - step, lo, hi)
-        iters += 1
-    a = np.where(y == 1.0, 0.0, a)
-    return AmplitudeSolveResult(alpha=a, iterations=iters)
+        if np.all(np.abs(fa) <= tol):
+            return AmplitudeSolveResult(alpha=np.asarray(a), iterations=iterations)
+        # phi_prime vanishes only at alpha = 0, where y = 1 is solved exactly
+        step = np.divide(fa, phi_prime(a), out=np.zeros_like(fa), where=fa != 0.0)
+        a = np.minimum(a - step, ALPHA_CAP)
+    raise DomainError("phi_inverse took more than %d Newton steps" % PHI_INVERSE_MAX_ITER)
 
 
 def radial_factor(eta, dlu):
@@ -133,11 +116,6 @@ def radial_factor(eta, dlu):
             "eta * dl(u)^2 reaches %.6g >= 1" % float(np.max(eta * dlu**2))
         )
     return np.sqrt(q) / dlu
-
-
-def amplitude(r, dlu):
-    """Amplitude with loop average r phi(alpha) matching 1/dl(u)."""
-    return phi_inverse(1.0 / (np.asarray(r) * np.asarray(dlu)))
 
 
 def series_orders(alpha_max):
@@ -280,8 +258,8 @@ def prepare_step(f, eta, ell):
         raise DomainError("eta must be nonnegative")
     frame = corrugation_frame(f, ell)
     r = radial_factor(eta, frame.dlu)
-    amp = amplitude(r, frame.dlu)
-    alpha = np.asarray(amp.alpha)
+    # average condition: the loop average r phi(alpha) equals 1 / dl(u)
+    alpha = phi_inverse(1.0 / (r * frame.dlu)).alpha
     alpha_max = float(np.max(alpha))
     orders = series_orders(alpha_max)
     coeff = bessel_table(alpha, orders)

@@ -166,6 +166,9 @@ def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
         "corrugate --grid 17 --N 16 --ell nan,0 --out {out}",
         "corrugate --grid 17 --N 16 --ell inf,0 --out {out}",
         "corrugate --grid 17 --N 16 --ell 1,nan --out {out}",
+        "corrugate --grid 17 --N 16 --ell 1e-300,0 --out {out}",
+        "corrugate --grid 17 --N 16 --ell 1e200,1e200 --out {out}",
+        "corrugate --grid 17 --N 16 --ell 1e300,0 --out {out}",
         "decompose --metric {metric} --k 2 --out {out}",
         "decompose --metric {metric} --k 13 --out {out}",
         "decompose --metric {metric} --threads 0 --out {out}",

@@ -13,7 +13,7 @@ from scipy import integrate, optimize, special
 from lorentz_corrugate import corrugation
 from lorentz_corrugate.corrugation import (
     ALPHA_CAP,
-    amplitude,
+    PHI_INVERSE_TOL,
     apply_corrugation,
     bessel_table,
     cp_step,
@@ -146,8 +146,9 @@ def test_phi_inverse_frozen_and_edges():
     assert float(phi_inverse(1.0).alpha) == 0.0
     # tiny dips below 1 are clamped, genuine ones rejected
     assert float(phi_inverse(1.0 - 1e-13).alpha) == 0.0
-    with pytest.raises(DomainError):
-        phi_inverse(0.9)
+    for y in (0.9, np.nan, np.array([2.0, np.nan])):
+        with pytest.raises(DomainError):
+            phi_inverse(y)
 
 
 def test_phi_inverse_library_oracle():
@@ -158,9 +159,9 @@ def test_phi_inverse_library_oracle():
         assert abs(float(phi_inverse(y).alpha) - ref) < 1e-10
 
 
-def test_phi_inverse_brackets_up_to_alpha_cap():
-    """The last bracket doubling stops at ALPHA_CAP, so every amplitude up
-    to the cap solves, with the Newton polish in reach (61 iterations at most)."""
+def test_phi_inverse_solves_up_to_alpha_cap():
+    """Newton steps are clipped at ALPHA_CAP, so every amplitude up to the
+    cap solves (61 iterations at most)."""
     alphas = np.array([60.0, 200.0, 450.0, 499.0])
     cases = [float(a) for a in alphas] + [np.append(alphas, 0.3)]
     for a in cases:
@@ -174,6 +175,16 @@ def test_phi_inverse_brackets_up_to_alpha_cap():
         phi_inverse(1.01 * phi(ALPHA_CAP))
     with pytest.raises(DomainError):
         phi_inverse(np.array([2.0, 1.01 * phi(ALPHA_CAP)]))
+
+
+def test_phi_inverse_cost_on_run_amplitudes():
+    """Amplitudes of a staged run stay below 1: a few Newton steps solve
+    every node of a 257x257 grid to the per-node tolerance."""
+    a = 1.0 - np.random.default_rng(15).uniform(size=(257, 257))
+    y = phi(a)
+    res = phi_inverse(y)
+    assert res.iterations <= 8
+    assert np.all(np.abs(phi(res.alpha) - y) <= PHI_INVERSE_TOL * np.maximum(1.0, y))
 
 
 def test_phi_inverse_monotone_vectorized():
@@ -201,7 +212,7 @@ def test_amplitude_average_condition():
     eta = rng.uniform(0.0, 0.9, size=200)
     dlu = rng.uniform(0.3, 1.0, size=200)
     r = radial_factor(eta, dlu)
-    a = np.asarray(amplitude(r, dlu).alpha)
+    a = np.asarray(phi_inverse(1.0 / (r * dlu)).alpha)
     assert np.max(np.abs(r * phi(a) * dlu - 1.0)) < 1e-10
 
 
