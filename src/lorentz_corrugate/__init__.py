@@ -34,7 +34,6 @@ from .fields import (
 from .decomp import FormDictionary, PrimitiveDecomposition, build_dictionary, decompose
 from .corrugation import (
     apply_corrugation,
-    cp_step,
     phi,
     phi_inverse,
     phi_prime,

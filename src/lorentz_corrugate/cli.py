@@ -6,11 +6,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .bounds import ALPHA_CAP, compute_constants
-from .corrugation import LADDER_START, cp_step, select_corrugation_number
+from .corrugation import apply_corrugation, prepare_step, select_corrugation_number
 from .decomp import MAX_FORMS, build_dictionary, decompose, resolve_threads
 from .errors import ConfigError, EngineError, NotPSD
 from .fields import (
@@ -49,7 +49,6 @@ class RunConfig:
     eps: float = 0.05
     dictionary_k: int = 5
     scenario: str = "flat-shrink"
-    n_cap: int = 2**20
     threads: int = 0  # 0 means: env override or machine parallelism
 
     def validate(self):
@@ -59,7 +58,6 @@ class RunConfig:
         _need(math.isfinite(self.eps) and self.eps > 0.0, "eps must be positive and finite")
         _need(3 <= self.dictionary_k <= MAX_FORMS, "dictionary_k must be in [3, %d]" % MAX_FORMS)
         _need_scenario(self.scenario)
-        _need(self.n_cap >= LADDER_START, "n_cap must be at least %d" % LADDER_START)
         _need(self.threads >= 0, "threads must be nonnegative")
 
     @classmethod
@@ -168,7 +166,7 @@ def _cmd_corrugate(args):
         raise ConfigError("%s: eta must be nonnegative, min %.3e" % (args.eta_file, eta.min()))
     ell = _parse_ell(args.ell)
     if args.N is not None:
-        out, rec = cp_step(f, eta, ell, args.N)
+        out, rec = apply_corrugation(prepare_step(f, eta, ell), args.N)
     else:
         out, rec = select_corrugation_number(f, eta, ell, args.eps)
     export_obj(out, args.out)
@@ -182,17 +180,8 @@ def _cmd_corrugate(args):
 
 
 def _write_record(path, rec):
-    rows = [
-        ("N", rec.N),
-        ("alpha_max", rec.alpha_max),
-        ("orders", rec.orders),
-        ("eta_max", rec.eta_max),
-        ("sup_default", rec.sup_default),
-        ("c0_shift", rec.c0_shift),
-        ("c1_shift", rec.c1_shift),
-        ("c1_shift_euclid", rec.c1_shift_euclid),
-        ("spacelike_min", rec.spacelike_min),
-    ]
+    # the record's fields in declaration order, then its audits by name
+    rows = [(fld.name, getattr(rec, fld.name)) for fld in fields(rec) if fld.name != "audits"]
     rows += sorted(rec.audits.items())
     write_table(path, ("name", "value"), rows)
 
@@ -217,7 +206,6 @@ def _cmd_run(args):
         eps=cfg.eps,
         dictionary=build_dictionary(cfg.dictionary_k),
         outdir=args.outdir,
-        n_cap=cfg.n_cap,
         threads=resolved["threads"],
     )
     s = ledger.summary

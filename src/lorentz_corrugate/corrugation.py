@@ -53,8 +53,9 @@ PHI_INVERSE_TOL = 1e-12
 PHI_INVERSE_MAX_ITER = 61
 # series_orders keeps the harmonics whose coefficients can exceed this.
 SERIES_TOL = 1e-18
-# Every N-selection climbs the doubling ladder N = 16, 32, ... from here.
+# Every N-selection climbs the doubling ladder N = 16, 32, ..., 2^20.
 LADDER_START = 16
+LADDER_CAP = 2**20
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -576,11 +577,6 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
     }
 
 
-def cp_step(f, eta, ell, N):
-    """One corrugation step: prepare, apply at N, return (jet, record)."""
-    return apply_corrugation(prepare_step(f, eta, ell), N)
-
-
 def select_corrugation_number(
     f,
     eta,
@@ -589,15 +585,14 @@ def select_corrugation_number(
     norm_metric=None,
     c0_budget=None,
     next_metric=None,
-    cap=2**20,
 ):
     """Smallest doubling N whose corrugated jet meets every acceptance bound.
 
-    Tries N = 16, 32, ... (from LADDER_START) up to cap; accepts when the
-    measured defect against mu is at most epsilon, the output stays
-    spacelike, the position shift fits c0_budget (when given) and the
-    output remains long for next_metric (when given). Raises
-    BudgetExceeded past the cap.
+    Tries N = 16, 32, ..., 2^20 (LADDER_START doubling up to LADDER_CAP);
+    accepts when the measured defect against mu is at most epsilon, the
+    output stays spacelike, the position shift fits c0_budget (when given)
+    and the output remains long for next_metric (when given). Raises
+    BudgetExceeded past LADDER_CAP.
 
     Each N is first screened on the grid's four boundary lines
     (_boundary_blocks), which cost a few percent of a whole-grid probe.
@@ -615,7 +610,7 @@ def select_corrugation_number(
         norm_metric = params.mu
     blocks = _boundary_blocks(params, norm_metric, next_metric)
     N = LADDER_START
-    while N <= cap:
+    while N <= LADDER_CAP:
         if all(
             _accepts(_probe(block, N, block_norm, block_next, mask), epsilon, c0_budget)
             for block, block_norm, block_next, mask in blocks
@@ -624,7 +619,7 @@ def select_corrugation_number(
             if _accepts(probe, epsilon, c0_budget):
                 return probe.out, _step_record(params, probe, norm_metric)
         N *= 2
-    raise BudgetExceeded("no corrugation number up to %d met the bounds" % cap)
+    raise BudgetExceeded("no corrugation number up to %d met the bounds" % LADDER_CAP)
 
 
 def successive_cp(
@@ -634,7 +629,6 @@ def successive_cp(
     norm_metric=None,
     c0_budget_per_step=None,
     final_long_for=None,
-    cap=2**20,
 ):
     """Corrugate once per active dictionary form, in dictionary order.
 
@@ -658,7 +652,6 @@ def successive_cp(
             norm_metric=norm_metric,
             c0_budget=c0_budget_per_step,
             next_metric=final_long_for if last else None,
-            cap=cap,
         )
         records.append(rec)
     return cur, records

@@ -12,8 +12,8 @@ The schedule is dyadic and computed in run_nash_kuiper's stage loop:
 delta_n = 2^-n, so each stage removes half of the remaining surplus, and
 the C0 budgets a_n = eps 2^-(n+1) sum below eps. The last stage T is
 accepted against g_{T+1}, the next term of the same formula. Each ladder of
-corrugation numbers starts at N = 16 (corrugation.LADDER_START) and is
-capped by n_cap. A stage's C1 bound is the one-stage estimate taken at
+corrugation numbers is N = 16, 32, ..., 2^20 (corrugation.LADDER_START
+to corrugation.LADDER_CAP). A stage's C1 bound is the one-stage estimate taken at
 the stage's own start jet f_{n-1},
     a_n + 2 M c sqrt|g_n - g_{n-1}| (|df_{n-1}|_g + |n_{n-1}|_E),
 with M the largest increment constant the stage's steps measured and c the
@@ -115,13 +115,12 @@ def run_stage(
     stage_index,
     delta,
     delta_prev_norm,
-    n_cap=2**20,
     threads=None,
 ):
     """One stage: decompose the defect, corrugate per form, audit budgets.
 
     The per-step error budget is tuned adaptively. It starts at
-    stage_bound / k_active; when no corrugation number under the cap can
+    stage_bound / k_active; when no corrugation number on the ladder can
     meet it (the inherited frame roughness sets a floor C/N, and C grows
     as the tangents tilt toward the light cone) the budget is doubled, up
     to 0.9 of the stage target; when the measured stage defect still
@@ -159,7 +158,6 @@ def run_stage(
                     norm_metric=g_norm,
                     c0_budget_per_step=c0_per_step,
                     final_long_for=g_next,
-                    cap=n_cap,
                 )
             except BudgetExceeded:
                 if tightened or per_step_eps >= eps_cap or retries >= MAX_RETRIES:
@@ -222,7 +220,6 @@ def run_nash_kuiper(
     eps=0.05,
     dictionary=None,
     outdir=None,
-    n_cap=2**20,
     threads=None,
 ):
     """Full staged run from a long embedding toward the target metric.
@@ -285,7 +282,6 @@ def run_nash_kuiper(
                 stage_index=n,
                 delta=2.0**-n,
                 delta_prev_norm=float(np.max(operator_norm_form(gs[n] - gs[n - 1], g))),
-                n_cap=n_cap,
                 threads=threads,
             )
         except EngineError:

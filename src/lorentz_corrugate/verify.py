@@ -316,7 +316,7 @@ def _check_gluing(n, inputs):
     grid = Grid(65, 65)
     f = flat_inclusion(grid)
     eta = collar_eta_field(grid)
-    out, _ = cor.cp_step(f, eta, STRIP_FORM, N=24)
+    out, _ = cor.apply_corrugation(cor.prepare_step(f, eta, STRIP_FORM), 24)
     collar = eta == 0.0
     pos_ok = bool(np.all(out.pos[collar] == f.pos[collar]))
     inner = collar.copy()
@@ -368,7 +368,7 @@ def _check_normal_step(n, inputs):
     unit = 0.0
     ortho_ok = True
     for grid_n in inputs.grids:
-        _, rec = cor.cp_step(*_strip_setup(grid_n), N=40)
+        _, rec = cor.apply_corrugation(cor.prepare_step(*_strip_setup(grid_n)), 40)
         a = rec.audits
         unit = max(unit, a["normal_unit_actual"], a["normal_unit_predicted"])
         ortho_ok = ortho_ok and a["normal_ortho_predicted"] <= a["normal_ortho_budget"]

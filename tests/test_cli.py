@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lorentz_corrugate
+from lorentz_corrugate import corrugation
 from lorentz_corrugate.cli import RunConfig, main
 from lorentz_corrugate.fields import (
     Grid,
@@ -233,6 +234,12 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     dropped.write_text(json.dumps({"grid": 33, "quadrature_samples": 64}))
     assert main(["run", "--config", str(dropped), "--outdir", str(tmp_path / "q")]) == 2
     assert "unknown config keys: quadrature_samples" in capsys.readouterr().err
+    # the ladder's cap is corrugation.LADDER_CAP, no longer a run.json key
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({"grid": 33, "n_cap": 64}))
+    assert main(["run", "--config", str(capped), "--outdir", str(tmp_path / "c")]) == 2
+    assert "config error: unknown config keys: n_cap" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main(["run", "--config", str(notjson), "--outdir", str(tmp_path / "y")]) == 2
@@ -291,9 +298,10 @@ def test_run_json_compatibility(tmp_path, capsys):
         assert not outdir.exists()
 
 
-def test_run_engine_failure_exit_code(tmp_path, capsys):
+def test_run_engine_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 64)
     cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({"grid": 33, "stages": 3, "n_cap": 64, "threads": 1}))
+    cfg.write_text(json.dumps({"grid": 33, "stages": 3, "threads": 1}))
     assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
     assert "error" in capsys.readouterr().err
 

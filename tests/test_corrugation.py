@@ -16,7 +16,6 @@ from lorentz_corrugate.corrugation import (
     PHI_INVERSE_TOL,
     apply_corrugation,
     bessel_table,
-    cp_step,
     phi,
     phi_inverse,
     phi_prime,
@@ -404,7 +403,7 @@ def test_target_differential_fixes_kernel_direction():
 def test_zero_eta_step_is_identity():
     grid = Grid(17, 17)
     f = flat_inclusion(grid)
-    out, rec = cp_step(f, np.zeros(grid.shape), STRIP_FORM, 8)
+    out, rec = apply_corrugation(prepare_step(f, np.zeros(grid.shape), STRIP_FORM), 8)
     assert np.array_equal(out.pos, f.pos)
     assert np.array_equal(out.dfx, f.dfx)
     assert np.array_equal(out.dfy, f.dfy)
@@ -417,7 +416,7 @@ def test_collar_support_is_bitwise_untouched():
     grid = Grid(33, 33)
     f = flat_inclusion(grid)
     eta = collar_eta_field(grid)
-    out, rec = cp_step(f, eta, STRIP_FORM, 16)
+    out, rec = apply_corrugation(prepare_step(f, eta, STRIP_FORM), 16)
     zero = eta == 0.0
     assert np.array_equal(out.pos[zero], f.pos[zero])
     quiet = zero.copy()
@@ -435,7 +434,7 @@ def test_collar_support_is_bitwise_untouched():
 
 def test_step_audits_on_strip():
     grid, f, eta = strip_jet(33)
-    out, rec = cp_step(f, eta, STRIP_FORM, 32)
+    out, rec = apply_corrugation(prepare_step(f, eta, STRIP_FORM), 32)
     aud = rec.audits
     assert aud["identity_max"] < 1e-12
     assert aud["average_max"] < 1e-10
@@ -453,7 +452,7 @@ def test_defect_decays_with_corrugation_number():
     grid, f, eta = strip_jet(33)
     sups = []
     for N in (24, 48, 96):
-        out, rec = cp_step(f, eta, STRIP_FORM, N)
+        out, rec = apply_corrugation(prepare_step(f, eta, STRIP_FORM), N)
         sups.append(rec.sup_default)
     assert sups[0] > sups[1] > sups[2]
 
@@ -473,9 +472,9 @@ def test_chained_steps_can_lose_spacelikeness():
     g1 = MetricField.constant(0.75, 0.0, 0.75, grid.shape)
     dec = decompose(isometric_default(f, g1), build_dictionary(5))
     act = [i for i, e in enumerate(dec.etas) if float(np.max(e)) > 1e-14]
-    mid, _ = cp_step(f, dec.etas[act[0]], dec.forms[act[0]], 16)
+    mid, _ = apply_corrugation(prepare_step(f, dec.etas[act[0]], dec.forms[act[0]]), 16)
     with pytest.raises(LostSpacelike):
-        cp_step(mid, dec.etas[act[1]], dec.forms[act[1]], 4)
+        apply_corrugation(prepare_step(mid, dec.etas[act[1]], dec.forms[act[1]]), 4)
     params = prepare_step(mid, dec.etas[act[1]], dec.forms[act[1]])
     out, rec = apply_corrugation(params, 4, raise_on_loss=False)
     assert rec.spacelike_min <= 0.0
@@ -585,11 +584,11 @@ def test_boundary_screen_values_equal_whole_grid(shape, ell):
             assert probe.long_min == np.min(outer[3])
 
 
-def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None, cap=2**20):
+def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None):
     """Reference ladder without the boundary screen: the whole-grid probe at every N."""
     params = prepare_step(f, eta, ell)
     N = corrugation.LADDER_START
-    while N <= cap:
+    while N <= corrugation.LADDER_CAP:
         probe = corrugation._probe(params, N, params.mu)
         ok = probe.sup_default <= epsilon and probe.spacelike_min > corrugation.SPACELIKE_TOL
         if ok and c0_budget is not None:
@@ -652,14 +651,15 @@ def test_select_probes_whole_grid_once_per_step(monkeypatch):
     assert len(whole) > 2 * len(records)
 
 
-def test_select_budget_exhaustion():
+def test_select_budget_exhaustion(monkeypatch):
     # tilted form so no ladder N aligns with the node lattice
     grid, f, eta = strip_jet(17)
     ell = LinearForm(1.0, 0.3)
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 256)
+    with pytest.raises(BudgetExceeded, match="up to 256 met"):
+        select_corrugation_number(f, eta, ell, 1e-15)
     with pytest.raises(BudgetExceeded):
-        select_corrugation_number(f, eta, ell, 1e-15, cap=256)
-    with pytest.raises(BudgetExceeded):
-        select_corrugation_number(f, eta, ell, 0.05, c0_budget=1e-12, cap=256)
+        select_corrugation_number(f, eta, ell, 0.05, c0_budget=1e-12)
 
 
 def test_successive_cp_zero_decomposition():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lorentz_corrugate import scheduler
+from lorentz_corrugate import corrugation, scheduler
 from lorentz_corrugate.decomp import build_dictionary
 from lorentz_corrugate.errors import BudgetExceeded, DomainError, NotLong, SingularMetric
 from lorentz_corrugate.fields import (
@@ -75,10 +75,11 @@ def test_run_flat_shrink_three_stages(tmp_path):
         assert (out / ("stage_%03d.obj" % n)).exists()
 
 
-def test_budget_retry_rescues_late_stages():
-    """Under n_cap 2^16 stages 5 and 6 pass only after doubling their per-step budget."""
+def test_budget_retry_rescues_late_stages(monkeypatch):
+    """Capped at N = 2^16, stages 5 and 6 pass only after doubling their per-step budget."""
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 2**16)
     f0, g = scenario("flat-shrink").build(Grid(33, 33))
-    _, ledger = run_nash_kuiper(f0, g, stages=6, dictionary=build_dictionary(5), n_cap=2**16)
+    _, ledger = run_nash_kuiper(f0, g, stages=6, dictionary=build_dictionary(5))
     assert [r.retries for r in ledger.rows] == [0, 0, 0, 0, 1, 2]
     for row in ledger.rows:
         assert row.stage_bound_pass and row.c0_pass and row.triangle_pass
@@ -145,13 +146,14 @@ def test_run_already_isometric():
         assert row.sup_default == 0.0
 
 
-def test_aborted_run_flushes_partial_ledger(tmp_path):
+def test_aborted_run_flushes_partial_ledger(tmp_path, monkeypatch):
     """An exhausted corrugation budget still leaves the ledger on disk."""
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 64)
     grid = Grid(33, 33)
     f0, g = scenario("flat-shrink").build(grid)
     out = tmp_path / "aborted"
     with pytest.raises(BudgetExceeded):
-        run_nash_kuiper(f0, g, stages=3, outdir=str(out), n_cap=64)
+        run_nash_kuiper(f0, g, stages=3, outdir=str(out))
     assert (out / "ledger.csv").exists()
     assert (out / "constants.csv").exists()
     assert (out / "stage_000.obj").exists()
