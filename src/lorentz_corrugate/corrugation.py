@@ -133,36 +133,28 @@ def series_orders(alpha_max):
 def bessel_table(alpha, orders):
     """Modified Bessel values I_m(alpha) for m = 0..orders, per node.
 
-    Downward three-term recurrence from a seed well above the top order,
-    renormalized against the direct series for I_0; alpha may be any array.
-    Agrees with library Bessel evaluations to ~1e-15 and is an order of
-    magnitude faster on grid-sized batches.
+    Downward recurrence on the ratios r_m = I_m / I_{m-1},
+    r_m = alpha / (2m + alpha r_{m+1}), started at 0 well above the top
+    order; then I_m = phi(alpha) r_1 ... r_m. Every r_m lies in [0, 1), so
+    nothing overflows, and alpha = 0 gives r_m = 0 exactly. alpha may be
+    any array. Agrees with library Bessel evaluations to ~1e-15 and is an
+    order of magnitude faster on grid-sized batches.
     """
     z = np.asarray(alpha, dtype=float)
-    zero = z <= 1e-300
-    zs = np.where(zero, 1.0, z)
-    start = orders + int(np.sqrt(40.0 * max(float(np.max(zs)), 1.0))) + 14
-    out = np.zeros((orders + 1,) + z.shape)
-    prev = np.zeros(z.shape)
-    cur = np.full(z.shape, 1e-280)
+    start = orders + int(np.sqrt(40.0 * max(float(np.max(z)), 1.0))) + 14
+    out = np.empty((orders + 1,) + z.shape)
+    r = np.zeros(z.shape)
     for m in range(start, 0, -1):
-        nxt = prev + (2.0 * m / zs) * cur
-        prev = cur
-        cur = nxt
-        if m - 1 <= orders:
-            out[m - 1] = cur
-        big = cur > 1e250
-        if np.any(big):
-            cur = np.where(big, cur * 1e-250, cur)
-            prev = np.where(big, prev * 1e-250, prev)
-            out[:, big] *= 1e-250
-    # Normalize in two steps: I_k/I_0 ratios are <= 1, so dividing first
-    # keeps the intermediate bounded even when out[0] is far from 1.
-    out /= np.array(out[0])[None]
-    out *= np.asarray(phi(z))[None]
-    if np.any(zero):
-        out[:, zero] = 0.0
-        out[0][zero] = 1.0
+        # r = z / (2m + z r), in place
+        np.multiply(z, r, out=r)
+        r += 2.0 * m
+        np.divide(z, r, out=r)
+        if m <= orders:
+            out[m] = r
+    out[0] = phi(z)
+    # a running product row by row; np.cumprod along axis 0 is slower here
+    for m in range(1, orders + 1):
+        out[m] *= out[m - 1]
     return out
 
 
