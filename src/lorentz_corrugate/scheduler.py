@@ -12,9 +12,9 @@ The schedule is dyadic and computed in run_nash_kuiper's stage loop:
 delta_n = 2^-n, so each stage removes half of the remaining surplus, and
 the C0 budgets a_n = eps 2^-(n+1) sum below eps. The last stage T is
 accepted against g_{T+1}, the next term of the same formula. Each ladder of
-corrugation numbers is N = 16, 32, ..., 2^20 (corrugation.LADDER_START
-to corrugation.LADDER_CAP). A stage's C1 bound is the one-stage estimate taken at
-the stage's own start jet f_{n-1},
+corrugation numbers is N = 16, 32, ..., 2^20 (corrugation.LADDER_START to
+corrugation.LADDER_CAP). A stage's C1 bound is the one-stage estimate
+taken at the stage's own start jet f_{n-1},
     a_n + 2 M c sqrt|g_n - g_{n-1}| (|df_{n-1}|_g + |n_{n-1}|_E),
 with M the largest increment constant the stage's steps measured and c the
 stage's form family constant.
