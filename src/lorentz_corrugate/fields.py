@@ -354,22 +354,16 @@ def export_obj(f, path):
     digits so the mesh round-trips the double values.
     """
     nx, ny = f.grid.shape
-    pos = f.pos.reshape(nx * ny, 3)
-    lines = []
-    fmt = "v " + " ".join([FLOAT_FMT] * 3)
-    for p in pos:
-        lines.append(fmt % (p[0], p[1], p[2]))
-    for i in range(nx - 1):
-        base = i * ny
-        for j in range(ny - 1):
-            v00 = base + j + 1
-            v10 = v00 + ny
-            v11 = v10 + 1
-            v01 = v00 + 1
-            lines.append("f %d %d %d" % (v00, v10, v11))
-            lines.append("f %d %d %d" % (v00, v11, v01))
+    vertex = "v " + " ".join([FLOAT_FMT] * 3) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for row in f.pos:
+            fh.write("".join([vertex % tuple(p) for p in row.tolist()]))
+        # quad (i, j) has 1-based corner v = i ny + j + 1; two triangles each
+        for i in range(nx - 1):
+            fh.write("".join([
+                "f %d %d %d\nf %d %d %d\n" % (v, v + ny, v + ny + 1, v, v + ny + 1, v + 1)
+                for v in range(i * ny + 1, (i + 1) * ny)
+            ]))
 
 
 def _cell(value):

@@ -137,6 +137,10 @@ def run_stage(
     c_stage = form_family_constant(dec, g_norm)
     active = sum(1 for eta in dec.etas if float(np.max(eta)) > 0.0)
 
+    def within_bound(sup_def):
+        """The stage inequality, with the slack both the retries and the ledger use."""
+        return sup_def <= stage_bound + 1e-12
+
     if active == 0:
         f_n = f_prev
         records = []
@@ -168,7 +172,7 @@ def run_stage(
             sup_def = float(
                 np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm))
             )
-            if sup_def <= stage_bound or retries >= MAX_RETRIES:
+            if within_bound(sup_def) or retries >= MAX_RETRIES:
                 break
             retries += 1
             tightened = True
@@ -190,7 +194,7 @@ def run_stage(
         delta=delta,
         sup_default=sup_def,
         stage_bound=stage_bound,
-        stage_bound_pass=sup_def <= stage_bound + 1e-12,
+        stage_bound_pass=within_bound(sup_def),
         c0_shift=c0_shift,
         c0_budget=a_n,
         c0_pass=c0_shift <= a_n + 1e-15,

@@ -376,7 +376,7 @@ def _check_normal_step(n, inputs):
     for row in inputs.ledger.rows:
         for rec in row.step_records:
             unit = max(unit, rec.audits["normal_unit_actual"])
-            ratio = max(ratio, rec.audits["normal_ortho_actual"] / (10.0 / rec.N))
+            ratio = max(ratio, rec.audits["normal_ortho_actual"] / rec.audits["normal_ortho_budget"])
     ok = unit <= 1e-8 and ortho_ok and ratio <= 1.0
     return CheckResult(
         n,

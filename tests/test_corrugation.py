@@ -5,6 +5,7 @@ Library Bessel/quadrature/root-finding routines serve as independent
 oracles for the hand-rolled series and solvers.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ def test_bessel_table_library_oracle():
     ref = np.array([[special.iv(k, x) for x in a] for k in range(orders + 1)])
     nz = ref != 0.0
     assert np.max(np.abs(tab[nz] - ref[nz]) / np.abs(ref[nz])) < 5e-14
+    # scipy underflows to 0 early (I_1(1e-200), I_3(1e-100)); the two-term
+    # series (a/2)^m / m! (1 + (a/2)^2 / (m + 1)) checks every order whose
+    # value is a normal double
+    tiny = np.array([1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-8])
+    tab_tiny = bessel_table(tiny, orders)
+    series = np.array(
+        [[(x / 2) ** m / math.factorial(m) * (1 + (x / 2) ** 2 / (m + 1)) for x in tiny]
+         for m in range(orders + 1)]
+    )
+    normal = series >= np.finfo(float).tiny
+    assert np.all(normal[:2])
+    rel = np.abs(tab_tiny[normal] - series[normal]) / series[normal]
+    assert np.max(rel) < 5e-14
     # exact zero column: I_0 = 1, higher orders 0
     assert tab[0, 0] == 1.0
     assert np.all(tab[1:, 0] == 0.0)

@@ -1,4 +1,6 @@
 """Grid containers, metric fields, jets, norms and exchange formats."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,19 @@ def test_frame_orthonormal_random():
 # ---------------------------------------------------------------- audits and io
 
 
+def _special_jet(nx, ny, seed):
+    """Jet whose positions mix random doubles with NaN, +-inf, +-1e+-300 and -0.0."""
+    grid = Grid(nx, ny)
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=grid.shape + (3,))
+    specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, -0.0]
+    flat = pos.reshape(-1)
+    flat[: len(specials)] = specials
+    rng.shuffle(flat)
+    zero = np.zeros(grid.shape + (3,))
+    return EmbeddingJet(grid, pos, zero, zero)
+
+
 def test_export_obj_layout(tmp_path):
     f = flat_inclusion(Grid(2, 2))
     path = tmp_path / "m.obj"
@@ -341,6 +356,40 @@ def test_export_obj_layout(tmp_path):
     assert lines[2] == "v 1 0 0"
     assert lines[4] == "f 1 3 4"
     assert lines[5] == "f 1 4 2"
+    for nx, ny in ((3, 5), (17, 4)):
+        f = _special_jet(nx, ny, seed=nx)
+        path = tmp_path / ("m%dx%d.obj" % (nx, ny))
+        export_obj(f, str(path))
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text[:-1].split("\n")
+        assert len(lines) == nx * ny + 2 * (nx - 1) * (ny - 1)
+        verts, faces = lines[: nx * ny], lines[nx * ny :]
+        assert all(v.startswith("v ") for v in verts)
+        assert all(q.startswith("f ") for q in faces)
+        back = np.array([[float(c) for c in v.split()[1:]] for v in verts])
+        want = f.pos.reshape(nx * ny, 3)
+        # bitwise, NaN-aware: the sign of -0.0 survives as well
+        assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+        idx = np.arange(1, nx * ny + 1).reshape(nx, ny)
+        v00, v10 = idx[:-1, :-1], idx[1:, :-1]
+        v11, v01 = idx[1:, 1:], idx[:-1, 1:]
+        tri = np.stack([np.stack([v00, v10, v11], -1), np.stack([v00, v11, v01], -1)], -2)
+        got = np.array([[int(c) for c in q.split()[1:]] for q in faces])
+        assert np.array_equal(got, tri.reshape(-1, 3))
+
+
+def test_export_obj_writes_row_by_row(tmp_path):
+    """Peak Python allocation while writing stays far below the file's size."""
+    f = _special_jet(129, 133, seed=7)
+    path = tmp_path / "big.obj"
+    tracemalloc.start()
+    try:
+        export_obj(f, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * path.stat().st_size
 
 
 def test_metric_csv_roundtrip(tmp_path):

@@ -92,6 +92,22 @@ def test_budget_retry_rescues_late_stages(monkeypatch):
     assert ledger.summary["monotone_pass"]
 
 
+def test_stage_inside_slack_is_not_retried(monkeypatch):
+    """A stage defect within the ledger's 1e-12 slack passes without a halved retry."""
+    f0, g = scenario("flat-shrink").build(Grid(17, 17))
+    _, ledger = run_nash_kuiper(f0, g, stages=1)
+    honest = ledger.rows[0]
+    # g is the constant target that norms are taken against: adding s g
+    # to the defect raises its measured norm by s
+    s = honest.stage_bound + 5e-13 - honest.sup_default
+    measure = scheduler.isometric_default
+    monkeypatch.setattr(scheduler, "isometric_default", lambda f, gm: measure(f, gm) + g * s)
+    _, ledger = run_nash_kuiper(f0, g, stages=1)
+    row = ledger.rows[0]
+    assert row.retries == 0 and row.stage_bound_pass
+    assert row.stage_bound < row.sup_default <= row.stage_bound + 1e-12
+
+
 def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
     """A stage that moves the jet 20 times as far as its steps did breaks the C1 bound."""
     grid = Grid(33, 33)
