@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from . import __version__
 from .bounds import ALPHA_CAP, compute_constants
 from .corrugation import apply_corrugation, prepare_step, select_corrugation_number
-from .decomp import MAX_FORMS, build_dictionary, decompose, resolve_threads
+from .decomp import MAX_FORMS, build_dictionary, decompose
 from .errors import ConfigError, EngineError, NotPSD
 from .fields import (
     FLOAT_FMT,
@@ -49,7 +49,7 @@ class RunConfig:
     eps: float = 0.05
     dictionary_k: int = 5
     scenario: str = "flat-shrink"
-    threads: int = 0  # 0 means: env override or machine parallelism
+    threads: int = 0
 
     def validate(self):
         _need(self.grid >= 2, "grid must be at least 2")
@@ -84,12 +84,7 @@ class RunConfig:
         return cfg
 
     def resolved_threads(self):
-        if self.threads:
-            return self.threads
-        env = os.environ.get("LORENTZ_CORRUGATE_THREADS")
-        if env:
-            return resolve_threads(env)
-        return os.cpu_count() or 1
+        return self.threads or 1
 
 
 def _parse_ell(text):
@@ -188,7 +183,6 @@ def _write_record(path, rec):
 
 def _cmd_run(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    cfg.validate()
     gr = Grid(cfg.grid, cfg.grid)
     sc = scenario(cfg.scenario)
     f0, g = sc.build(gr)
@@ -232,7 +226,6 @@ def _cmd_info(args):
     for name in sorted(SCENARIOS):
         print("  %-16s %s" % (name, SCENARIOS[name].description))
     print("defaults: grid 257, stages 6, mode practical, eps 0.05, dictionary k=5")
-    print("threads: LORENTZ_CORRUGATE_THREADS overrides the worker pool size")
     return 0
 
 

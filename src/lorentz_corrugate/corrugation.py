@@ -349,7 +349,7 @@ def _node_values(params, out, gF, norm_metric, next_metric):
     return (
         operator_norm_form(gF - params.mu, norm_metric),
         gF.eigenvalues()[0],
-        np.sqrt(np.einsum("...i,...i->...", d, d)),
+        euclidean_norm(d),
         None if next_metric is None else (gF - next_metric).eigenvalues()[0],
     )
 
@@ -452,15 +452,7 @@ def _step_record(params, probe, norm_metric):
         c1_shift=c1_increment(out, params.f, norm_metric),
         c1_shift_euclid=c1_increment(out, params.f, MetricField.identity(params.f.grid.shape)),
         spacelike_min=probe.spacelike_min,
-        audits=_step_audits(
-            params,
-            out,
-            probe.Lx,
-            probe.Ly,
-            probe.xhat,
-            probe.N,
-            probe.spacelike_min > SPACELIKE_TOL,
-        ),
+        audits=_step_audits(params, probe),
     )
 
 
@@ -478,10 +470,11 @@ def apply_corrugation(params, N, raise_on_loss=True):
     return probe.out, _step_record(params, probe, params.mu)
 
 
-def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
+def _step_audits(params, probe):
     """Exact-identity, bound and normal audits for one step."""
     fr = params.frame
     mu = params.mu
+    out, Lx, Ly = probe.out, probe.Lx, probe.Ly
 
     LE = minkowski_inner(Lx, Lx)
     LF = minkowski_inner(Lx, Ly)
@@ -496,7 +489,7 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
 
     average_max = float(np.max(np.abs(params.r * params.coeff[0] - 1.0 / fr.dlu)))
 
-    theta = params.alpha * np.cos(2.0 * np.pi * xhat)
+    theta = params.alpha * np.cos(2.0 * np.pi * probe.xhat)
     nL = np.sinh(theta)[..., None] * fr.t + np.cosh(theta)[..., None] * fr.n
     unit_pred = float(np.max(np.abs(minkowski_inner(nL, nL) + 1.0)))
     ortho_pred = float(
@@ -510,7 +503,7 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
     )
     # A candidate rejected for losing spacelikeness has no unit normal;
     # mark the actual-normal audits infinite instead of failing the probe.
-    if spacelike_ok:
+    if probe.spacelike_min > SPACELIKE_TOL:
         nF = timelike_unit_normal(out.dfx, out.dfy)
         unit_actual = float(np.max(np.abs(minkowski_inner(nF, nF) + 1.0)))
         ortho_actual = float(
@@ -529,8 +522,7 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
     # amplitude envelope plus the O(1/N) remainder slack.
     M = increment_constant(max(params.alpha_max, 1e-12))
     du_new = out.apply_d(fr.u)
-    du_old = params.f.apply_d(fr.u)
-    lhs = euclidean_norm(du_new - du_old)
+    lhs = euclidean_norm(du_new - fr.t)
     slack = euclidean_norm(du_new - (fr.u[..., 0:1] * Lx + fr.u[..., 1:2] * Ly))
     envelope = (
         M
@@ -560,7 +552,7 @@ def _step_audits(params, out, Lx, Ly, xhat, N, spacelike_ok):
         "normal_ortho_exact": ortho_exact,
         "normal_unit_actual": unit_actual,
         "normal_ortho_actual": ortho_actual,
-        "normal_ortho_budget": 10.0 / float(N),
+        "normal_ortho_budget": 10.0 / float(probe.N),
         "increment_margin": increment_margin,
         "growth_margin": growth_margin,
         "normal_growth_margin": normal_growth_margin,

@@ -11,7 +11,6 @@ fully vectorized. Least squares runs in the weighted coordinates
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,21 +27,6 @@ _OPT_TOL = 1e-10
 # Sup-node Frobenius reconstruction tolerance; beyond it the field is
 # outside the dictionary cone.
 RESIDUAL_TOL = 1e-9
-
-
-def resolve_threads(value=None):
-    """Thread count from an explicit value or LORENTZ_CORRUGATE_THREADS."""
-    if value is None:
-        value = os.environ.get("LORENTZ_CORRUGATE_THREADS")
-    if value is None:
-        return 1
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise DomainError("thread count %r is not an integer" % (value,)) from None
-    if n < 1:
-        raise DomainError("thread count must be at least 1")
-    return n
 
 
 @dataclass(frozen=True)
@@ -164,7 +148,7 @@ def decompose(delta, dictionary, threads=None):
         Pointwise positive semidefinite field (within fields.LONG_TOL).
     dictionary : FormDictionary
     threads : int or None
-        Node-block parallel width; None reads LORENTZ_CORRUGATE_THREADS.
+        Node-block parallel width, at least 1; None means one thread.
         Results are identical for any value.
 
     Returns
@@ -179,13 +163,14 @@ def decompose(delta, dictionary, threads=None):
     A = dictionary.weighted_matrix()
     plan = _support_plan(A)
     b = np.stack([delta.E, np.sqrt(2.0) * delta.F, delta.G], axis=-1).reshape(-1, 3)
-    nthreads = resolve_threads(threads)
+    if threads is not None and threads < 1:
+        raise DomainError("thread count must be at least 1")
 
-    if nthreads == 1 or b.shape[0] < 4096:
+    if threads in (None, 1) or b.shape[0] < 4096:
         coeff, resid = _solve_chunk(b, A, plan, _FEAS_TOL, _OPT_TOL)
     else:
-        bounds = np.linspace(0, b.shape[0], nthreads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        bounds = np.linspace(0, b.shape[0], threads + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(
                 pool.map(
                     lambda s: _solve_chunk(b[s[0] : s[1]], A, plan, _FEAS_TOL, _OPT_TOL),

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatch, NotLong, NotPSD, SingularMetric
-from .lorentz import minkowski_inner, timelike_unit_normal
+from .lorentz import euclidean_norm, minkowski_inner, timelike_unit_normal
 
 FLOAT_FMT = "%.17g"
 # A form field counts as positive semidefinite, and a jet as long for a
@@ -275,8 +275,7 @@ def c0_distance(f1, f2):
     """Sup over nodes of the Euclidean distance between positions."""
     if f1.grid != f2.grid:
         raise GridMismatch("jets live on different grids")
-    d = f1.pos - f2.pos
-    return float(np.max(np.sqrt(np.einsum("...i,...i->...", d, d))))
+    return float(np.max(euclidean_norm(f1.pos - f2.pos)))
 
 
 def c1_increment(f1, f2, g):

@@ -286,6 +286,8 @@ def test_run_json_compatibility(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(keys))
     assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "ok")]) == 0
+    # no threads key: the decomposition runs in one thread
+    assert json.loads((tmp_path / "ok" / "config.resolved.json").read_text())["threads"] == 1
     # the dyadic schedule is the only one, and alpha_max_hint is gone
     for extra, message in (
         ({"mode": "theoretical"}, "mode must be 'practical'"),
@@ -306,26 +308,19 @@ def test_run_engine_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
-def test_env_threads_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "3")
-    cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps({"grid": 17, "stages": 1}))
-    outdir = tmp_path / "envout"
-    assert main(["run", "--config", str(cfg), "--outdir", str(outdir)]) == 0
-    resolved = json.loads((outdir / "config.resolved.json").read_text())
-    assert resolved["threads"] == 3
-    # an explicit thread count beats the environment
-    cfg.write_text(json.dumps({"grid": 17, "stages": 1, "threads": 2}))
-    outdir2 = tmp_path / "envout2"
-    assert main(["run", "--config", str(cfg), "--outdir", str(outdir2)]) == 0
-    assert json.loads((outdir2 / "config.resolved.json").read_text())["threads"] == 2
-
-
-def test_bad_env_threads_exit_code(tmp_path, monkeypatch, capsys):
+def test_env_threads_ignored(tmp_path, monkeypatch):
+    """LORENTZ_CORRUGATE_THREADS is no setting: run echoes threads 1, or the config's count."""
     monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "zero")
     cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps({"grid": 17, "stages": 1}))
-    assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+    for keys, threads in (({}, 1), ({"threads": 2}, 2)):
+        cfg.write_text(json.dumps(dict(keys, grid=17, stages=1)))
+        outdir = tmp_path / ("out%d" % threads)
+        assert main(["run", "--config", str(cfg), "--outdir", str(outdir)]) == 0
+        assert json.loads((outdir / "config.resolved.json").read_text())["threads"] == threads
+    # nor does it reach decompose, which then decomposes in one thread
+    metric = tmp_path / "delta.csv"
+    write_metric_csv(str(metric), MetricField.constant(0.25, 0.0, 0.25, (5, 5)))
+    assert main(["decompose", "--metric", str(metric), "--out", str(tmp_path / "etas.csv")]) == 0
 
 
 def test_verify_quick(capsys):

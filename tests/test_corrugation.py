@@ -452,6 +452,21 @@ def test_step_audits_on_strip():
     grid, f, eta = strip_jet(33)
     out, rec = apply_corrugation(prepare_step(f, eta, STRIP_FORM), 32)
     aud = rec.audits
+    assert list(aud) == [
+        "identity_max",
+        "average_max",
+        "normal_unit_predicted",
+        "normal_ortho_predicted",
+        "normal_ortho_exact",
+        "normal_unit_actual",
+        "normal_ortho_actual",
+        "normal_ortho_budget",
+        "increment_margin",
+        "growth_margin",
+        "normal_growth_margin",
+        "increment_constant",
+        "growth_constant",
+    ]
     assert aud["identity_max"] < 1e-12
     assert aud["average_max"] < 1e-10
     assert aud["normal_unit_predicted"] < 1e-8
@@ -553,7 +568,7 @@ def test_select_audits_once(monkeypatch):
     original = corrugation._step_audits
 
     def counted(*args):
-        calls.append(args[5])
+        calls.append(args[1].N)
         return original(*args)
 
     monkeypatch.setattr(corrugation, "_step_audits", counted)

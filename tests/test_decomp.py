@@ -8,7 +8,6 @@ from lorentz_corrugate.decomp import (
     PrimitiveDecomposition,
     build_dictionary,
     decompose,
-    resolve_threads,
 )
 from lorentz_corrugate.errors import ConeViolation, DomainError, NotPSD
 from lorentz_corrugate.fields import LinearForm, MetricField
@@ -54,14 +53,21 @@ def test_weighted_matrix_columns():
 
 
 def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("LORENTZ_CORRUGATE_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2
+    """Only an explicit count of 2 or more starts the pool; no count means one thread."""
+
+    def no_pool(max_workers):
+        raise RuntimeError("pool of %d" % max_workers)
+
+    monkeypatch.setattr(decomp, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(127)
+    dic = build_dictionary(5)
+    delta = cone_field(rng, dic, (65, 65))
+    assert decompose(delta, dic).residual <= decomp.RESIDUAL_TOL
+    decompose(delta, dic, threads=1)
+    with pytest.raises(RuntimeError, match="pool of 4"):
+        decompose(delta, dic, threads=4)
     with pytest.raises(DomainError):
-        resolve_threads(0)
+        decompose(delta, dic, threads=0)
 
 
 def test_closed_form_k3_matches_solve():
@@ -163,7 +169,7 @@ def test_not_psd_rejected():
         decompose(MetricField.constant(1.0, 0.0, -0.1, (2, 2)), dic)
 
 
-def test_threads_bit_identical(monkeypatch):
+def test_threads_bit_identical():
     rng = np.random.default_rng(113)
     dic = build_dictionary(5)
     delta = cone_field(rng, dic, (65, 65))
@@ -172,7 +178,3 @@ def test_threads_bit_identical(monkeypatch):
     for a, b in zip(one.etas, four.etas):
         assert np.array_equal(a, b)
     assert one.residual == four.residual
-    monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "3")
-    env = decompose(delta, dic)
-    for a, b in zip(one.etas, env.etas):
-        assert np.array_equal(a, b)
