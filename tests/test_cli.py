@@ -308,19 +308,28 @@ def test_run_engine_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
-def test_env_threads_ignored(tmp_path, monkeypatch):
-    """LORENTZ_CORRUGATE_THREADS is no setting: run echoes threads 1, or the config's count."""
+def test_bad_env_threads_exit_code(tmp_path, monkeypatch):
+    """A bad LORENTZ_CORRUGATE_THREADS is no setting: run and decompose exit 0 in one thread."""
     monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "zero")
+    cfg = tmp_path / "env.json"
+    cfg.write_text(json.dumps({"grid": 17, "stages": 1}))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--outdir", str(outdir)]) == 0
+    assert json.loads((outdir / "config.resolved.json").read_text())["threads"] == 1
+    metric = tmp_path / "delta.csv"
+    write_metric_csv(str(metric), MetricField.constant(0.25, 0.0, 0.25, (5, 5)))
+    assert main(["decompose", "--metric", str(metric), "--out", str(tmp_path / "etas.csv")]) == 0
+
+
+def test_env_threads_override(tmp_path, monkeypatch):
+    """LORENTZ_CORRUGATE_THREADS overrides nothing: run echoes the config's count, or 1."""
+    monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "3")
     cfg = tmp_path / "env.json"
     for keys, threads in (({}, 1), ({"threads": 2}, 2)):
         cfg.write_text(json.dumps(dict(keys, grid=17, stages=1)))
         outdir = tmp_path / ("out%d" % threads)
         assert main(["run", "--config", str(cfg), "--outdir", str(outdir)]) == 0
         assert json.loads((outdir / "config.resolved.json").read_text())["threads"] == threads
-    # nor does it reach decompose, which then decomposes in one thread
-    metric = tmp_path / "delta.csv"
-    write_metric_csv(str(metric), MetricField.constant(0.25, 0.0, 0.25, (5, 5)))
-    assert main(["decompose", "--metric", str(metric), "--out", str(tmp_path / "etas.csv")]) == 0
 
 
 def test_verify_quick(capsys):
