@@ -225,7 +225,11 @@ def _cmd_info(args):
     print("scenarios:")
     for name in sorted(SCENARIOS):
         print("  %-16s %s" % (name, SCENARIOS[name].description))
-    print("defaults: grid 257, stages 6, mode practical, eps 0.05, dictionary k=5")
+    d = RunConfig()
+    print(
+        "defaults: grid %d, stages %d, mode %s, eps %g, dictionary k=%d"
+        % (d.grid, d.stages, d.mode, d.eps, d.dictionary_k)
+    )
     return 0
 
 

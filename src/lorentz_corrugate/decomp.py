@@ -4,9 +4,9 @@ A defect field D is written as sum_j eta_j * ell_j (x) ell_j with eta_j >= 0
 per node. Symmetric forms on the plane are 3-dimensional, so the exact
 nonnegative least-squares optimum per node is supported on at most 3
 dictionary forms; the solver enumerates all supports of size <= 3 in a fixed
-order, solves each candidate batched over every node, and keeps the first
-one that passes the optimality conditions. This is deterministic, exact and
-fully vectorized. Least squares runs in the weighted coordinates
+order, solves each candidate batched over a block of nodes and keeps the
+first one that passes the optimality conditions. This is deterministic,
+exact and vectorized per block. Least squares runs in the weighted coordinates
 (E, sqrt(2) F, G) so residuals are pointwise Frobenius norms.
 """
 from __future__ import annotations
@@ -27,6 +27,9 @@ _OPT_TOL = 1e-10
 # Sup-node Frobenius reconstruction tolerance; beyond it the field is
 # outside the dictionary cone.
 RESIDUAL_TOL = 1e-9
+# Nodes per solve block. The blocks are the same for every thread count,
+# so the coefficients are too.
+BLOCK_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def _support_plan(A):
     return plan
 
 
-def _solve_chunk(b, A, plan, feas_tol, opt_tol):
+def _solve_chunk(b, A, plan):
     """Exact per-node NNLS over one block of weighted rows b (m, 3)."""
     m = b.shape[0]
     k = A.shape[1]
@@ -112,7 +115,7 @@ def _solve_chunk(b, A, plan, feas_tol, opt_tol):
         idx = np.flatnonzero(open_mask)
         bs = b[idx]
         x = bs @ solver.T
-        feasible = np.all(x >= -feas_tol, axis=1)
+        feasible = np.all(x >= -_FEAS_TOL, axis=1)
         if len(S) == 3:
             ok = feasible
             r = np.zeros(len(idx))
@@ -121,7 +124,7 @@ def _solve_chunk(b, A, plan, feas_tol, opt_tol):
             w = res @ A
             off = np.ones(k, dtype=bool)
             off[list(S)] = False
-            optimal = np.all(w[:, off] <= opt_tol * scale[idx, None], axis=1)
+            optimal = np.all(w[:, off] <= _OPT_TOL * scale[idx, None], axis=1)
             ok = feasible & optimal
             r = np.sqrt(np.einsum("ij,ij->i", res, res))
         hit = idx[ok]
@@ -148,8 +151,9 @@ def decompose(delta, dictionary, threads=None):
         Pointwise positive semidefinite field (within fields.LONG_TOL).
     dictionary : FormDictionary
     threads : int or None
-        Node-block parallel width, at least 1; None means one thread.
-        Results are identical for any value.
+        Worker threads over the node blocks, at least 1; None means one.
+        The nodes are solved in fixed blocks of BLOCK_NODES, so results
+        are identical for any value.
 
     Returns
     -------
@@ -157,28 +161,22 @@ def decompose(delta, dictionary, threads=None):
 
     Raises ConeViolation when the sup-node residual exceeds RESIDUAL_TOL.
     """
+    if threads is not None and threads < 1:
+        raise DomainError("thread count must be at least 1")
     delta.require_psd(what="decomposition input")
     shape = delta.shape
 
     A = dictionary.weighted_matrix()
     plan = _support_plan(A)
     b = np.stack([delta.E, np.sqrt(2.0) * delta.F, delta.G], axis=-1).reshape(-1, 3)
-    if threads is not None and threads < 1:
-        raise DomainError("thread count must be at least 1")
+    blocks = np.split(b, range(BLOCK_NODES, b.shape[0], BLOCK_NODES))
 
-    if threads in (None, 1) or b.shape[0] < 4096:
-        coeff, resid = _solve_chunk(b, A, plan, _FEAS_TOL, _OPT_TOL)
+    if threads in (None, 1):
+        parts = [_solve_chunk(block, A, plan) for block in blocks]
     else:
-        bounds = np.linspace(0, b.shape[0], threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda s: _solve_chunk(b[s[0] : s[1]], A, plan, _FEAS_TOL, _OPT_TOL),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        coeff = np.concatenate([p[0] for p in parts], axis=0)
-        resid = np.concatenate([p[1] for p in parts], axis=0)
+            parts = list(pool.map(lambda block: _solve_chunk(block, A, plan), blocks))
+    coeff, resid = (np.concatenate(p) for p in zip(*parts))
 
     sup = float(np.max(resid)) if resid.size else 0.0
     if sup > RESIDUAL_TOL:

@@ -36,7 +36,6 @@ from .fields import (
     c0_distance,
     c1_increment,
     export_obj,
-    isometric_default,
     operator_norm_form,
     pullback_metric,
     require_long,
@@ -141,42 +140,33 @@ def run_stage(
         """The stage inequality, with the slack both the retries and the ledger use."""
         return sup_def <= stage_bound + 1e-12
 
-    if active == 0:
-        f_n = f_prev
-        records = []
-        per_step_eps = 0.0
-        retries = 0
-        sup_def = float(np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm)))
-    else:
-        per_step_eps = stage_bound / active
-        eps_cap = 0.9 * stage_bound
-        c0_per_step = a_n / active
-        retries = 0
-        tightened = False
-        while True:
-            try:
-                f_n, records = successive_cp(
-                    f_prev,
-                    dec,
-                    per_step_eps,
-                    norm_metric=g_norm,
-                    c0_budget_per_step=c0_per_step,
-                    final_long_for=g_next,
-                )
-            except BudgetExceeded:
-                if tightened or per_step_eps >= eps_cap or retries >= MAX_RETRIES:
-                    raise
-                retries += 1
-                per_step_eps = min(2.0 * per_step_eps, eps_cap)
-                continue
-            sup_def = float(
-                np.max(operator_norm_form(isometric_default(f_n, g_n), g_norm))
+    per_step_eps, c0_per_step = (stage_bound / active, a_n / active) if active else (0.0, 0.0)
+    eps_cap = 0.9 * stage_bound
+    retries = 0
+    tightened = False
+    while True:
+        try:
+            f_n, records = successive_cp(
+                f_prev,
+                dec,
+                per_step_eps,
+                norm_metric=g_norm,
+                c0_budget_per_step=c0_per_step,
+                final_long_for=g_next,
             )
-            if within_bound(sup_def) or retries >= MAX_RETRIES:
-                break
+        except BudgetExceeded:
+            if tightened or per_step_eps >= eps_cap or retries >= MAX_RETRIES:
+                raise
             retries += 1
-            tightened = True
-            per_step_eps *= 0.5
+            per_step_eps = min(2.0 * per_step_eps, eps_cap)
+            continue
+        pulled = pullback_metric(f_n)
+        sup_def = float(np.max(operator_norm_form(pulled - g_n, g_norm)))
+        if not active or within_bound(sup_def) or retries >= MAX_RETRIES:
+            break
+        retries += 1
+        tightened = True
+        per_step_eps *= 0.5
 
     c0_shift = c0_distance(f_n, f_prev)
     c1_inc = c1_increment(f_n, f_prev, g_norm)
@@ -187,7 +177,7 @@ def run_stage(
     )
     sup_Dn = float(np.max(operator_norm_form(D_n, g_norm)))
     triangle_pass = math.sqrt(sup_Dn) <= 2.0 * math.sqrt(delta_prev_norm) + 1e-12
-    long_next = float((pullback_metric(f_n) - g_next).min_eigenvalue())
+    long_next = float((pulled - g_next).min_eigenvalue())
 
     row = StageRow(
         stage=stage_index,
@@ -211,7 +201,7 @@ def run_stage(
         decomp_residual=dec.residual,
         form_constant=c_stage,
         long_next_min_eig=long_next,
-        sup_vs_target=float(np.max(operator_norm_form(isometric_default(f_n, g_norm), g_norm))),
+        sup_vs_target=float(np.max(operator_norm_form(pulled - g_norm, g_norm))),
         step_records=records,
     )
     return f_n, row

@@ -62,10 +62,11 @@ class CheckResult:
 
 
 class Inputs:
-    """The grids and the staged run a level feeds the claims.
+    """The grids, the strip step records and the staged run a level feeds the claims.
 
-    The staged run is built on first use, so its wall time counts toward
-    the first claim that reads the ledger (staged-run-audits).
+    The records and the staged run are built on first use, so their wall
+    time counts toward the first claim that reads them (average-condition
+    and staged-run-audits).
     """
 
     def __init__(self, level):
@@ -79,6 +80,13 @@ class Inputs:
     def ledger(self):
         f0, g = scenario("flat-shrink").build(Grid(self.run_grid, self.run_grid))
         return run_nash_kuiper(f0, g, stages=self.run_stages, eps=0.05)[1]
+
+    @cached_property
+    def strip_records(self):
+        """The N=40 strip step's record at each grid, shared by two claims."""
+        return [
+            cor.apply_corrugation(cor.prepare_step(*_strip_setup(n)), 40)[1] for n in self.grids
+        ]
 
 
 def _perturbed_jet(grid, rng):
@@ -284,10 +292,7 @@ def _check_decomp(n, inputs):
 
 
 def _check_average(n, inputs):
-    worst = max(
-        cor.apply_corrugation(cor.prepare_step(*_strip_setup(grid_n)), 40)[1].audits["average_max"]
-        for grid_n in inputs.grids
-    )
+    worst = max(rec.audits["average_max"] for rec in inputs.strip_records)
     return CheckResult(n, worst <= 1e-10, worst, 1e-10, note="sup |r phi(alpha) - 1/dl(u)|")
 
 
@@ -365,8 +370,7 @@ def _check_staged_run(n, inputs):
 def _check_normal_step(n, inputs):
     unit = 0.0
     ortho_ok = True
-    for grid_n in inputs.grids:
-        _, rec = cor.apply_corrugation(cor.prepare_step(*_strip_setup(grid_n)), 40)
+    for rec in inputs.strip_records:
         a = rec.audits
         unit = max(unit, a["normal_unit_actual"], a["normal_unit_predicted"])
         ortho_ok = ortho_ok and a["normal_ortho_predicted"] <= a["normal_ortho_budget"]

@@ -53,7 +53,7 @@ def test_weighted_matrix_columns():
 
 
 def test_resolve_threads(monkeypatch):
-    """Only an explicit count of 2 or more starts the pool; no count means one thread."""
+    """An explicit count of 2 or more starts the pool on any grid; no count means one thread."""
 
     def no_pool(max_workers):
         raise RuntimeError("pool of %d" % max_workers)
@@ -66,6 +66,9 @@ def test_resolve_threads(monkeypatch):
     decompose(delta, dic, threads=1)
     with pytest.raises(RuntimeError, match="pool of 4"):
         decompose(delta, dic, threads=4)
+    # one block of nodes still goes to the pool the count asks for
+    with pytest.raises(RuntimeError, match="pool of 4"):
+        decompose(cone_field(rng, dic, (17, 17)), dic, threads=4)
     with pytest.raises(DomainError):
         decompose(delta, dic, threads=0)
 
@@ -167,6 +170,19 @@ def test_not_psd_rejected():
     dic = build_dictionary(5)
     with pytest.raises(NotPSD):
         decompose(MetricField.constant(1.0, 0.0, -0.1, (2, 2)), dic)
+
+
+def test_decompose_independent_of_thread_count():
+    """Fixed node blocks give the same bytes for no count and for any count."""
+    for k, shape in ((9, (257, 257)), (12, (513, 513)), (3, (130, 67))):
+        dic = build_dictionary(k)
+        delta = cone_field(np.random.default_rng(k), dic, shape)
+        serial = decompose(delta, dic)
+        for threads in (2, 3, 4, 7, 8):
+            dec = decompose(delta, dic, threads=threads)
+            for a, b in zip(serial.etas, dec.etas):
+                assert np.array_equal(a, b), (k, shape, threads)
+            assert dec.residual == serial.residual
 
 
 def test_threads_bit_identical():

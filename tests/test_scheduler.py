@@ -100,12 +100,35 @@ def test_stage_inside_slack_is_not_retried(monkeypatch):
     # g is the constant target that norms are taken against: adding s g
     # to the defect raises its measured norm by s
     s = honest.stage_bound + 5e-13 - honest.sup_default
-    measure = scheduler.isometric_default
-    monkeypatch.setattr(scheduler, "isometric_default", lambda f, gm: measure(f, gm) + g * s)
+    measure = scheduler.pullback_metric
+    monkeypatch.setattr(scheduler, "pullback_metric", lambda f: measure(f) + g * s)
     _, ledger = run_nash_kuiper(f0, g, stages=1)
     row = ledger.rows[0]
     assert row.retries == 0 and row.stage_bound_pass
     assert row.stage_bound < row.sup_default <= row.stage_bound + 1e-12
+
+
+def test_stage_without_active_form():
+    """A stage whose defect is zero keeps its jet, with no step, no budget and no retry."""
+    shape = (9, 9)
+    f = flat_inclusion(Grid(*shape))
+    f_n, row = scheduler.run_stage(
+        f,
+        MetricField.identity(shape),
+        MetricField.constant(0.9, 0.0, 0.9, shape),
+        0.01,
+        build_dictionary(5),
+        g_norm=MetricField.constant(0.8, 0.0, 0.8, shape),
+        stage_index=1,
+        delta=0.5,
+        delta_prev_norm=0.25,
+    )
+    assert f_n is f
+    assert row.n_values == [] and row.step_records == []
+    assert row.per_step_eps == 0.0 and row.retries == 0
+    assert row.sup_default == 0.0 and row.stage_bound_pass
+    assert row.c0_shift == 0.0 and row.c1_increment == 0.0
+    assert row.long_next_min_eig == pytest.approx(0.1, abs=1e-15)
 
 
 def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
