@@ -189,7 +189,6 @@ def _cmd_run(args):
     os.makedirs(args.outdir, exist_ok=True)
     resolved = asdict(cfg)
     resolved["threads"] = cfg.resolved_threads()
-    resolved["outdir"] = args.outdir
     with open(os.path.join(args.outdir, "config.resolved.json"), "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -47,7 +47,7 @@ class LostSpacelike(EngineError):
 
 
 class BudgetExceeded(EngineError):
-    """Corrugation number search exceeded its cap without acceptance."""
+    """No ladder number met a step's budgets, or a doubled stage budget missed its bound."""
 
 
 class DomainError(EngineError):

@@ -215,8 +215,6 @@ def pullback_metric(f):
 
 def isometric_default(f, g):
     """Defect f*h - g, the amount of metric still to be absorbed."""
-    if g.shape != f.grid.shape:
-        raise GridMismatch("metric shape %s does not match grid %s" % (g.shape, f.grid.shape))
     return pullback_metric(f) - g
 
 

@@ -215,13 +215,43 @@ def test_run_with_config(tmp_path, capsys):
     assert resolved["grid"] == 33
     assert resolved["stages"] == 2
     assert resolved["threads"] == 1
-    assert resolved["outdir"] == str(outdir)
+    assert set(resolved) == set(RunConfig.__dataclass_fields__)
     # echo is deterministic: sorted keys, two-space indent
     text = (outdir / "config.resolved.json").read_text()
     assert text == json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    # and depends on run.json alone, not on where the artifacts go
+    elsewhere = tmp_path / "elsewhere" / "artifacts"
+    assert main(["run", "--config", str(cfg), "--outdir", str(elsewhere)]) == 0
+    echo = "config.resolved.json"
+    assert (elsewhere / echo).read_bytes() == (outdir / echo).read_bytes()
     assert (outdir / "ledger.csv").exists()
     assert (outdir / "constants.csv").exists()
     assert (outdir / "stage_002.obj").exists()
+
+
+def _child_env():
+    """The environment of a child process that imports the same lorentz_corrugate as this test."""
+    import_root = str(Path(lorentz_corrugate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (import_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_run_needs_numpy_only(tmp_path):
+    """`run` exits 0 with scipy unimportable: the runtime depends on numpy alone."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": 17, "stages": 2}))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lorentz_corrugate.cli import main\n"
+        "sys.exit(main(['run', '--config', %r, '--outdir', %r]))\n"
+        % (str(cfg), str(tmp_path / "out"))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
@@ -387,12 +417,7 @@ def test_console_script_installed(tmp_path):
     script.chmod(0o755)
     exe = shutil.which("lorentz-corrugate", path=str(bindir))
     assert exe is not None
-    # the child imports the same lorentz_corrugate as this test
-    import_root = str(Path(lorentz_corrugate.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (import_root, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     proc = subprocess.run([exe, "info"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "scenarios" in proc.stdout

@@ -93,7 +93,7 @@ def test_budget_retry_rescues_late_stages(monkeypatch):
 
 
 def test_stage_inside_slack_is_not_retried(monkeypatch):
-    """A stage defect within the ledger's 1e-12 slack passes without a halved retry."""
+    """A stage defect within the ledger's 1e-12 slack passes."""
     f0, g = scenario("flat-shrink").build(Grid(17, 17))
     _, ledger = run_nash_kuiper(f0, g, stages=1)
     honest = ledger.rows[0]
@@ -150,6 +150,31 @@ def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
     row = ledger.rows[0]
     assert row.c1_increment > row.c1_bound
     assert not row.c1_bound_pass and not row.c1_bound_pass_euclid
+    # the overshoot also misses the stage bound under the starting budget,
+    # which is recorded, not retried
+    assert row.retries == 0 and not row.stage_bound_pass
+
+
+def test_doubled_budget_that_misses_the_stage_bound_raises(monkeypatch):
+    """A doubled budget that the ladder meets but the stage bound does not fails the stage.
+
+    Capped at N = 256, stage 2 (bound 0.125) raises at its starting budget
+    0.125 / 3, passes the ladder at the doubled 0.25 / 3 and lands above
+    its bound. The budget never goes back to one that already failed.
+    """
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 256)
+    f0, g = scenario("flat-shrink").build(Grid(17, 17))
+    honest = scheduler.successive_cp
+    budgets = []
+
+    def recording(f_prev, dec, per_step_eps, **kwargs):
+        budgets.append(per_step_eps)
+        return honest(f_prev, dec, per_step_eps, **kwargs)
+
+    monkeypatch.setattr(scheduler, "successive_cp", recording)
+    with pytest.raises(BudgetExceeded, match=r"stage 2 defect .* misses its bound 1\.250000e-01"):
+        run_nash_kuiper(f0, g, stages=2, dictionary=build_dictionary(3))
+    assert budgets == pytest.approx([0.25 / 3, 0.125 / 3, 0.25 / 3], rel=1e-12)
 
 
 def test_run_ledger_deterministic(tmp_path):
