@@ -391,14 +391,24 @@ def _probe(params, N, norm_metric, next_metric=None, mask=None):
     )
 
 
-def _accepts(probe, epsilon, c0_budget):
-    """The acceptance tests of N-selection; C0 only with a budget, long only with a next metric."""
-    return (
-        probe.sup_default <= epsilon
-        and probe.spacelike_min > SPACELIKE_TOL
-        and (c0_budget is None or probe.c0_shift <= c0_budget)
-        and (probe.long_min is None or probe.long_min >= -LONG_TOL)
-    )
+def _failures(probe, epsilon, c0_budget):
+    """The acceptance tests of N-selection that the probe fails, each with its measured value.
+
+    C0 is tested only with a budget, long-for-next only with a next metric;
+    an empty list accepts the probe.
+    """
+    failed = []
+    if not probe.sup_default <= epsilon:
+        failed.append("defect %.6e > %.6e" % (probe.sup_default, epsilon))
+    if not probe.spacelike_min > SPACELIKE_TOL:
+        failed.append(
+            "spacelike min eigenvalue %.6e <= %.6e" % (probe.spacelike_min, SPACELIKE_TOL)
+        )
+    if c0_budget is not None and not probe.c0_shift <= c0_budget:
+        failed.append("C0 shift %.6e > %.6e" % (probe.c0_shift, c0_budget))
+    if probe.long_min is not None and not probe.long_min >= -LONG_TOL:
+        failed.append("long-for-next min eigenvalue %.6e < %.6e" % (probe.long_min, -LONG_TOL))
+    return failed
 
 
 def _boundary_blocks(params, norm_metric, next_metric):
@@ -576,7 +586,8 @@ def select_corrugation_number(
     accepts when the measured defect against mu is at most epsilon, the
     output stays spacelike, the position shift fits c0_budget (when given)
     and the output remains long for next_metric (when given). Raises
-    BudgetExceeded past LADDER_CAP.
+    BudgetExceeded past LADDER_CAP, naming the form, epsilon and the tests
+    the last rung failed with their measured values.
 
     Each N is first screened on the grid's four boundary lines
     (_boundary_blocks), which cost a few percent of a whole-grid probe.
@@ -595,15 +606,23 @@ def select_corrugation_number(
     blocks = _boundary_blocks(params, norm_metric, next_metric)
     N = LADDER_START
     while N <= LADDER_CAP:
-        if all(
-            _accepts(_probe(block, N, block_norm, block_next, mask), epsilon, c0_budget)
-            for block, block_norm, block_next, mask in blocks
-        ):
+        for block, block_norm, block_next, mask in blocks:
+            failed = _failures(_probe(block, N, block_norm, block_next, mask), epsilon, c0_budget)
+            if failed:
+                where = "boundary lines"
+                break
+        else:
             probe = _probe(params, N, norm_metric, next_metric)
-            if _accepts(probe, epsilon, c0_budget):
+            failed = _failures(probe, epsilon, c0_budget)
+            if not failed:
                 return probe.out, _step_record(params, probe, norm_metric)
+            where = "whole grid"
         N *= 2
-    raise BudgetExceeded("no corrugation number up to %d met the bounds" % LADDER_CAP)
+    raise BudgetExceeded(
+        "no corrugation number up to %d met the bounds for form (%.3g, %.3g) at per-step"
+        " budget %.6e; N=%d fails on the %s: %s"
+        % (LADDER_CAP, ell.a, ell.b, epsilon, N // 2, where, ", ".join(failed))
+    )
 
 
 def successive_cp(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -348,19 +349,21 @@ def export_obj(f, path):
 
     Vertices appear in row-major node order; each grid quad is split into
     two triangles with consistent orientation. Floats carry 17 significant
-    digits so the mesh round-trips the double values.
+    digits so the mesh round-trips the double values. The file is written
+    one grid row at a time, each row's vertices and each row of quads with
+    one format call.
     """
     nx, ny = f.grid.shape
-    vertex = "v " + " ".join([FLOAT_FMT] * 3) + "\n"
+    vertices = ("v " + " ".join([FLOAT_FMT] * 3) + "\n") * ny
+    faces = "f %d %d %d\nf %d %d %d\n" * (ny - 1)
+    # quad (0, j) has 1-based corner v = j + 1; two triangles each
+    v = np.arange(1, ny)
+    first = np.stack([v, v + ny, v + ny + 1, v, v + ny + 1, v + 1], axis=-1).ravel()
     with open(path, "w") as fh:
         for row in f.pos:
-            fh.write("".join([vertex % tuple(p) for p in row.tolist()]))
-        # quad (i, j) has 1-based corner v = i ny + j + 1; two triangles each
+            fh.write(vertices % tuple(row.ravel().tolist()))
         for i in range(nx - 1):
-            fh.write("".join([
-                "f %d %d %d\nf %d %d %d\n" % (v, v + ny, v + ny + 1, v, v + ny + 1, v + 1)
-                for v in range(i * ny + 1, (i + 1) * ny)
-            ]))
+            fh.write(faces % tuple((first + i * ny).tolist()))
 
 
 def _cell(value):
@@ -385,17 +388,26 @@ def write_table(path, header, rows):
 def write_grid_csv(path, columns):
     """Write fields over a grid as x_idx,y_idx,<names...> rows in row-major order.
 
-    columns maps each name to an (nx, ny) array. Floats carry 17 significant
-    digits, so read_grid_csv returns the doubles bitwise.
+    columns maps each name to an (nx, ny) array; columns of differing or
+    non-2-D shapes raise GridMismatch before the file is opened. Floats
+    carry 17 significant digits, so read_grid_csv returns the doubles
+    bitwise. The file is written one grid row at a time, each with one
+    format call.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
-    row = "%d,%d," + ",".join([FLOAT_FMT] * len(names)) + "\n"
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 2:
+        raise GridMismatch(
+            "grid CSV columns need one 2-D shape, got %s"
+            % ", ".join("%s %s" % (name, a.shape) for name, a in zip(names, arrays))
+        )
+    ny = arrays[0].shape[1]
+    rows = ("%d,%d," + ",".join([FLOAT_FMT] * len(names)) + "\n") * ny
     with open(path, "w") as fh:
         fh.write(",".join(["x_idx", "y_idx"] + names) + "\n")
         for i in range(arrays[0].shape[0]):
-            values = zip(*(a[i].tolist() for a in arrays))
-            fh.writelines(row % (i, j, *v) for j, v in enumerate(values))
+            values = zip(repeat(i), range(ny), *(a[i].tolist() for a in arrays))
+            fh.write(rows % tuple(chain.from_iterable(values)))
 
 
 def read_grid_csv(path, names=None):

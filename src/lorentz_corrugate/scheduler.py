@@ -122,11 +122,12 @@ def run_stage(
     corrugation number on the ladder can meet it (the inherited frame
     roughness sets a floor C/N, and C grows as the tangents tilt toward
     the light cone) the budget is doubled, up to 0.9 of the stage target
-    and at most MAX_RETRIES times; past that the failure propagates. The
-    stage defect is measured once, under the first budget the ladder
-    meets, against the stage inequality with a 1e-12 slack. A miss is
-    recorded as stage_bound_pass false under the starting budget and
-    raises BudgetExceeded under a doubled one. The C1 drift allowance is
+    and at most MAX_RETRIES times; past that the failure propagates with
+    the stage index prefixed to its message. The stage defect is measured
+    once, under the first budget the ladder meets, against the stage
+    inequality with a 1e-12 slack. A miss is recorded as stage_bound_pass
+    false under the starting budget and raises BudgetExceeded under a
+    doubled one. The C1 drift allowance is
     a_n + 2 M c |g_n - g_{n-1}|^(1/2) (|df_{n-1}|_g + |n_{n-1}|_E), taken
     at f_prev with the stage's largest measured increment constant M and
     its form constant c.
@@ -151,9 +152,9 @@ def run_stage(
                 final_long_for=g_next,
             )
             break
-        except BudgetExceeded:
+        except BudgetExceeded as exc:
             if per_step_eps >= eps_cap or retries >= MAX_RETRIES:
-                raise
+                raise BudgetExceeded("stage %d: %s" % (stage_index, exc)) from exc
             retries += 1
             per_step_eps = min(2.0 * per_step_eps, eps_cap)
     pulled = pullback_metric(f_n)

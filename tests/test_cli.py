@@ -338,6 +338,19 @@ def test_run_engine_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_ladder_failure_names_what_failed(tmp_path, capsys):
+    """strip-primitive 33x6 exhausts the ladder in stage 3 on the long-for-next test alone."""
+    cfg = tmp_path / "strip.json"
+    cfg.write_text(json.dumps({"scenario": "strip-primitive", "grid": 33, "stages": 6}))
+    assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: stage 3: no corrugation number up to 1048576 met the bounds" in err
+    assert "form (-0.809, 0.588) at per-step budget " in err
+    assert "N=1048576 fails on the " in err
+    assert ": long-for-next min eigenvalue " in err
+    assert "defect" not in err and "spacelike" not in err and "C0" not in err
+
+
 def test_bad_env_threads_exit_code(tmp_path, monkeypatch):
     """A bad LORENTZ_CORRUGATE_THREADS is no setting: run and decompose exit 0 in one thread."""
     monkeypatch.setenv("LORENTZ_CORRUGATE_THREADS", "zero")

@@ -693,6 +693,19 @@ def test_select_budget_exhaustion(monkeypatch):
         select_corrugation_number(f, eta, ell, 0.05, c0_budget=1e-12)
 
 
+def test_select_budget_exhaustion_names_the_failed_tests(monkeypatch):
+    grid, f, eta = strip_jet(17)
+    monkeypatch.setattr(corrugation, "LADDER_CAP", 256)
+    with pytest.raises(BudgetExceeded) as exc:
+        select_corrugation_number(f, eta, LinearForm(1.0, 0.3), 1e-15)
+    msg = str(exc.value)
+    assert "for form (1, 0.3) at per-step budget 1.000000e-15; N=256 fails on the " in msg
+    assert "defect " in msg and "> 1.000000e-15" in msg
+    assert "C0" not in msg and "long-for-next" not in msg
+    with pytest.raises(BudgetExceeded, match=r"N=256 fails on the .*C0 shift .* > 1\.000000e-12"):
+        select_corrugation_number(f, eta, LinearForm(1.0, 0.3), 0.05, c0_budget=1e-12)
+
+
 def test_successive_cp_zero_decomposition():
     grid = Grid(17, 17)
     f = flat_inclusion(grid)

@@ -1,4 +1,5 @@
 """Grid containers, metric fields, jets, norms and exchange formats."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,67 @@ def test_export_obj_writes_row_by_row(tmp_path):
     tracemalloc.start()
     try:
         export_obj(f, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * path.stat().st_size
+
+
+def _reference_obj(pos):
+    """The OBJ text of a position array, formatted one node and one face at a time."""
+    nx, ny = pos.shape[:2]
+    lines = ["v %.17g %.17g %.17g\n" % tuple(p) for p in pos.reshape(-1, 3).tolist()]
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            v = i * ny + j + 1
+            lines.append("f %d %d %d\n" % (v, v + ny, v + ny + 1))
+            lines.append("f %d %d %d\n" % (v, v + ny + 1, v + 1))
+    return "".join(lines)
+
+
+def _reference_grid_csv(columns):
+    """The grid CSV text of {name: (nx, ny) array}, formatted one node at a time."""
+    names = list(columns)
+    nx, ny = columns[names[0]].shape
+    row = "%d,%d," + ",".join(["%.17g"] * len(names)) + "\n"
+    lines = [",".join(["x_idx", "y_idx"] + names) + "\n"]
+    for i in range(nx):
+        for j in range(ny):
+            lines.append(row % ((i, j) + tuple(float(columns[n][i, j]) for n in names)))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (17, 4), (5, 2)])
+def test_writers_match_per_node_reference(tmp_path, nx, ny):
+    """Both grid writers write byte for byte what a per-node formatter writes."""
+    f = _special_jet(nx, ny, seed=nx * ny)
+    obj = tmp_path / "m.obj"
+    export_obj(f, str(obj))
+    assert obj.read_bytes() == _reference_obj(f.pos).encode()
+    for k in (1, 3):
+        columns = {name: f.pos[..., c] for c, name in enumerate(["E", "F", "G"][:k])}
+        csv = tmp_path / ("g%d.csv" % k)
+        write_grid_csv(str(csv), columns)
+        assert csv.read_bytes() == _reference_grid_csv(columns).encode()
+
+
+@pytest.mark.parametrize("shapes", [((3, 3), (3, 2)), ((3, 2), (3, 3)), ((3, 3), (9,))])
+def test_write_grid_csv_rejects_mismatched_columns(tmp_path, shapes):
+    """Columns of differing shapes raise before the file exists, in either order."""
+    path = tmp_path / "g.csv"
+    columns = {"a": np.zeros(shapes[0]), "b": np.ones(shapes[1])}
+    with pytest.raises(GridMismatch, match=re.escape("got a %s, b %s" % shapes)):
+        write_grid_csv(str(path), columns)
+    assert not path.exists()
+
+
+def test_write_grid_csv_writes_row_by_row(tmp_path):
+    """Peak Python allocation while writing stays far below the file's size."""
+    pos = _special_jet(129, 133, seed=11).pos
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_grid_csv(str(path), {"E": pos[..., 0], "F": pos[..., 1], "G": pos[..., 2]})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
