@@ -18,7 +18,11 @@ from .errors import DomainError
 from .fields import form_norm, operator_norm_form, operator_norm_map
 from .lorentz import euclidean_norm, timelike_unit_normal
 
-ALPHA_CAP = 500.0
+# The amplitude cap. A step solves phi(alpha) = 1 / (r dl(u)) = q^(-1/2) with
+# q = 1 - eta dl(u)^2 (radial_factor), and a positive double q is at least
+# 2^-53, so no step reaches phi above 2^26.5, i.e. alpha above 20.80. The cap
+# leaves 3x headroom; cosh^2 and phi^2 stay finite up to it.
+ALPHA_CAP = 64.0
 SMALL_ALPHA = 1e-4
 PSI_LIMIT = np.sqrt(3.0) + np.sqrt(2.0)
 PSI1_LIMIT = 1.5
@@ -73,20 +77,10 @@ def _split(alpha):
     return small, np.where(small, 1.0, a)
 
 
-def _envelope(alpha, direct, scaled, limit):
-    """direct(alpha, phi), with limit below SMALL_ALPHA.
-
-    cosh^2 and phi^2 overflow above alpha ~ 355. Where direct is not finite,
-    scaled(cosh / phi, sinh / phi, phi) gives the same quotient with
-    numerator and denominator divided through by phi, finite up to ALPHA_CAP.
-    """
+def _envelope(alpha, formula, limit):
+    """formula(alpha, phi), with limit below SMALL_ALPHA."""
     small, safe = _split(alpha)
-    p = np.asarray(phi(safe))
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = direct(safe, p)
-    c, s = np.cosh(safe) / p, np.sinh(safe) / p
-    val = np.where(np.isfinite(val), val, scaled(c, s, p))
-    out = np.where(small, limit, val)
+    out = np.where(small, limit, formula(safe, np.asarray(phi(safe))))
     return out if out.shape else float(out)
 
 
@@ -95,29 +89,18 @@ def psi(alpha):
     return _envelope(
         alpha,
         lambda a, p: (np.sqrt(2.0 * np.cosh(a) ** 2 - 2.0 * p) + np.sinh(a)) / np.sqrt(p**2 - 1.0),
-        lambda c, s, p: (np.sqrt(2.0 * c**2 - 2.0 / p) + s) / np.sqrt(1.0 - p**-2.0),
         PSI_LIMIT,
     )
 
 
 def psi1(alpha):
     """(cosh^2 - phi) / (phi^2 - 1), the squared even part of psi."""
-    return _envelope(
-        alpha,
-        lambda a, p: (np.cosh(a) ** 2 - p) / (p**2 - 1.0),
-        lambda c, s, p: (c**2 - 1.0 / p) / (1.0 - p**-2.0),
-        PSI1_LIMIT,
-    )
+    return _envelope(alpha, lambda a, p: (np.cosh(a) ** 2 - p) / (p**2 - 1.0), PSI1_LIMIT)
 
 
 def psi2(alpha):
     """sinh^2 / (phi^2 - 1), the squared odd part of psi."""
-    return _envelope(
-        alpha,
-        lambda a, p: np.sinh(a) ** 2 / (p**2 - 1.0),
-        lambda c, s, p: s**2 / (1.0 - p**-2.0),
-        PSI2_LIMIT,
-    )
+    return _envelope(alpha, lambda a, p: np.sinh(a) ** 2 / (p**2 - 1.0), PSI2_LIMIT)
 
 
 def increment_constant(alpha_max):

@@ -237,7 +237,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="print the constants table")
-    b.add_argument("--alpha-max", type=float, required=True)
+    b.add_argument(
+        "--alpha-max", type=float, required=True, help="amplitude cap, in (0, %g]" % ALPHA_CAP
+    )
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--csv", default=None)
     b.add_argument("--scenario", default=None, help="also measure c and T on this scenario")

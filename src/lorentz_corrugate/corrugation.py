@@ -589,35 +589,36 @@ def select_corrugation_number(
     BudgetExceeded past LADDER_CAP, naming the form, epsilon and the tests
     the last rung failed with their measured values.
 
-    Each N is first screened on the grid's four boundary lines
-    (_boundary_blocks), which cost a few percent of a whole-grid probe.
-    Every acceptance quantity is a max or a min over nodes and the screen
-    reproduces the whole-grid values on those lines bitwise, so a violation
-    there proves that the whole grid fails: the screen can only reject an N
-    the whole-grid probe would reject, and the chosen N is the one the
-    unscreened ladder chooses. An N the screen passes gets the whole-grid
-    probe and the same acceptance tests.
+    Each N is probed on three rungs in turn, and the first that fails
+    rejects it: the row block and the column block of the grid's four
+    boundary lines (_boundary_blocks), which cost a few percent of a
+    whole-grid probe, then the whole grid. Every acceptance quantity is a
+    max or a min over nodes and a block reproduces the whole-grid values on
+    its outer lines bitwise, so a block violation proves that the whole grid
+    fails: the blocks can only reject an N the whole-grid probe would
+    reject, and the chosen N is the one the whole-grid probe alone chooses.
     Only the accepted N is audited; the record equals the one
     apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
     if norm_metric is None:
         norm_metric = params.mu
-    blocks = _boundary_blocks(params, norm_metric, next_metric)
+    rungs = _boundary_blocks(params, norm_metric, next_metric)
+    rungs.append((params, norm_metric, next_metric, None))
     N = LADDER_START
     while N <= LADDER_CAP:
-        for block, block_norm, block_next, mask in blocks:
-            failed = _failures(_probe(block, N, block_norm, block_next, mask), epsilon, c0_budget)
+        for rung, rung_norm, rung_next, mask in rungs:
+            # drop the previous rung's probe before this one allocates: held
+            # through it, its arrays raised the canonical run's peak RSS by ~1%
+            probe = None
+            probe = _probe(rung, N, rung_norm, rung_next, mask)
+            failed = _failures(probe, epsilon, c0_budget)
             if failed:
-                where = "boundary lines"
                 break
         else:
-            probe = _probe(params, N, norm_metric, next_metric)
-            failed = _failures(probe, epsilon, c0_budget)
-            if not failed:
-                return probe.out, _step_record(params, probe, norm_metric)
-            where = "whole grid"
+            return probe.out, _step_record(params, probe, norm_metric)
         N *= 2
+    where = "whole grid" if mask is None else "boundary lines"
     raise BudgetExceeded(
         "no corrugation number up to %d met the bounds for form (%.3g, %.3g) at per-step"
         " budget %.6e; N=%d fails on the %s: %s"

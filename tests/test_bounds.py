@@ -10,6 +10,7 @@ from lorentz_corrugate.bounds import (
     PSI1_LIMIT,
     PSI2_LIMIT,
     PSI_LIMIT,
+    SMALL_ALPHA,
     compute_constants,
     c1_budget_constant,
     form_family_constant,
@@ -50,18 +51,23 @@ def test_psi_split_identity():
         assert abs(lhs - rhs) < 1e-10
 
 
-@pytest.mark.parametrize("alpha", [360.0, 400.0, ALPHA_CAP])
+@pytest.mark.parametrize("alpha", [360.0, 400.0, 500.0])
 def test_psi_split_finite_above_overflow(alpha):
     """Above alpha ~ 355, where cosh^2 and phi^2 overflow, psi, psi1 and psi2
-    all divide through by phi: finite, silent, and the split still holds."""
+    never return inf or nan: those amplitudes are past ALPHA_CAP and raise,
+    and at the cap the values are finite and silent and the split holds."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scalar = [fn(alpha) for fn in (psi, psi1, psi2)]
-        array = [fn(np.array([0.5, alpha])) for fn in (psi, psi1, psi2)]
+        scalar = [fn(ALPHA_CAP) for fn in (psi, psi1, psi2)]
+        array = [fn(np.array([0.5, ALPHA_CAP])) for fn in (psi, psi1, psi2)]
     for p, p1, p2 in (scalar, [a[1] for a in array], [a[0] for a in array]):
         assert np.isfinite([p, p1, p2]).all()
         assert abs(p - (np.sqrt(2.0 * p1) + np.sqrt(p2))) <= 1e-10 * p
     assert [a[1] for a in array] == scalar
+    for fn in (psi, psi1, psi2):
+        for arg in (alpha, np.array([0.5, alpha])):
+            with pytest.raises(DomainError):
+                fn(arg)
 
 
 def test_psi_rejects_negative():
@@ -79,23 +85,27 @@ def test_increment_constant_dominates_psi():
         increment_constant(0.0)
 
 
-def _psi_direct(a):
-    """psi straight from its formula, finite up to alpha ~ 355."""
-    p = np.asarray(phi(a))
-    return (np.sqrt(2.0 * np.cosh(a) ** 2 - 2.0 * p) + np.sinh(a)) / np.sqrt(p**2 - 1.0)
-
-
 def test_increment_constant_finite_up_to_alpha_cap():
-    # below the overflow of cosh^2 the values are the direct formula's, bitwise
-    a = np.array([1e-3, 0.5, 2.0, 30.0, 300.0, 350.0, 355.0])
-    assert np.array_equal(psi(a), _psi_direct(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(_psi_direct(400.0))
-    # above it psi divides through by phi and joins the direct branch smoothly
-    assert psi(356.0) == pytest.approx(psi(355.0), rel=2e-3)
-    assert psi(400.0) == pytest.approx(psi(355.0) * np.sqrt(400.0 / 355.0), rel=1e-2)
-    Ms = [increment_constant(a) for a in (300.0, 355.0, 356.0, 400.0, ALPHA_CAP)]
+    """On [SMALL_ALPHA, ALPHA_CAP] psi, psi1 and psi2 are their formulas,
+    bitwise; increment_constant is finite and increasing up to the cap, and
+    above it they and phi raise."""
+    a = np.linspace(SMALL_ALPHA, ALPHA_CAP, 64001)
+    p = np.asarray(phi(a))
+    formulas = [
+        (psi, (np.sqrt(2.0 * np.cosh(a) ** 2 - 2.0 * p) + np.sinh(a)) / np.sqrt(p**2 - 1.0)),
+        (psi1, (np.cosh(a) ** 2 - p) / (p**2 - 1.0)),
+        (psi2, np.sinh(a) ** 2 / (p**2 - 1.0)),
+    ]
+    for fn, want in formulas:
+        assert np.array_equal(fn(a), want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ms = [increment_constant(c) for c in (0.5, 2.0, 20.8, 40.0, ALPHA_CAP)]
     assert np.all(np.isfinite(Ms)) and Ms == sorted(Ms)
+    above = np.nextafter(ALPHA_CAP, np.inf)
+    for fn in (psi, psi1, psi2, phi, increment_constant):
+        with pytest.raises(DomainError):
+            fn(above)
 
 
 def test_growth_constant_values():

@@ -158,6 +158,7 @@ def test_decompose_malformed_metric_is_usage_error(tmp_path, capsys, bad_row):
         "bounds --alpha-max 1 --k 5 --scenario nosuch --csv {out}",
         "bounds --alpha-max 0 --k 5 --csv {out}",
         "bounds --alpha-max 600 --k 5 --csv {out}",
+        "bounds --alpha-max 65 --k 5 --csv {out}",
         "bounds --alpha-max 1 --k 2 --scenario flat-shrink --csv {out}",
         "bounds --alpha-max 1 --k 5 --scenario flat-shrink --grid 1 --csv {out}",
         "corrugate --grid 1 --N 16 --out {out}",
@@ -198,10 +199,11 @@ def test_bounds_table(tmp_path, capsys):
     assert "form_constant" in capsys.readouterr().out
     # without --scenario no dictionary is built, so k is only echoed
     assert main(["bounds", "--alpha-max", "1.0", "--k", "2"]) == 0
-    # cosh(alpha)^2 overflows above alpha ~ 355; the constant stays finite
-    assert main(["bounds", "--alpha-max", "400", "--k", "5"]) == 0
+    # the amplitude cap itself is admissible, with finite constants
+    assert main(["bounds", "--alpha-max", "64", "--k", "5"]) == 0
     rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert np.isfinite(float(rows["increment_constant"]))
+    assert np.isfinite(float(rows["growth_constant"]))
 
 
 def test_run_with_config(tmp_path, capsys):

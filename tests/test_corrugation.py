@@ -162,7 +162,7 @@ def test_phi_inverse_library_oracle():
 def test_phi_inverse_solves_up_to_alpha_cap():
     """Newton steps are clipped at ALPHA_CAP, so every amplitude up to the
     cap solves (61 iterations at most)."""
-    alphas = np.array([60.0, 200.0, 450.0, 499.0])
+    alphas = np.array([20.8, 40.0, 60.0, 63.9])
     cases = [float(a) for a in alphas] + [np.append(alphas, 0.3)]
     for a in cases:
         y = phi(a)
@@ -279,7 +279,7 @@ def test_series_orders_bounds_and_monotone():
 def test_bessel_table_library_oracle():
     orders = 24
     # at 1e-200 and 1e-100 a Miller recurrence overflows in one step
-    a = np.array([0.0, 1e-200, 1e-100, 1e-3, 0.3, 0.7, 3.0, 30.0, 300.0, 499.0])
+    a = np.array([0.0, 1e-200, 1e-100, 1e-3, 0.3, 0.7, 3.0, 30.0, 60.0])
     tab = bessel_table(a, orders)
     assert np.all(np.isfinite(tab))
     ref = np.array([[special.iv(k, x) for x in a] for k in range(orders + 1)])
@@ -391,6 +391,20 @@ def test_prepare_step_intermediate_metric():
     assert np.max(np.abs(params.mu.E - want.E)) == 0.0
     assert np.max(np.abs(params.mu.F - want.F)) == 0.0
     assert np.max(np.abs(params.mu.G - want.G)) == 0.0
+
+
+def test_prepare_step_reaches_its_largest_amplitude_below_cap():
+    """eta dl(u)^2 = nextafter(1, 0) gives the smallest positive
+    q = 1 - eta dl(u)^2 = 2^-53, so phi(alpha) = 2^26.5: the largest
+    amplitude any step can produce, about 20.80, well inside ALPHA_CAP."""
+    grid = Grid(3, 3)
+    eta = np.full(grid.shape, np.nextafter(1.0, 0.0))
+    params = prepare_step(flat_inclusion(grid), eta, LinearForm(1.0, 0.0))
+    assert params.alpha_max == pytest.approx(20.80, abs=5e-3)
+    assert params.alpha_max < ALPHA_CAP
+    _, rec = apply_corrugation(params, 16, raise_on_loss=False)
+    assert np.isfinite(rec.audits["increment_constant"])
+    assert np.isfinite(rec.audits["growth_constant"])
 
 
 def test_target_differential_pullback_identity():
@@ -680,6 +694,52 @@ def test_select_probes_whole_grid_once_per_step(monkeypatch):
     assert any(rec.N > corrugation.LADDER_START for rec in records)  # rejections happened
     assert sum(whole) == len(records) == 3
     assert len(whole) > 2 * len(records)
+
+
+@pytest.mark.parametrize(
+    "ell, epsilon, zero_rows, rejecting",
+    [
+        (LinearForm(1.0, 0.3), 1e-3, False, {(4, 40)}),
+        # eta vanishes on the row block's lines, so only the other rungs can reject
+        (LinearForm(0.3, 1.0), 1e-2, True, {(33, 4), (33, 40)}),
+    ],
+)
+def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, rejecting):
+    """Per N: the row block, then the column block only if the row block
+    passed, then the whole grid only if both passed; the first failing
+    probe rejects N and the accepted N passed all three."""
+    grid = Grid(33, 40)
+    eta = strip_eta_field(grid)
+    if zero_rows:
+        eta[:2] = eta[-2:] = 0.0
+    calls = []
+    original = corrugation._probe
+
+    def recorded(params, N, *args):
+        probe = original(params, N, *args)
+        failed = bool(corrugation._failures(probe, epsilon, None))
+        calls.append((N, params.f.grid.shape, failed))
+        return probe
+
+    monkeypatch.setattr(corrugation, "_probe", recorded)
+    _, rec = select_corrugation_number(flat_inclusion(grid), eta, ell, epsilon)
+    Ns = [N for N, _, _ in calls]
+    assert Ns == sorted(Ns)  # each N's probes are contiguous
+    ladder = sorted(set(Ns))
+    assert ladder == [corrugation.LADDER_START * 2**i for i in range(len(ladder))]
+    assert ladder[-1] == rec.N
+    rungs = [(4, 40), (33, 4), (33, 40)]
+    rejected = set()
+    for N in ladder:
+        shapes = [shape for n, shape, _ in calls if n == N]
+        failed = [fail for n, _, fail in calls if n == N]
+        assert shapes == rungs[: len(shapes)]
+        if N < rec.N:
+            assert failed == [False] * (len(shapes) - 1) + [True]
+            rejected.add(shapes[-1])
+        else:
+            assert shapes == rungs and not any(failed)
+    assert rejected == rejecting
 
 
 def test_select_budget_exhaustion(monkeypatch):
