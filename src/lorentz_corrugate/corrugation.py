@@ -333,7 +333,6 @@ class _Probe:
 
     N: int
     out: EmbeddingJet
-    gF: MetricField
     Lx: np.ndarray
     Ly: np.ndarray
     xhat: np.ndarray
@@ -380,7 +379,6 @@ def _probe(params, N, norm_metric, next_metric=None, mask=None):
     return _Probe(
         N=N,
         out=out,
-        gF=gF,
         Lx=Lx,
         Ly=Ly,
         xhat=xhat,
@@ -634,18 +632,13 @@ def successive_cp(
     c0_budget_per_step=None,
     final_long_for=None,
 ):
-    """Corrugate once per active dictionary form, in dictionary order.
+    """Corrugate once per pair of decomposition.active(), in dictionary order.
 
-    Forms with identically zero coefficient fields are skipped (the step
-    would be the identity). Returns the final jet and the step records.
+    Returns the final jet and the step records.
     """
     records = []
     cur = f
-    active = [
-        (ell, eta)
-        for ell, eta in zip(decomposition.forms, decomposition.etas)
-        if float(np.max(eta)) > 0.0
-    ]
+    active = decomposition.active()
     for idx, (ell, eta) in enumerate(active):
         last = idx == len(active) - 1
         cur, rec = select_corrugation_number(

@@ -84,6 +84,11 @@ class PrimitiveDecomposition:
             out = term if out is None else out + term
         return out
 
+    def active(self):
+        """The (form, eta) pairs with eta > 0 at some node, in dictionary order:
+        the forms a stage splits its budget over and corrugates, one step each."""
+        return [(ell, eta) for ell, eta in zip(self.forms, self.etas) if float(np.max(eta)) > 0.0]
+
 
 def _support_plan(A):
     """Precompute solve data for every support of size 3, 2, 1 in fixed order."""

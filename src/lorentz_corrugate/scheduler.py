@@ -42,10 +42,6 @@ from .fields import (
     write_table,
 )
 
-# Doublings of a stage's per-step budget after BudgetExceeded; with nine or
-# more active forms this count, not the 0.9 cap, ends the doubling.
-MAX_RETRIES = 3
-
 
 @dataclass
 class StageRow:
@@ -118,16 +114,18 @@ def run_stage(
 ):
     """One stage: decompose the defect, corrugate per form, audit budgets.
 
-    The per-step error budget starts at stage_bound / k_active. When no
+    The per-step error budget starts at stage_bound / k_active, with
+    k_active the number of pairs dec.active() returns. When no
     corrugation number on the ladder can meet it (the inherited frame
     roughness sets a floor C/N, and C grows as the tangents tilt toward
-    the light cone) the budget is doubled, up to 0.9 of the stage target
-    and at most MAX_RETRIES times; past that the failure propagates with
-    the stage index prefixed to its message. The stage defect is measured
-    once, under the first budget the ladder meets, against the stage
-    inequality with a 1e-12 slack. A miss is recorded as stage_bound_pass
-    false under the starting budget and raises BudgetExceeded under a
-    doubled one. The C1 drift allowance is
+    the light cone) the budget is doubled, up to 0.9 of the stage bound;
+    k_active <= MAX_FORMS = 12, so that takes at most
+    ceil(log2(0.9 * 12)) = 4 doublings. A failure at the cap propagates
+    with the stage index prefixed to its message. The stage defect is
+    measured once, under the first budget the ladder meets, against the
+    stage inequality with a 1e-12 slack. A miss is recorded as
+    stage_bound_pass false under the starting budget and raises
+    BudgetExceeded under a doubled one. The C1 drift allowance is
     a_n + 2 M c |g_n - g_{n-1}|^(1/2) (|df_{n-1}|_g + |n_{n-1}|_E), taken
     at f_prev with the stage's largest measured increment constant M and
     its form constant c.
@@ -136,7 +134,7 @@ def run_stage(
     stage_bound = float(np.max(operator_norm_form(g_next - g_n, g_norm)))
     dec = decompose(D_n, dictionary, threads=threads)
     c_stage = form_family_constant(dec, g_norm)
-    active = sum(1 for eta in dec.etas if float(np.max(eta)) > 0.0)
+    active = len(dec.active())
 
     per_step_eps, c0_per_step = (stage_bound / active, a_n / active) if active else (0.0, 0.0)
     eps_cap = 0.9 * stage_bound
@@ -153,7 +151,7 @@ def run_stage(
             )
             break
         except BudgetExceeded as exc:
-            if per_step_eps >= eps_cap or retries >= MAX_RETRIES:
+            if per_step_eps >= eps_cap:
                 raise BudgetExceeded("stage %d: %s" % (stage_index, exc)) from exc
             retries += 1
             per_step_eps = min(2.0 * per_step_eps, eps_cap)

@@ -340,14 +340,27 @@ def test_run_engine_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
-def test_run_ladder_failure_names_what_failed(tmp_path, capsys):
-    """strip-primitive 33x6 exhausts the ladder in stage 3 on the long-for-next test alone."""
+@pytest.mark.parametrize(
+    "k, form, budget",
+    [
+        (5, "(-0.809, 0.588)", "5.625000e-02"),
+        # stage 3 has ten active forms, nine of them residues: the budget
+        # doubles four times, to the 0.9 cap of the 6.25e-02 stage bound
+        (10, "(-0.951, 0.309)", "5.625000e-02"),
+    ],
+    ids=["k5", "k10"],
+)
+def test_run_ladder_failure_names_what_failed(tmp_path, capsys, k, form, budget):
+    """strip-primitive 33x6 exhausts the ladder in stage 3 on the long-for-next
+    test alone, at the 0.9 cap of the stage bound."""
     cfg = tmp_path / "strip.json"
-    cfg.write_text(json.dumps({"scenario": "strip-primitive", "grid": 33, "stages": 6}))
+    cfg.write_text(
+        json.dumps({"scenario": "strip-primitive", "grid": 33, "stages": 6, "dictionary_k": k})
+    )
     assert main(["run", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "error: stage 3: no corrugation number up to 1048576 met the bounds" in err
-    assert "form (-0.809, 0.588) at per-step budget " in err
+    assert "form %s at per-step budget %s;" % (form, budget) in err
     assert "N=1048576 fails on the " in err
     assert ": long-for-next min eigenvalue " in err
     assert "defect" not in err and "spacelike" not in err and "C0" not in err

@@ -614,10 +614,12 @@ def test_boundary_screen_values_equal_whole_grid(shape, ell):
     blocks = corrugation._boundary_blocks(params, norm, nxt)
     for N in (1, 16, 48, 1024, 2**20):
         whole = corrugation._probe(params, N, norm, nxt)
-        want = corrugation._node_values(params, whole.out, whole.gF, norm, nxt)
+        want = corrugation._node_values(params, whole.out, pullback_metric(whole.out), norm, nxt)
         for axis, (block, block_norm, block_next, mask) in enumerate(blocks):
             probe = corrugation._probe(block, N, block_norm, block_next, mask)
-            got = corrugation._node_values(block, probe.out, probe.gF, block_norm, block_next)
+            got = corrugation._node_values(
+                block, probe.out, pullback_metric(probe.out), block_norm, block_next
+            )
             n = shape[axis]
             for g, w in zip(got, want):
                 assert np.array_equal(np.take(g, [0, 3], axis), np.take(w, [0, n - 1], axis))
@@ -639,7 +641,7 @@ def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None):
         if ok and c0_budget is not None:
             ok = probe.c0_shift <= c0_budget
         if ok and next_metric is not None:
-            ok = (probe.gF - next_metric).min_eigenvalue() >= -1e-12
+            ok = (pullback_metric(probe.out) - next_metric).min_eigenvalue() >= -1e-12
         if ok:
             return probe.out, corrugation._step_record(params, probe, params.mu)
         N *= 2

@@ -148,6 +148,20 @@ def test_zero_field():
         assert np.array_equal(eta, np.zeros((3, 3)))
 
 
+def test_active_keeps_dictionary_order_and_any_positive_eta():
+    """active() drops a form whose eta is 0.0 everywhere and keeps one that is
+    positive at a single node, however small, in dictionary order."""
+    dic = build_dictionary(5)
+    tiny = np.zeros((3, 4))
+    tiny[2, 1] = 1e-13
+    etas = [np.full((3, 4), 0.5), np.zeros((3, 4)), tiny, np.zeros((3, 4)), np.full((3, 4), 2.0)]
+    dec = PrimitiveDecomposition(forms=dic.forms, etas=etas, residual=0.0)
+    active = dec.active()
+    assert [ell for ell, _ in active] == [dic.forms[0], dic.forms[2], dic.forms[4]]
+    assert all(eta is etas[j] for (_, eta), j in zip(active, (0, 2, 4)))
+    assert decompose(MetricField.constant(0.0, 0.0, 0.0, (3, 3)), dic).active() == []
+
+
 def test_cone_violation_k3():
     dic = build_dictionary(3)
     # diag(0, 1) has a negative closed-form first coefficient.
