@@ -202,7 +202,10 @@ class EmbeddingJet:
     def apply_d(self, u):
         """df(u) for tangent vectors u with trailing axis of length 2."""
         u = np.asarray(u, dtype=float)
-        return u[..., 0:1] * self.dfx + u[..., 1:2] * self.dfy
+        out = np.empty(np.broadcast_shapes(u.shape[:-1], self.grid.shape) + (3,))
+        for c in range(3):
+            out[..., c] = u[..., 0] * self.dfx[..., c] + u[..., 1] * self.dfy[..., c]
+        return out
 
 
 def pullback_metric(f):
@@ -249,13 +252,22 @@ def operator_norm_map(Ax, Ay, g):
     Ax, Ay in R^3; the domain carries the metric field g, the target the
     Euclidean reference. Returns the per-node norm as an array.
     """
+    return _map_norm(_gram(Ax, Ay), g)
+
+
+def _gram(Ax, Ay):
+    """Euclidean Gram field of the vector fields Ax, Ay as a MetricField."""
     Ax = np.asarray(Ax, dtype=float)
     Ay = np.asarray(Ay, dtype=float)
-    B = MetricField(
+    return MetricField(
         np.einsum("...i,...i->...", Ax, Ax),
         np.einsum("...i,...i->...", Ax, Ay),
         np.einsum("...i,...i->...", Ay, Ay),
     )
+
+
+def _map_norm(B, g):
+    """Pointwise operator norm against g of a map whose Gram field is B."""
     _, hi = _pencil_eigenvalues(B, g)
     return np.sqrt(np.maximum(hi, 0.0))
 
@@ -279,9 +291,19 @@ def c0_distance(f1, f2):
 
 def c1_increment(f1, f2, g):
     """Sup over nodes of the operator norm of df1 - df2 against g."""
+    return c1_increments(f1, f2, (g,))[0]
+
+
+def c1_increments(f1, f2, metrics):
+    """c1_increment(f1, f2, g) for each g in metrics, in order.
+
+    The difference df1 - df2 and its Gram field are formed once and shared
+    by every metric.
+    """
     if f1.grid != f2.grid:
         raise GridMismatch("jets live on different grids")
-    return float(np.max(operator_norm_map(f1.dfx - f2.dfx, f1.dfy - f2.dfy, g)))
+    B = _gram(f1.dfx - f2.dfx, f1.dfy - f2.dfy)
+    return [float(np.max(_map_norm(B, g))) for g in metrics]
 
 
 @dataclass

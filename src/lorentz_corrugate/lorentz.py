@@ -67,12 +67,13 @@ def timelike_unit_normal(t1, t2):
     span = euclidean_norm(raw)
     if np.any(span <= 0.0):
         raise DegeneratePlane("tangent vectors are parallel")
-    q = minkowski_inner(raw, raw) / span**2
+    hh = minkowski_inner(raw, raw)
+    q = hh / span**2
     if np.any(q >= -DEGENERATE_TOL):
         raise DegeneratePlane(
             "plane is not spacelike: normalized h(n,n) = %s" % float(np.max(q))
         )
-    n = raw / np.sqrt(-minkowski_inner(raw, raw))[..., None]
+    n = raw / np.sqrt(-hh)[..., None]
     # Two candidate unit normals differ by sign; pick the future-pointing one.
     flip = n[..., 2] < 0.0
     n = np.where(flip[..., None], -n, n)

@@ -34,7 +34,7 @@ from .errors import BudgetExceeded, DomainError, EngineError
 from .fields import (
     MetricField,
     c0_distance,
-    c1_increment,
+    c1_increments,
     export_obj,
     operator_norm_form,
     pullback_metric,
@@ -165,8 +165,9 @@ def run_stage(
         )
 
     c0_shift = c0_distance(f_n, f_prev)
-    c1_inc = c1_increment(f_n, f_prev, g_norm)
-    c1_inc_e = c1_increment(f_n, f_prev, MetricField.identity(g_norm.shape))
+    c1_inc, c1_inc_e = c1_increments(
+        f_n, f_prev, (g_norm, MetricField.identity(g_norm.shape))
+    )
     M_stage = max((r.audits["increment_constant"] for r in records), default=0.0)
     c1_bound = a_n + c1_budget_constant(M_stage, c_stage, f_prev, g_norm) * math.sqrt(
         delta_prev_norm

@@ -6,6 +6,7 @@ oracles for the hand-rolled series and solvers.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,62 @@ def test_remainder_series_in_place_matches_reference():
         assert np.array_equal(As, rs)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (33, 17)])
+@pytest.mark.parametrize("N", [1, 16, 2**20])
+def test_harmonic_sums_equal_remainder_series_per_cut(shape, N):
+    """The probe's one pass gives, bitwise, remainder_series on each cut of
+    the coefficient table and of sin_table: the centre, then the +x, -x,
+    +y and -y neighbours at the centre's phase. alpha is 0 at some nodes."""
+    grid = Grid(*shape)
+    alpha = np.random.default_rng(19).uniform(0.0, 3.0, size=shape)
+    alpha[::2, 0] = 0.0
+    orders = series_orders(float(np.max(alpha)))
+    coeff = bessel_table(alpha, orders)
+    X, Y = grid.mesh()
+    x = LinearForm(0.6, -0.8).phase(X, Y) * float(N)
+    xhat = x - np.floor(x)
+    psi = 2.0 * np.pi * xhat
+    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi))
+    sines = sin_table(xhat, orders)
+    every, head, tail = slice(None), slice(None, -1), slice(1, None)
+    cuts = [
+        ((every, every), (every, every)),
+        ((tail, every), (head, every)),
+        ((head, every), (tail, every)),
+        ((every, tail), (every, head)),
+        ((every, head), (every, tail)),
+    ]
+    assert len(sums) == len(cuts)
+    for (ccut, scut), (Ac, As) in zip(cuts, sums):
+        rc, rs = remainder_series(coeff[(every,) + ccut], sines[(every,) + scut])
+        assert np.array_equal(Ac, rc)
+        assert np.array_equal(As, rs)
+
+
+def _probe_peak(eta):
+    """Peak bytes allocated by one whole-grid probe of the flat 129x129 plane."""
+    grid = Grid(129, 129)
+    params = prepare_step(flat_inclusion(grid), eta(grid), LinearForm(1.0, 0.0))
+    norm = MetricField.identity(grid.shape)
+    tracemalloc.start()
+    try:
+        corrugation._probe(params, 64, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return params.orders, peak
+
+
+def test_probe_peak_does_not_grow_with_orders():
+    """The probe keeps three sine rows, not an (orders + 1) x nodes table:
+    a step with 30+ harmonics peaks where a 10-harmonic step does."""
+    small_orders, small_peak = _probe_peak(lambda grid: np.zeros(grid.shape))
+    large_orders, large_peak = _probe_peak(lambda grid: np.full(grid.shape, 1.0 - 1e-12))
+    assert small_orders == 10 and large_orders >= 30
+    table_growth = (large_orders - small_orders) * 129 * 129 * 8
+    assert abs(large_peak - small_peak) < 0.25 * table_growth
+
+
 def test_remainder_vanishes_at_integer_phase():
     a = 1.3
     orders = series_orders(a)
@@ -590,6 +647,22 @@ def test_select_audits_once(monkeypatch):
     _, rec = select_corrugation_number(f, eta, LinearForm(1.0, 0.3), 1e-3)
     assert rec.N > 16  # the ladder rejected at least one probe
     assert calls == [rec.N]
+
+
+def test_cached_audit_terms_do_not_go_stale():
+    """One prepared step audited at several N gives, bitwise, the jets and
+    records of a fresh step at each N; a boundary block made after an audit
+    starts without the cached terms."""
+    grid, f, eta = strip_jet(33)
+    ell = LinearForm(1.0, 0.3)
+    params = prepare_step(f, eta, ell)
+    for N in (16, 64, 2**20):
+        got = apply_corrugation(params, N, raise_on_loss=False)
+        want = apply_corrugation(prepare_step(f, eta, ell), N, raise_on_loss=False)
+        _assert_same_step(got, want)
+    assert "audit_terms" in vars(params)
+    for block, *_ in corrugation._boundary_blocks(params, params.mu, None):
+        assert "audit_terms" not in vars(block)
 
 
 # --- boundary screen of N-selection ---

@@ -22,6 +22,7 @@ from lorentz_corrugate.fields import (
     MetricField,
     c0_distance,
     c1_increment,
+    c1_increments,
     corrugation_frame,
     export_obj,
     form_norm,
@@ -293,6 +294,8 @@ def test_c0_c1_distances():
     f2.dfx[0, 0] += np.array([0.0, 0.0, 0.5])
     g = MetricField.identity((4, 4))
     assert c1_increment(f1, f2, g) == pytest.approx(0.5)
+    # one difference and Gram field serve each metric, in order
+    assert c1_increments(f1, f2, (g, 4.0 * g)) == [c1_increment(f1, f2, g), 0.25]
     with pytest.raises(GridMismatch):
         c0_distance(f1, flat_inclusion(Grid(5, 5)))
 
