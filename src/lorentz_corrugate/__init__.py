@@ -23,7 +23,6 @@ from .fields import (
     LinearForm,
     MetricField,
     c0_distance,
-    c1_increment,
     corrugation_frame,
     export_obj,
     isometric_default,

@@ -26,15 +26,15 @@ holding the phase fixed at the center node, one-sided at the boundary.
 A probe at N sums the harmonics of a node and of its four neighbors (at the
 node's phase) in one pass over k, running the sine recurrence in three rows
 instead of an (orders + 1) x nodes table. sin_table and remainder_series do
-the same arithmetic on whole tables for the cross-checks, and a trapezoid
-evaluator is kept as an independent one. Audit terms that do not depend on
-N are computed once per step (StepParams.audit_terms).
+the same arithmetic on whole tables as the tests' bitwise reference, and a
+trapezoid evaluator is kept as an independent cross-check. prepare_step
+makes everything that does not depend on N once per step: the input jet's
+pullback (one evaluation, shared by the frame, mu and the growth audit)
+and every N-independent audit term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -269,32 +269,20 @@ def remainder_quadrature(alpha, x, samples_per_period=64):
     return Ac, As
 
 
-class _AuditTerms(NamedTuple):
-    """The terms of the step audits that do not depend on N.
-
-    envelope bounds the u-direction C1 shift (with the O(1/N) slack);
-    growth_constant K times base bounds the new differential and normal
-    measured against g_old, the pullback of the step's input jet.
-    """
-
-    average_max: float
-    increment_constant: float
-    envelope: np.ndarray
-    growth_constant: float
-    g_old: MetricField
-    base: np.ndarray
-
-
 @dataclass
 class StepParams:
     """Everything about a corrugation step that does not depend on N.
 
-    audit_terms is computed on first use and kept on this object; a copy
-    made by dataclasses.replace starts without it.
+    pullback is f*h of the input jet f, made once. The N-independent
+    audit terms come with it: average_max is sup |r phi(alpha) - 1/dl(u)|,
+    envelope = M sqrt(eta) dl(u) (|t| + |n|) with M the increment constant
+    bounds the u-direction C1 shift up to the O(1/N) slack, and the growth
+    constant K times base bounds the new differential and normal in the
+    norm of pullback.
     """
 
     f: EmbeddingJet
-    eta: np.ndarray
+    eta_max: float
     ell: object
     frame: object
     r: np.ndarray
@@ -306,23 +294,12 @@ class StepParams:
     mu: MetricField
     hx: float
     hy: float
-
-    @cached_property
-    def audit_terms(self):
-        """The N-independent terms of _step_audits, computed once per step."""
-        fr = self.frame
-        amplitude = max(self.alpha_max, 1e-12)
-        n_norm = euclidean_norm(fr.n)
-        M = increment_constant(amplitude)
-        g_old = pullback_metric(self.f)
-        return _AuditTerms(
-            average_max=float(np.max(np.abs(self.r * self.coeff[0] - 1.0 / fr.dlu))),
-            increment_constant=M,
-            envelope=M * np.sqrt(self.eta) * fr.dlu * (euclidean_norm(fr.t) + n_norm),
-            growth_constant=growth_constant(amplitude),
-            g_old=g_old,
-            base=operator_norm_map(self.f.dfx, self.f.dfy, g_old) + n_norm,
-        )
+    pullback: MetricField
+    average_max: float
+    increment_constant: float
+    envelope: np.ndarray
+    growth_constant: float
+    base: np.ndarray
 
 
 @dataclass
@@ -342,13 +319,14 @@ class CorrugationStepRecord:
 
 
 def prepare_step(f, eta, ell):
-    """Frame, radius, amplitude and coefficient tables for a step."""
+    """Frame, radius, amplitude, coefficient tables and audit terms for a step."""
     eta = np.asarray(eta, dtype=float)
     if eta.shape != f.grid.shape:
         raise DomainError("eta shape %s does not match grid" % (eta.shape,))
     if np.any(eta < 0.0):
         raise DomainError("eta must be nonnegative")
-    frame = corrugation_frame(f, ell)
+    g = pullback_metric(f)
+    frame = corrugation_frame(f, ell, g)
     r = radial_factor(eta, frame.dlu)
     # average condition: the loop average r phi(alpha) equals 1 / dl(u)
     alpha = phi_inverse(1.0 / (r * frame.dlu)).alpha
@@ -356,10 +334,12 @@ def prepare_step(f, eta, ell):
     orders = series_orders(alpha_max)
     coeff = bessel_table(alpha, orders)
     X, Y = f.grid.mesh()
-    mu = pullback_metric(f) - ell.outer(eta)
+    amplitude = max(alpha_max, 1e-12)
+    M = increment_constant(amplitude)
+    n_norm = euclidean_norm(frame.n)
     return StepParams(
         f=f,
-        eta=eta,
+        eta_max=float(np.max(eta)),
         ell=ell,
         frame=frame,
         r=r,
@@ -368,19 +348,21 @@ def prepare_step(f, eta, ell):
         coeff=coeff,
         phase0=ell.phase(X, Y),
         orders=orders,
-        mu=mu,
+        mu=g - ell.outer(eta),
         hx=f.grid.hx,
         hy=f.grid.hy,
+        pullback=g,
+        average_max=float(np.max(np.abs(r * coeff[0] - 1.0 / frame.dlu))),
+        increment_constant=M,
+        envelope=M * np.sqrt(eta) * frame.dlu * (euclidean_norm(frame.t) + n_norm),
+        growth_constant=growth_constant(amplitude),
+        base=operator_norm_map(f.dfx, f.dfy, g) + n_norm,
     )
 
 
-def target_differential(params, xhat):
-    """Corrugated differential pair (L dx, L dy) at oscillation phase xhat."""
-    return _loop_differential(params, params.alpha * np.cos(2.0 * np.pi * np.asarray(xhat)))
-
-
 def _loop_differential(params, theta):
-    """target_differential at loop angle theta, one vector component at a time."""
+    """Corrugated differential pair (L dx, L dy) at loop angle theta, one
+    vector component at a time."""
     fr = params.frame
     ch = np.cosh(theta) - params.coeff[0]
     sh = np.sinh(theta)
@@ -519,13 +501,16 @@ def _failures(probe, epsilon, c0_budget):
 
 
 def _boundary_blocks(params, norm_metric, next_metric):
-    """The probe's inputs on the two boundary blocks, each with its outer-line mask.
+    """The step on each of the two boundary blocks, with its outer-line mask.
 
-    Rows [0, 1, n-2, n-1] with every column, then columns [0, 1, n-2, n-1]
-    with every row. The one-sided frozen-phase differences on a block's two
-    outer lines read exactly lines 1 and n-2, and every other operation is
-    per node, so on those lines a block probe computes bitwise the values of
-    the whole-grid probe (also when n < 4 and lines repeat).
+    A block is the step on four lines: rows [0, 1, n-2, n-1] with every
+    column, then columns [0, 1, n-2, n-1] with every row, every per-node
+    field taken on those lines and the step's scalars kept. Blocks are
+    probed, never audited. The one-sided frozen-phase differences on a
+    block's two outer lines read exactly lines 1 and n-2, and every other
+    operation of a probe is per node, so on those lines a block probe
+    computes bitwise the values of the whole-grid probe (also when n < 4
+    and lines repeat).
     """
     f = params.f
     outer = np.array([True, False, False, True])
@@ -543,13 +528,15 @@ def _boundary_blocks(params, norm_metric, next_metric):
         block = replace(
             params,
             f=EmbeddingJet(grid, take(f.pos), take(f.dfx), take(f.dfy)),
-            eta=take(params.eta),
             frame=FrameField(**{k: take(v) for k, v in vars(params.frame).items()}),
             r=take(params.r),
             alpha=take(params.alpha),
             coeff=take(params.coeff, lead=1),
             phase0=take(params.phase0),
             mu=metric(params.mu),
+            pullback=metric(params.pullback),
+            envelope=take(params.envelope),
+            base=take(params.base),
         )
         mask = np.broadcast_to(outer[:, None] if axis == 0 else outer, grid.shape)
         blocks.append((block, metric(norm_metric), metric(next_metric), mask))
@@ -566,7 +553,7 @@ def _step_record(params, probe, norm_metric):
         N=int(probe.N),
         alpha_max=params.alpha_max,
         orders=params.orders,
-        eta_max=float(np.max(params.eta)),
+        eta_max=params.eta_max,
         sup_default=probe.sup_default,
         c0_shift=probe.c0_shift,
         c1_shift=c1_shift,
@@ -582,10 +569,6 @@ def apply_corrugation(params, N, raise_on_loss=True):
     The defect and the C1 shift are measured against the step's own
     intermediate metric mu.
     """
-    # The step's audit terms outlive every probe. Made before this probe
-    # allocates, they sit with the step's other arrays instead of splitting
-    # the heap space the probe frees, which raised peak RSS by up to 10%.
-    params.audit_terms
     probe = _probe(params, N, params.mu)
     if raise_on_loss and probe.spacelike_min <= SPACELIKE_TOL:
         raise LostSpacelike(
@@ -641,7 +624,7 @@ def _increment_margin(params, probe):
     du_new = probe.out.apply_d(fr.u)
     lhs = euclidean_norm(du_new - fr.t)
     slack = euclidean_norm(du_new - (fr.u[..., 0:1] * probe.Lx + fr.u[..., 1:2] * probe.Ly))
-    return float(np.max(lhs - params.audit_terms.envelope - slack))
+    return float(np.max(lhs - params.envelope - slack))
 
 
 def _step_audits(params, probe):
@@ -651,7 +634,6 @@ def _step_audits(params, probe):
     temporaries are freed before the next group allocates.
     """
     mu = params.mu
-    terms = params.audit_terms
     out, Lx, Ly = probe.out, probe.Lx, probe.Ly
 
     identity_max = float(
@@ -674,17 +656,17 @@ def _step_audits(params, probe):
 
     # Growth bound: K controls the new differential and normal against the
     # old ones in the pullback operator norm.
-    K = terms.growth_constant
-    new_norm = operator_norm_map(out.dfx, out.dfy, terms.g_old)
-    growth_margin = float(np.max(new_norm - K * terms.base))
+    K = params.growth_constant
+    new_norm = operator_norm_map(out.dfx, out.dfy, params.pullback)
+    growth_margin = float(np.max(new_norm - K * params.base))
     if normal_norm is None:
         normal_growth_margin = float("inf")
     else:
-        normal_growth_margin = float(np.max(normal_norm - K * terms.base))
+        normal_growth_margin = float(np.max(normal_norm - K * params.base))
 
     return {
         "identity_max": identity_max,
-        "average_max": terms.average_max,
+        "average_max": params.average_max,
         "normal_unit_predicted": unit_pred,
         "normal_ortho_predicted": ortho_pred,
         "normal_ortho_exact": ortho_exact,
@@ -694,7 +676,7 @@ def _step_audits(params, probe):
         "increment_margin": increment_margin,
         "growth_margin": growth_margin,
         "normal_growth_margin": normal_growth_margin,
-        "increment_constant": terms.increment_constant,
+        "increment_constant": params.increment_constant,
         "growth_constant": K,
     }
 

@@ -289,13 +289,8 @@ def c0_distance(f1, f2):
     return float(np.max(euclidean_norm(f1.pos - f2.pos)))
 
 
-def c1_increment(f1, f2, g):
-    """Sup over nodes of the operator norm of df1 - df2 against g."""
-    return c1_increments(f1, f2, (g,))[0]
-
-
 def c1_increments(f1, f2, metrics):
-    """c1_increment(f1, f2, g) for each g in metrics, in order.
+    """Sup over nodes of the operator norm of df1 - df2 against each g in metrics, in order.
 
     The difference df1 - df2 and its Gram field are formed once and shared
     by every metric.
@@ -323,7 +318,7 @@ class FrameField:
     dlu: np.ndarray
 
 
-def corrugation_frame(f, ell):
+def corrugation_frame(f, ell, g):
     """Build the f*h-orthonormal frame adapted to a linear form.
 
     Parameters
@@ -332,6 +327,9 @@ def corrugation_frame(f, ell):
         Spacelike embedding jet.
     ell : LinearForm
         Nonzero constant form whose kernel directs the corrugation.
+    g : MetricField
+        The pullback f*h, which the caller makes once and reuses; it is
+        checked positive definite here.
 
     Returns
     -------
@@ -340,7 +338,6 @@ def corrugation_frame(f, ell):
         the side where ell(u) > 0, and the ambient fields vhat = df(v),
         t = df(u), n the timelike unit normal.
     """
-    g = pullback_metric(f)
     g.require_positive_definite(what="pullback")
     shape = f.grid.shape
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from lorentz_corrugate import corrugation
+from lorentz_corrugate import corrugation, fields
 from lorentz_corrugate.corrugation import (
     ALPHA_CAP,
     PHI_INVERSE_TOL,
@@ -30,7 +30,6 @@ from lorentz_corrugate.corrugation import (
     series_orders,
     sin_table,
     successive_cp,
-    target_differential,
 )
 from lorentz_corrugate.decomp import build_dictionary, decompose
 from lorentz_corrugate.errors import (
@@ -470,7 +469,7 @@ def test_target_differential_pullback_identity():
     params = prepare_step(f, eta, STRIP_FORM)
     rng = np.random.default_rng(18)
     xhat = rng.uniform(0.0, 1.0, size=grid.shape)
-    Lx, Ly = target_differential(params, xhat)
+    Lx, Ly = corrugation._loop_differential(params, params.alpha * np.cos(2.0 * np.pi * xhat))
     assert np.max(np.abs(minkowski_inner(Lx, Lx) - params.mu.E)) < 1e-12
     assert np.max(np.abs(minkowski_inner(Lx, Ly) - params.mu.F)) < 1e-12
     assert np.max(np.abs(minkowski_inner(Ly, Ly) - params.mu.G)) < 1e-12
@@ -481,7 +480,8 @@ def test_target_differential_fixes_kernel_direction():
     grid, f, eta = strip_jet(17)
     params = prepare_step(f, eta, STRIP_FORM)
     v = params.frame.v
-    Lx, Ly = target_differential(params, np.full(grid.shape, 0.37))
+    theta = params.alpha * np.cos(2.0 * np.pi * np.full(grid.shape, 0.37))
+    Lx, Ly = corrugation._loop_differential(params, theta)
     new = v[..., 0:1] * Lx + v[..., 1:2] * Ly
     old = v[..., 0:1] * f.dfx + v[..., 1:2] * f.dfy
     assert np.max(np.abs(new - old)) < 1e-13
@@ -649,10 +649,9 @@ def test_select_audits_once(monkeypatch):
     assert calls == [rec.N]
 
 
-def test_cached_audit_terms_do_not_go_stale():
-    """One prepared step audited at several N gives, bitwise, the jets and
-    records of a fresh step at each N; a boundary block made after an audit
-    starts without the cached terms."""
+def test_one_step_applied_at_several_N_equals_fresh_steps():
+    """One prepared step applied at several N gives, bitwise, the jets and
+    records of a fresh step at each N."""
     grid, f, eta = strip_jet(33)
     ell = LinearForm(1.0, 0.3)
     params = prepare_step(f, eta, ell)
@@ -660,9 +659,55 @@ def test_cached_audit_terms_do_not_go_stale():
         got = apply_corrugation(params, N, raise_on_loss=False)
         want = apply_corrugation(prepare_step(f, eta, ell), N, raise_on_loss=False)
         _assert_same_step(got, want)
-    assert "audit_terms" in vars(params)
-    for block, *_ in corrugation._boundary_blocks(params, params.mu, None):
-        assert "audit_terms" not in vars(block)
+
+
+def test_step_makes_two_pullbacks(monkeypatch):
+    """A prepared and applied step evaluates f*h once for its input jet and
+    once for its output, whether called through corrugation or fields."""
+    calls = []
+    original = fields.pullback_metric
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(corrugation, "pullback_metric", counted)
+    monkeypatch.setattr(fields, "pullback_metric", counted)
+    grid, f, eta = strip_jet(17)
+    out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
+    assert len(calls) == 2
+    assert calls[0] is f
+    assert np.array_equal(calls[1].pos, out.pos)
+
+
+@pytest.mark.parametrize("shape", [(33, 40), (3, 5)])
+def test_boundary_block_is_the_step_on_four_lines(shape):
+    """Every per-node field of a block has the block's node shape; the
+    coefficient table keeps its order axis in front."""
+    grid = Grid(*shape)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    per_node = {"f", "frame", "r", "alpha", "coeff", "phase0", "mu", "pullback", "envelope", "base"}
+    for axis, (block, *_) in enumerate(corrugation._boundary_blocks(params, params.mu, None)):
+        nodes = (4, shape[1]) if axis == 0 else (shape[0], 4)
+        assert block.f.grid.shape == nodes
+        checked = set()
+        for fld in dataclasses.fields(block):
+            value = getattr(block, fld.name)
+            if isinstance(value, fields.EmbeddingJet):
+                arrays = [value.pos, value.dfx, value.dfy]
+            elif isinstance(value, fields.FrameField):
+                arrays = list(vars(value).values())
+            elif isinstance(value, MetricField):
+                arrays = [value.E, value.F, value.G]
+            elif isinstance(value, np.ndarray):
+                arrays = [value[0] if fld.name == "coeff" else value]
+            else:
+                continue
+            checked.add(fld.name)
+            for a in arrays:
+                assert a.shape[:2] == nodes, fld.name
+        assert checked == per_node
+        assert block.coeff.shape == (params.orders + 1,) + nodes
 
 
 # --- boundary screen of N-selection ---

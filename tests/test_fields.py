@@ -21,7 +21,6 @@ from lorentz_corrugate.fields import (
     LinearForm,
     MetricField,
     c0_distance,
-    c1_increment,
     c1_increments,
     corrugation_frame,
     export_obj,
@@ -293,9 +292,9 @@ def test_c0_c1_distances():
     assert c0_distance(f1, f2) == pytest.approx(5.0)
     f2.dfx[0, 0] += np.array([0.0, 0.0, 0.5])
     g = MetricField.identity((4, 4))
-    assert c1_increment(f1, f2, g) == pytest.approx(0.5)
+    assert c1_increments(f1, f2, (g,))[0] == pytest.approx(0.5)
     # one difference and Gram field serve each metric, in order
-    assert c1_increments(f1, f2, (g, 4.0 * g)) == [c1_increment(f1, f2, g), 0.25]
+    assert c1_increments(f1, f2, (g, 4.0 * g)) == [c1_increments(f1, f2, (g,))[0], 0.25]
     with pytest.raises(GridMismatch):
         c0_distance(f1, flat_inclusion(Grid(5, 5)))
 
@@ -306,7 +305,7 @@ def test_c0_c1_distances():
 def test_frame_flat_diagonal_form():
     f = flat_inclusion(Grid(5, 5))
     ell = LinearForm(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    fr = corrugation_frame(f, ell)
+    fr = corrugation_frame(f, ell, pullback_metric(f))
     assert np.allclose(fr.dlu, 1.0, atol=1e-15)
     assert np.allclose(ell.of(fr.v), 0.0, atol=1e-15)
 
@@ -317,8 +316,8 @@ def test_frame_orthonormal_random():
     for _ in range(20):
         f = graph_jet(grid, rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         ell = LinearForm.from_angle(rng.uniform(0.0, 2.0 * np.pi))
-        fr = corrugation_frame(f, ell)
         g = pullback_metric(f)
+        fr = corrugation_frame(f, ell, g)
         assert np.allclose(g.inner(fr.v, fr.v), 1.0, atol=1e-12)
         assert np.allclose(g.inner(fr.u, fr.u), 1.0, atol=1e-12)
         assert np.allclose(g.inner(fr.u, fr.v), 0.0, atol=1e-12)
