@@ -31,6 +31,14 @@ trapezoid evaluator is kept as an independent cross-check. prepare_step
 makes everything that does not depend on N once per step: the input jet's
 pullback (one evaluation, shared by the frame, mu and the growth audit)
 and every N-independent audit term.
+
+Probes and audits run in row tiles of at most TILE_NODES nodes (at least
+one row). A tile reads one neighbour row on each side (its halo) for the
+frozen-phase x-differences, writes its rows of the output jet, and reduces
+its maxima and minima, which are then reduced across tiles. Every
+operation is per node except those differences, so each node gets bitwise
+the value the whole grid would give it, and the whole grid is the
+one-tile case. The prepared step stays whole-grid (see prepare_step).
 """
 from __future__ import annotations
 
@@ -64,6 +72,9 @@ SERIES_TOL = 1e-18
 # Every N-selection climbs the doubling ladder N = 16, 32, ..., 2^20.
 LADDER_START = 16
 LADDER_CAP = 2**20
+# Probes and audits run in row tiles of at most this many nodes (at least one
+# row): a boundary block of 4 x 257 nodes is one tile, a 257 x 257 grid nine.
+TILE_NODES = 2**13
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -224,31 +235,46 @@ def remainder_series(coeff, sines):
 
 
 _ALL = slice(None)
-# (coefficient cut, sine cut) of the centre and of its +x, -x, +y and -y
-# neighbours: a neighbour's coefficients read at the centre node's phase.
-_CUTS = (
-    ((_ALL, _ALL), (_ALL, _ALL)),
-    ((slice(1, None), _ALL), (slice(None, -1), _ALL)),
-    ((slice(None, -1), _ALL), (slice(1, None), _ALL)),
-    ((_ALL, slice(1, None)), (_ALL, slice(None, -1))),
-    ((_ALL, slice(None, -1)), (_ALL, slice(1, None))),
-)
 
 
-def _harmonic_sums(coeff, psi, cos_psi):
-    """(A_c, A_s) for each of _CUTS, in one pass over the harmonics.
+def _x_neighbours(start, rows, nx):
+    """(lo, hi) for rows start..start+rows of an nx-row grid: the rows'
+    local indices lo.. have a -x neighbour, those ..hi-1 a +x neighbour."""
+    return max(start, 1) - start, min(start + rows, nx - 1) - start
 
+
+def _cuts(start, rows, nx):
+    """(coefficient cut, sine cut) of the centre and of its +x, -x, +y and -y
+    neighbours for rows start..start+rows of an nx-row grid: a neighbour's
+    coefficients read at the centre node's phase. Coefficient cuts index the
+    whole grid, sine cuts the rows' own phase."""
+    lo, hi = _x_neighbours(start, rows, nx)
+    tile = slice(start, start + rows)
+    return (
+        ((tile, _ALL), (_ALL, _ALL)),
+        ((slice(start + 1, start + hi + 1), _ALL), (slice(0, hi), _ALL)),
+        ((slice(start + lo - 1, start + rows - 1), _ALL), (slice(lo, rows), _ALL)),
+        ((tile, slice(1, None)), (_ALL, slice(None, -1))),
+        ((tile, slice(None, -1)), (_ALL, slice(1, None))),
+    )
+
+
+def _harmonic_sums(coeff, psi, cos_psi, start):
+    """(A_c, A_s) for each of _cuts, in one pass over the harmonics.
+
+    psi is the phase angle of rows start.. of the grid that coeff covers.
     For each cut this equals, bitwise, remainder_series on that cut of coeff
     and of sin_table(x), where psi = 2 pi x: the same recurrence and the same
     per-harmonic step, but three sine rows in place of an (orders + 1) x
     nodes table.
     """
+    cuts = _cuts(start, psi.shape[0], coeff.shape[1])
     sums = []
-    for ccut, _ in _CUTS:
+    for ccut, _ in cuts:
         shape = coeff[0][ccut].shape
         sums.append((np.zeros(shape), np.zeros(shape), np.empty(shape)))
     for k, row in enumerate(_sine_rows(psi, cos_psi, coeff.shape[0] - 1), 1):
-        for (ccut, scut), (Ac, As, term) in zip(_CUTS, sums):
+        for (ccut, scut), (Ac, As, term) in zip(cuts, sums):
             _add_harmonic(Ac, As, k, coeff[k][ccut], row[scut], term)
     return [(Ac, As) for Ac, As, _ in sums]
 
@@ -279,6 +305,12 @@ class StepParams:
     bounds the u-direction C1 shift up to the O(1/N) slack, and the growth
     constant K times base bounds the new differential and normal in the
     norm of pullback.
+
+    Every per-node field covers the whole grid: 25 arrays of nodes beside
+    the input jet, plus the orders + 1 of the coefficient table (see
+    prepare_step for why). Probes and audits read it one row tile at a time
+    (_tile_of): the tile's rows of each field as views, with f as a
+    _JetRows.
     """
 
     f: EmbeddingJet
@@ -319,7 +351,16 @@ class CorrugationStepRecord:
 
 
 def prepare_step(f, eta, ell):
-    """Frame, radius, amplitude, coefficient tables and audit terms for a step."""
+    """Frame, radius, amplitude, coefficient tables and audit terms for a step.
+
+    Unlike probes and audits, this runs on the whole grid at once, because
+    its per-node values depend on every node: phi_inverse steps all nodes
+    until every one has converged (one Newton count for the grid), and the
+    series behind phi (bounds._bessel_series), which gives alpha and the
+    table's first row, stops when its largest term over all nodes is below
+    1e-17 of its largest sum. Made tile by tile, alpha and the table would
+    change in their last bits.
+    """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != f.grid.shape:
         raise DomainError("eta shape %s does not match grid" % (eta.shape,))
@@ -375,43 +416,122 @@ def _loop_differential(params, theta):
     return Lx, Ly
 
 
-def _remainder_field(params, Ac, As, sel):
-    """W = r (A_c t + A_s n) with the slow fields sliced by sel, one component at a time."""
+def _remainder_field(params, Ac, As, sel, W):
+    """W = r (A_c t + A_s n) with the slow fields sliced by sel, one component
+    at a time, written into W; returns W."""
     fr = params.frame
     r = params.r[sel]
-    W = np.empty(Ac.shape + (3,))
     for c in range(3):
         W[..., c] = r * (Ac * fr.t[sel + (c,)] + As * fr.n[sel + (c,)])
     return W
 
 
-def _remainder_jet(params, psi, cos_psi):
+def _remainder_jet(params, psi, cos_psi, start, out):
     """The remainder W = r (A_c t + A_s n) at phase angle psi and its
-    frozen-phase derivatives: (W, Dx, Dy).
+    frozen-phase derivatives on rows start.. of the grid, written into
+    out's pos, dfx and dfy.
 
     One pass over the harmonics (_harmonic_sums) gives the centre's sums
     and those of its four neighbours at the centre's phase, so only the
-    slow fields are differenced. Central differences inside, one-sided on
-    the boundary rows.
+    slow fields are differenced; the +x and -x neighbours of the rows' ends
+    are the one-row halo, read from the step's whole-grid fields. Central
+    differences inside, one-sided on the grid's first and last rows and
+    columns. Each cut's sums are released once its remainder field is
+    built.
     """
     hx, hy = params.hx, params.hy
-    centre, px, mx, py, my = _harmonic_sums(params.coeff, psi, cos_psi)
-    W = _remainder_field(params, *centre, _CUTS[0][0])
+    rows, nx = psi.shape[0], params.coeff.shape[1]
+    cuts = _cuts(start, rows, nx)
+    sums = _harmonic_sums(params.coeff, psi, cos_psi, start)
 
-    Wp = _remainder_field(params, *px, _CUTS[1][0])
-    Wm = _remainder_field(params, *mx, _CUTS[2][0])
-    Dx = np.empty_like(W)
-    Dx[1:-1] = (Wp[1:] - Wm[:-1]) / (2.0 * hx)
-    Dx[0] = (Wp[0] - W[0]) / hx
-    Dx[-1] = (W[-1] - Wm[-1]) / hx
+    def remainder(i, W):
+        Ac, As = sums[i]
+        sums[i] = None
+        return _remainder_field(params, Ac, As, cuts[i][0], W)
 
-    Wp = _remainder_field(params, *py, _CUTS[3][0])
-    Wm = _remainder_field(params, *my, _CUTS[4][0])
-    Dy = np.empty_like(W)
+    W = remainder(0, out.pos)
+
+    lo, hi = _x_neighbours(start, rows, nx)
+    Wp, Wm = remainder(1, np.empty_like(W[:hi])), remainder(2, np.empty_like(W[lo:]))
+    Dx = out.dfx
+    Dx[lo:hi] = (Wp[lo:] - Wm[: hi - lo]) / (2.0 * hx)
+    if lo:
+        Dx[0] = (Wp[0] - W[0]) / hx
+    if hi < rows:
+        Dx[-1] = (W[-1] - Wm[-1]) / hx
+
+    Wp, Wm = remainder(3, np.empty_like(W[:, 1:])), remainder(4, np.empty_like(W[:, 1:]))
+    Dy = out.dfy
     Dy[:, 1:-1] = (Wp[:, 1:] - Wm[:, :-1]) / (2.0 * hy)
     Dy[:, 0] = (Wp[:, 0] - W[:, 0]) / hy
     Dy[:, -1] = (W[:, -1] - Wm[:, -1]) / hy
-    return W, Dx, Dy
+
+
+@dataclass
+class _JetRows:
+    """A jet's arrays on some rows. A Grid needs two rows, so a one-row tile
+    cannot be an EmbeddingJet; pullback_metric and c1_increments read only
+    these arrays."""
+
+    pos: np.ndarray
+    dfx: np.ndarray
+    dfy: np.ndarray
+
+    @classmethod
+    def of(cls, jet, take):
+        return cls(take(jet.pos), take(jet.dfx), take(jet.dfy))
+
+
+def _row_tiles(shape):
+    """Row ranges covering an (nx, ny) grid in order, as even as their count
+    allows, each of at most max(TILE_NODES // ny, 1) rows."""
+    nx, ny = shape
+    count = -(-nx // max(TILE_NODES // ny, 1))
+    edges = [nx * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _metric_on(m, take):
+    """m with each component passed through take; None stays None."""
+    return None if m is None else MetricField(take(m.E), take(m.F), take(m.G))
+
+
+def _step_on(params, take, f):
+    """The step on some nodes: f as its jet, every other per-node field
+    passed through take(array, lead), lead counting the axes before the node
+    axes, and the step's scalars kept."""
+    return replace(
+        params,
+        f=f,
+        frame=FrameField(**{k: take(v) for k, v in vars(params.frame).items()}),
+        r=take(params.r),
+        alpha=take(params.alpha),
+        coeff=take(params.coeff, lead=1),
+        phase0=take(params.phase0),
+        mu=_metric_on(params.mu, take),
+        pullback=_metric_on(params.pullback, take),
+        envelope=take(params.envelope),
+        base=take(params.base),
+    )
+
+
+def _tile_of(params, rows):
+    """(take, tile) for a row range: take views those rows of a per-node
+    array, and tile is the step on them."""
+
+    def take(a, lead=0):
+        return a[(_ALL,) * lead + (rows,)]
+
+    return take, _step_on(params, take, _JetRows.of(params.f, take))
+
+
+def _phase(params, N):
+    """psi = 2 pi frac(N phase0) and cos(psi), psi made in place: bitwise
+    2 pi (x - floor(x)) with x = N phase0."""
+    psi = params.phase0 * float(N)
+    psi -= np.floor(psi)
+    psi *= 2.0 * np.pi
+    return psi, np.cos(psi)
 
 
 @dataclass
@@ -420,14 +540,15 @@ class _Probe:
 
     Each quantity is a max (defect, C0 shift) or a min (spacelike and
     long-for-next eigenvalues) over the probed nodes; long_min is None when
-    no next metric was given.
+    no next metric was given. _probe fills out one row tile at a time, with
+    a one-row halo for the x-differences, from the prepared step, which
+    stays whole-grid (prepare_step says why). The loop angle and
+    differential are not kept: the audits make them again per row tile
+    from phase0 and N, bitwise the same at every node.
     """
 
     N: int
     out: EmbeddingJet
-    Lx: np.ndarray
-    Ly: np.ndarray
-    theta: np.ndarray
     sup_default: float
     spacelike_min: float
     c0_shift: float
@@ -445,38 +566,51 @@ def _node_values(params, out, gF, norm_metric, next_metric):
     )
 
 
-def _probe(params, N, norm_metric, next_metric=None, mask=None):
-    """Corrugate at N; measure what acceptance reads over the nodes in mask (default all)."""
-    if N < 1:
-        raise DomainError("corrugation number must be positive")
-    x = params.phase0 * float(N)
-    psi = 2.0 * np.pi * (x - np.floor(x))
-    cos_psi = np.cos(psi)
-    W, Dx, Dy = _remainder_jet(params, psi, cos_psi)
-    theta = params.alpha * cos_psi
-    Lx, Ly = _loop_differential(params, theta)
+def _probe_rows(params, N, rows, out, norm_metric, next_metric, where):
+    """Corrugate rows of the grid at N into out; the extremes of the
+    acceptance values over the nodes where where is true (+-inf if none)."""
+    take, tile = _tile_of(params, rows)
+    new = _JetRows.of(out, take)
+    psi, cos_psi = _phase(tile, N)
+    _remainder_jet(params, psi, cos_psi, rows.start, new)
+    Lx, Ly = _loop_differential(tile, tile.alpha * cos_psi)
     # in place, bitwise f + W / N and L + D / N: addition commutes exactly
-    for remainder, base in ((W, params.f.pos), (Dx, Lx), (Dy, Ly)):
+    for remainder, base in ((new.pos, tile.f.pos), (new.dfx, Lx), (new.dfy, Ly)):
         remainder /= float(N)
         remainder += base
+    gF = pullback_metric(new)
+    norm_rows, next_rows = _metric_on(norm_metric, take), _metric_on(next_metric, take)
+    defect, spacelike, c0, long = _node_values(tile, new, gF, norm_rows, next_rows)
+    return (
+        np.max(defect, initial=-np.inf, where=where),
+        np.min(spacelike, initial=np.inf, where=where),
+        np.max(c0, initial=-np.inf, where=where),
+        None if long is None else np.min(long, initial=np.inf, where=where),
+    )
 
-    out = EmbeddingJet(params.f.grid, W, Dx, Dy)
-    gF = pullback_metric(out)
-    defect, spacelike, c0, long = _node_values(params, out, gF, norm_metric, next_metric)
 
-    def over_mask(values, reduce):
-        return float(reduce(values if mask is None else values[mask]))
+def _probe(params, N, norm_metric, next_metric=None, mask=None):
+    """Corrugate at N; measure what acceptance reads over the nodes in mask (default all).
 
+    One row tile at a time (_probe_rows) into an output jet allocated once;
+    the tiles' maxima and minima are reduced here, which is exact.
+    """
+    if N < 1:
+        raise DomainError("corrugation number must be positive")
+    f = params.f
+    out = EmbeddingJet(f.grid, np.empty(f.pos.shape), np.empty(f.dfx.shape), np.empty(f.dfy.shape))
+    extremes = []
+    for rows in _row_tiles(f.grid.shape):
+        where = True if mask is None else mask[rows]
+        extremes.append(_probe_rows(params, N, rows, out, norm_metric, next_metric, where))
+    defect, spacelike, c0, long = zip(*extremes)
     return _Probe(
         N=N,
         out=out,
-        Lx=Lx,
-        Ly=Ly,
-        theta=theta,
-        sup_default=over_mask(defect, np.max),
-        spacelike_min=over_mask(spacelike, np.min),
-        c0_shift=over_mask(c0, np.max),
-        long_min=None if long is None else over_mask(long, np.min),
+        sup_default=float(np.max(defect)),
+        spacelike_min=float(np.min(spacelike)),
+        c0_shift=float(np.max(c0)),
+        long_min=None if next_metric is None else float(np.min(long)),
     )
 
 
@@ -521,34 +655,23 @@ def _boundary_blocks(params, norm_metric, next_metric):
         def take(a, lead=0):
             return np.take(a, lines, axis=axis + lead)
 
-        def metric(m):
-            return None if m is None else MetricField(take(m.E), take(m.F), take(m.G))
-
         grid = Grid(4, f.grid.ny) if axis == 0 else Grid(f.grid.nx, 4)
-        block = replace(
-            params,
-            f=EmbeddingJet(grid, take(f.pos), take(f.dfx), take(f.dfy)),
-            frame=FrameField(**{k: take(v) for k, v in vars(params.frame).items()}),
-            r=take(params.r),
-            alpha=take(params.alpha),
-            coeff=take(params.coeff, lead=1),
-            phase0=take(params.phase0),
-            mu=metric(params.mu),
-            pullback=metric(params.pullback),
-            envelope=take(params.envelope),
-            base=take(params.base),
-        )
+        block = _step_on(params, take, EmbeddingJet(grid, take(f.pos), take(f.dfx), take(f.dfy)))
         mask = np.broadcast_to(outer[:, None] if axis == 0 else outer, grid.shape)
-        blocks.append((block, metric(norm_metric), metric(next_metric), mask))
+        blocks.append((block, _metric_on(norm_metric, take), _metric_on(next_metric, take), mask))
     return blocks
 
 
 def _step_record(params, probe, norm_metric):
-    """Full record of a probe: C1 shifts and the step audits."""
-    out = probe.out
-    c1_shift, c1_shift_euclid = c1_increments(
-        out, params.f, (norm_metric, MetricField.identity(params.f.grid.shape))
-    )
+    """Full record of a probe: C1 shifts and the step audits, each a max
+    over row tiles of the tiles' maxima."""
+    shifts = []
+    for rows in _row_tiles(params.f.grid.shape):
+        take, tile = _tile_of(params, rows)
+        new = _JetRows.of(probe.out, take)
+        identity = MetricField.identity(new.pos.shape[:2])
+        shifts.append(c1_increments(new, tile.f, (_metric_on(norm_metric, take), identity)))
+    c1_shift, c1_shift_euclid = map(float, np.max(shifts, axis=0))
     return CorrugationStepRecord(
         N=int(probe.N),
         alpha_max=params.alpha_max,
@@ -589,22 +712,20 @@ def _ortho_defect(n, ax, ay):
     )
 
 
-def _predicted_normal_audits(params, probe):
+def _predicted_normal_audits(frame, theta, new, Lx, Ly):
     """Unit and orthogonality defects of n_L = sinh(theta) t + cosh(theta) n.
 
     Against the corrugated jet's differential and against L itself.
     """
-    fr = params.frame
-    sh = np.sinh(probe.theta)
-    ch = np.cosh(probe.theta)
-    nL = np.empty(fr.n.shape)
+    sh = np.sinh(theta)
+    ch = np.cosh(theta)
+    nL = np.empty(frame.n.shape)
     for c in range(3):
-        nL[..., c] = sh * fr.t[..., c] + ch * fr.n[..., c]
-    out = probe.out
+        nL[..., c] = sh * frame.t[..., c] + ch * frame.n[..., c]
     return (
         _unit_defect(nL),
-        _ortho_defect(nL, out.dfx, out.dfy),
-        _ortho_defect(nL, probe.Lx, probe.Ly),
+        _ortho_defect(nL, new.dfx, new.dfy),
+        _ortho_defect(nL, Lx, Ly),
     )
 
 
@@ -614,70 +735,86 @@ def _actual_normal_audits(out):
     return _unit_defect(nF), _ortho_defect(nF, out.dfx, out.dfy), euclidean_norm(nF)
 
 
-def _increment_margin(params, probe):
+def _increment_margin(params, new, Lx, Ly):
     """max of |dF(u) - t| - envelope - |dF(u) - L(u)| over nodes.
 
     The u-direction C1 shift is controlled by the amplitude envelope plus the
     O(1/N) remainder slack.
     """
     fr = params.frame
-    du_new = probe.out.apply_d(fr.u)
+    u0, u1 = fr.u[..., 0:1], fr.u[..., 1:2]
+    du_new = u0 * new.dfx + u1 * new.dfy
     lhs = euclidean_norm(du_new - fr.t)
-    slack = euclidean_norm(du_new - (fr.u[..., 0:1] * probe.Lx + fr.u[..., 1:2] * probe.Ly))
+    slack = euclidean_norm(du_new - (u0 * Lx + u1 * Ly))
     return float(np.max(lhs - params.envelope - slack))
 
 
-def _step_audits(params, probe):
-    """Exact-identity, bound and normal audits for one step.
-
-    Each group of audits runs in its own function, so its full-grid
-    temporaries are freed before the next group allocates.
-    """
-    mu = params.mu
-    out, Lx, Ly = probe.out, probe.Lx, probe.Ly
-
-    identity_max = float(
-        max(
-            np.max(np.abs(minkowski_inner(Lx, Lx) - mu.E)),
-            np.max(np.abs(minkowski_inner(Lx, Ly) - mu.F)),
-            np.max(np.abs(minkowski_inner(Ly, Ly) - mu.G)),
-        )
+def _tile_audits(params, probe, rows, spacelike):
+    """The step audits that vary by node, each its max over rows. Each
+    group of audits runs in its own function, so its temporaries are freed
+    before the next group allocates."""
+    take, tile = _tile_of(params, rows)
+    new = _JetRows.of(probe.out, take)
+    theta = tile.alpha * _phase(tile, probe.N)[1]
+    Lx, Ly = _loop_differential(tile, theta)
+    mu = tile.mu
+    identity_max = max(
+        np.max(np.abs(minkowski_inner(Lx, Lx) - mu.E)),
+        np.max(np.abs(minkowski_inner(Lx, Ly) - mu.F)),
+        np.max(np.abs(minkowski_inner(Ly, Ly) - mu.G)),
     )
-    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(params, probe)
-    # A candidate rejected for losing spacelikeness has no unit normal;
-    # mark the actual-normal audits infinite instead of failing the probe.
-    if probe.spacelike_min > SPACELIKE_TOL:
-        unit_actual, ortho_actual, normal_norm = _actual_normal_audits(out)
-    else:
-        unit_actual = float("inf")
-        ortho_actual = float("inf")
-        normal_norm = None
-    increment_margin = _increment_margin(params, probe)
-
+    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(tile.frame, theta, new, Lx, Ly)
     # Growth bound: K controls the new differential and normal against the
     # old ones in the pullback operator norm.
-    K = params.growth_constant
-    new_norm = operator_norm_map(out.dfx, out.dfy, params.pullback)
-    growth_margin = float(np.max(new_norm - K * params.base))
-    if normal_norm is None:
-        normal_growth_margin = float("inf")
+    K = tile.growth_constant
+    # A candidate rejected for losing spacelikeness has no unit normal;
+    # mark the actual-normal audits infinite instead of failing the probe.
+    if spacelike:
+        unit_actual, ortho_actual, normal_norm = _actual_normal_audits(new)
+        normal_growth_margin = np.max(normal_norm - K * tile.base)
     else:
-        normal_growth_margin = float(np.max(normal_norm - K * params.base))
-
+        unit_actual = ortho_actual = normal_growth_margin = float("inf")
+    increment_margin = _increment_margin(tile, new, Lx, Ly)
+    new_norm = operator_norm_map(new.dfx, new.dfy, tile.pullback)
     return {
         "identity_max": identity_max,
-        "average_max": params.average_max,
         "normal_unit_predicted": unit_pred,
         "normal_ortho_predicted": ortho_pred,
         "normal_ortho_exact": ortho_exact,
         "normal_unit_actual": unit_actual,
         "normal_ortho_actual": ortho_actual,
-        "normal_ortho_budget": 10.0 / float(probe.N),
         "increment_margin": increment_margin,
-        "growth_margin": growth_margin,
+        "growth_margin": np.max(new_norm - K * tile.base),
         "normal_growth_margin": normal_growth_margin,
+    }
+
+
+def _step_audits(params, probe):
+    """Exact-identity, bound and normal audits for one step: the maxima of
+    the row tiles (_tile_audits) reduced across tiles, and the step's
+    N-independent terms."""
+    spacelike = probe.spacelike_min > SPACELIKE_TOL
+    tiles = [
+        _tile_audits(params, probe, rows, spacelike) for rows in _row_tiles(params.f.grid.shape)
+    ]
+
+    def peak(name):
+        return float(np.max([t[name] for t in tiles]))
+
+    return {
+        "identity_max": peak("identity_max"),
+        "average_max": params.average_max,
+        "normal_unit_predicted": peak("normal_unit_predicted"),
+        "normal_ortho_predicted": peak("normal_ortho_predicted"),
+        "normal_ortho_exact": peak("normal_ortho_exact"),
+        "normal_unit_actual": peak("normal_unit_actual"),
+        "normal_ortho_actual": peak("normal_ortho_actual"),
+        "normal_ortho_budget": 10.0 / float(probe.N),
+        "increment_margin": peak("increment_margin"),
+        "growth_margin": peak("growth_margin"),
+        "normal_growth_margin": peak("normal_growth_margin"),
         "increment_constant": params.increment_constant,
-        "growth_constant": K,
+        "growth_constant": params.growth_constant,
     }
 
 

@@ -292,11 +292,11 @@ def c0_distance(f1, f2):
 def c1_increments(f1, f2, metrics):
     """Sup over nodes of the operator norm of df1 - df2 against each g in metrics, in order.
 
-    The difference df1 - df2 and its Gram field are formed once and shared
-    by every metric.
+    f1 and f2 are jets on one grid, or any two objects whose dfx and dfy
+    have one shape (the rows of a jet). The difference df1 - df2 and its
+    Gram field are formed once and shared by every metric.
     """
-    if f1.grid != f2.grid:
-        raise GridMismatch("jets live on different grids")
+    _same_shape(f1.dfx, f2.dfx)
     B = _gram(f1.dfx - f2.dfx, f1.dfy - f2.dfy)
     return [float(np.max(_map_norm(B, g))) for g in metrics]
 

@@ -227,10 +227,14 @@ def run_nash_kuiper(
         raise DomainError("need at least one stage")
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError("eps must be positive and finite")
-    # g_0 is f0's induced metric; g_{T+1} is only the last stage's target.
-    gs = [g + 2.0**-n * Delta for n in range(stages + 2)]
-    for g_n in gs:
-        g_n.require_positive_definite(what="stage metric")
+
+    def stage_metric(n):
+        """g_n; g_0 is f0's induced metric, g_{T+1} only the last stage's target."""
+        return g + 2.0**-n * Delta
+
+    # Stage n builds g_{n-1}, g_n and g_{n+1} when it starts; all are checked here.
+    for n in range(stages + 2):
+        stage_metric(n).require_positive_definite(what="stage metric")
     a_seq = [eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)]
     delta_norm = float(np.max(operator_norm_form(Delta, g)))
     rows = []
@@ -263,16 +267,17 @@ def run_nash_kuiper(
     cur = f0
     for n in range(1, stages + 1):
         try:
+            g_n = stage_metric(n)
             cur, row = run_stage(
                 cur,
-                gs[n],
-                gs[n + 1],
+                g_n,
+                stage_metric(n + 1),
                 a_seq[n - 1],
                 dictionary,
                 g_norm=g,
                 stage_index=n,
                 delta=2.0**-n,
-                delta_prev_norm=float(np.max(operator_norm_form(gs[n] - gs[n - 1], g))),
+                delta_prev_norm=float(np.max(operator_norm_form(g_n - stage_metric(n - 1), g))),
                 threads=threads,
             )
         except EngineError:

@@ -309,7 +309,7 @@ def _check_series_vs_quadrature(n, inputs):
         coeff = cor.bessel_table(np.full((1, 1), alpha), cor.series_orders(alpha))
         for x in (0.3, 0.7, 1.9):
             psi = 2.0 * np.pi * np.full((1, 1), x - np.floor(x))
-            Ac, As = cor._harmonic_sums(coeff, psi, np.cos(psi))[0]
+            Ac, As = cor._harmonic_sums(coeff, psi, np.cos(psi), 0)[0]
             qc, qs = cor.remainder_quadrature(alpha, x, samples_per_period=4096)
             worst = max(worst, abs(float(Ac[0, 0]) - qc), abs(float(As[0, 0]) - qs))
     return CheckResult(n, worst <= 1e-6, worst, 1e-6, note="harmonic sums vs trapezoid")

@@ -5,6 +5,7 @@ Library Bessel/quadrature/root-finding routines serve as independent
 oracles for the hand-rolled series and solvers.
 """
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -377,7 +378,7 @@ def test_harmonic_sums_equal_remainder_series_per_cut(shape, N):
     x = LinearForm(0.6, -0.8).phase(X, Y) * float(N)
     xhat = x - np.floor(x)
     psi = 2.0 * np.pi * xhat
-    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi))
+    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi), 0)
     sines = sin_table(xhat, orders)
     every, head, tail = slice(None), slice(None, -1), slice(1, None)
     cuts = [
@@ -860,6 +861,82 @@ def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, reje
         else:
             assert shapes == rungs and not any(failed)
     assert rejected == rejecting
+
+
+# --- row tiles ---
+
+
+def _probe_and_record(params, N, norm, nxt, mask):
+    probe = corrugation._probe(params, N, norm, nxt, mask)
+    values = (probe.sup_default, probe.spacelike_min, probe.c0_shift, probe.long_min)
+    return (probe.out, corrugation._step_record(params, probe, norm)), values
+
+
+@pytest.mark.parametrize(
+    "shape, tile_rows",
+    [
+        ((33, 17), 1),  # one-row tiles
+        ((33, 17), 4),  # 4 does not divide 33
+        ((65, 65), 7),
+        ((65, 65), 64),  # two tiles, of 32 and 33 rows
+        ((3, 5), 4),  # fewer rows than one tile
+        ((2, 7), 1),
+    ],
+)
+def test_row_tiles_change_no_bit(monkeypatch, shape, tile_rows):
+    """Probe and step record in row tiles equal, bitwise, the one-tile run:
+    the jet, the four acceptance values, both C1 shifts and every audit,
+    with and without a mask and a next metric, on the whole grid and on
+    both boundary blocks."""
+    grid = Grid(*shape)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    norm = MetricField.identity(shape)
+    nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
+    X, Y = grid.mesh()
+    # no node of the last rows is in the mask, so whole tiles reduce over nothing
+    corner = X + Y < 0.7
+    cases = [(params, params.mu, nxt, corner)]
+    cases += corrugation._boundary_blocks(params, norm, nxt)
+    nx = shape[0]
+    for N in (1, 48, 2**20):
+        for step, step_norm, step_next, step_mask in cases:
+            for next_metric, mask in itertools.product((None, step_next), (None, step_mask)):
+                monkeypatch.setattr(corrugation, "TILE_NODES", 2**62)
+                want = _probe_and_record(step, N, step_norm, next_metric, mask)
+                monkeypatch.setattr(corrugation, "TILE_NODES", tile_rows * shape[1])
+                got = _probe_and_record(step, N, step_norm, next_metric, mask)
+                _assert_same_step(got[0], want[0])
+                assert got[1] == want[1]
+    tiles = corrugation._row_tiles(shape)
+    assert len(tiles) == -(-nx // tile_rows)
+    assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
+    assert tiles[0].start == 0 and tiles[-1].stop == nx
+    assert all(1 <= t.stop - t.start <= tile_rows for t in tiles)
+
+
+def _probe_and_record_peak(monkeypatch, tile_nodes):
+    """Peak bytes allocated by one whole-grid probe of a 129x129 strip step and its record."""
+    monkeypatch.setattr(corrugation, "TILE_NODES", tile_nodes)
+    grid = Grid(129, 129)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    tracemalloc.start()
+    try:
+        probe = corrugation._probe(params, 64, params.mu)
+        corrugation._step_record(params, probe, params.mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_row_tiles_bound_probe_and_record_peak(monkeypatch):
+    """In 8-row tiles, a probe and its step record allocate the output jet
+    and per-tile arrays only: beyond the jet they peak at under a quarter of
+    what the one-tile run allocates beyond it."""
+    jet = 9 * 129 * 129 * 8
+    one_tile = _probe_and_record_peak(monkeypatch, 2**62)
+    tiled = _probe_and_record_peak(monkeypatch, 8 * 129)
+    assert tiled - jet < 0.25 * (one_tile - jet)
 
 
 def test_select_budget_exhaustion(monkeypatch):
