@@ -32,13 +32,16 @@ makes everything that does not depend on N once per step: the input jet's
 pullback (one evaluation, shared by the frame, mu and the growth audit)
 and every N-independent audit term.
 
-Probes and audits run in row tiles of at most TILE_NODES nodes (at least
-one row). A tile reads one neighbour row on each side (its halo) for the
-frozen-phase x-differences, writes its rows of the output jet, and reduces
+Probes and audits run in tiles: a tile is a range of rows by a range of
+columns, of at most TILE_NODES nodes (at least one row). A tile reads the
+neighbour line on each side of it on both axes (its halo) for the
+frozen-phase differences, writes its nodes of an output jet, and reduces
 its maxima and minima, which are then reduced across tiles. Every
 operation is per node except those differences, so each node gets bitwise
 the value the whole grid would give it, and the whole grid is the
-one-tile case. The prepared step stays whole-grid (see prepare_step).
+one-tile case. A probe runs on regions of the grid, each cut into tiles by
+one rule: the whole grid, or the boundary lines that N-selection screens
+first. The prepared step stays whole-grid (see prepare_step).
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ from .fields import (
     LONG_TOL,
     EmbeddingJet,
     FrameField,
-    Grid,
     MetricField,
     c1_increments,
     corrugation_frame,
@@ -72,8 +74,9 @@ SERIES_TOL = 1e-18
 # Every N-selection climbs the doubling ladder N = 16, 32, ..., 2^20.
 LADDER_START = 16
 LADDER_CAP = 2**20
-# Probes and audits run in row tiles of at most this many nodes (at least one
-# row): a boundary block of 4 x 257 nodes is one tile, a 257 x 257 grid nine.
+# Probes and audits run in tiles of at most this many nodes (at least one row
+# of the region): a boundary line of 257 nodes is one tile, a 257 x 257 grid
+# nine.
 TILE_NODES = 2**13
 
 
@@ -237,46 +240,54 @@ def remainder_series(coeff, sines):
 _ALL = slice(None)
 
 
-def _x_neighbours(start, rows, nx):
-    """(lo, hi) for rows start..start+rows of an nx-row grid: the rows'
-    local indices lo.. have a -x neighbour, those ..hi-1 a +x neighbour."""
-    return max(start, 1) - start, min(start + rows, nx - 1) - start
+def _neighbours(lines, n):
+    """(lo, hi) for a range of lines of an n-line axis: the range's local
+    indices lo.. have a - neighbour, those ..hi-1 a + neighbour."""
+    return max(lines.start, 1) - lines.start, min(lines.stop, n - 1) - lines.start
 
 
-def _cuts(start, rows, nx):
+def _cuts(tile, shape):
     """(coefficient cut, sine cut) of the centre and of its +x, -x, +y and -y
-    neighbours for rows start..start+rows of an nx-row grid: a neighbour's
+    neighbours on a tile (rows, cols) of a grid of this shape: a neighbour's
     coefficients read at the centre node's phase. Coefficient cuts index the
-    whole grid, sine cuts the rows' own phase."""
-    lo, hi = _x_neighbours(start, rows, nx)
-    tile = slice(start, start + rows)
-    return (
-        ((tile, _ALL), (_ALL, _ALL)),
-        ((slice(start + 1, start + hi + 1), _ALL), (slice(0, hi), _ALL)),
-        ((slice(start + lo - 1, start + rows - 1), _ALL), (slice(lo, rows), _ALL)),
-        ((tile, slice(1, None)), (_ALL, slice(None, -1))),
-        ((tile, slice(None, -1)), (_ALL, slice(1, None))),
-    )
+    whole grid, sine cuts the tile. Both axes follow one rule: a neighbour's
+    cut covers the tile's lines that have that neighbour, so the tile's halo
+    is the one line on each side that lies inside the grid."""
+    cuts = [(tile, (_ALL, _ALL))]
+    for axis, (lines, n) in enumerate(zip(tile, shape)):
+        a, b = lines.start, lines.stop
+        lo, hi = _neighbours(lines, n)
+        plus = (slice(a + 1, a + hi + 1), slice(0, hi))
+        minus = (slice(a + lo - 1, b - 1), slice(lo, b - a))
+        for cut in (plus, minus):
+            ccut, scut = list(tile), [_ALL, _ALL]
+            ccut[axis], scut[axis] = cut
+            cuts.append((tuple(ccut), tuple(scut)))
+    return cuts
 
 
-def _harmonic_sums(coeff, psi, cos_psi, start):
-    """(A_c, A_s) for each of _cuts, in one pass over the harmonics.
+def _harmonic_sums(coeff, psi, cos_psi, cuts):
+    """(A_c, A_s) for each (coefficient cut, sine cut) of cuts (see _cuts), in
+    one pass over the harmonics.
 
-    psi is the phase angle of rows start.. of the grid that coeff covers.
-    For each cut this equals, bitwise, remainder_series on that cut of coeff
-    and of sin_table(x), where psi = 2 pi x: the same recurrence and the same
+    psi is the phase angle of the nodes the sine cuts index. For each cut
+    this equals, bitwise, remainder_series on that cut of coeff and of
+    sin_table(x), where psi = 2 pi x: the same recurrence and the same
     per-harmonic step, but three sine rows in place of an (orders + 1) x
     nodes table.
     """
-    cuts = _cuts(start, psi.shape[0], coeff.shape[1])
-    sums = []
-    for ccut, _ in cuts:
-        shape = coeff[0][ccut].shape
-        sums.append((np.zeros(shape), np.zeros(shape), np.empty(shape)))
+    sums, work = [], []
+    for ccut, scut in cuts:
+        table = coeff[(_ALL,) + ccut]
+        Ac, As = np.zeros(table.shape[1:]), np.zeros(table.shape[1:])
+        sums.append((Ac, As))
+        # the cut past a grid edge is empty: a tile on that edge has no such neighbour
+        if Ac.size:
+            work.append((table, scut, Ac, As, np.empty(Ac.shape)))
     for k, row in enumerate(_sine_rows(psi, cos_psi, coeff.shape[0] - 1), 1):
-        for (ccut, scut), (Ac, As, term) in zip(cuts, sums):
-            _add_harmonic(Ac, As, k, coeff[k][ccut], row[scut], term)
-    return [(Ac, As) for Ac, As, _ in sums]
+        for table, scut, Ac, As, term in work:
+            _add_harmonic(Ac, As, k, table[k], row[scut], term)
+    return sums
 
 
 def remainder_quadrature(alpha, x, samples_per_period=64):
@@ -308,9 +319,10 @@ class StepParams:
 
     Every per-node field covers the whole grid: 25 arrays of nodes beside
     the input jet, plus the orders + 1 of the coefficient table (see
-    prepare_step for why). Probes and audits read it one row tile at a time
-    (_tile_of): the tile's rows of each field as views, with f as a
-    _JetRows.
+    prepare_step for why), and the grid spacing is f.grid's. Probes and
+    audits read it one tile at a time (_tile_of): the tile's nodes of each
+    field as views, with f as a _JetRows; the differences read the
+    whole-grid fields and coefficient table around a tile (_cuts).
     """
 
     f: EmbeddingJet
@@ -324,8 +336,6 @@ class StepParams:
     phase0: np.ndarray
     orders: int
     mu: MetricField
-    hx: float
-    hy: float
     pullback: MetricField
     average_max: float
     increment_constant: float
@@ -390,8 +400,6 @@ def prepare_step(f, eta, ell):
         phase0=ell.phase(X, Y),
         orders=orders,
         mu=g - ell.outer(eta),
-        hx=f.grid.hx,
-        hy=f.grid.hy,
         pullback=g,
         average_max=float(np.max(np.abs(r * coeff[0] - 1.0 / frame.dlu))),
         increment_constant=M,
@@ -426,103 +434,100 @@ def _remainder_field(params, Ac, As, sel, W):
     return W
 
 
-def _remainder_jet(params, psi, cos_psi, start, out):
+def _difference(D, W, Wp, Wm, lo, hi, h):
+    """Frozen-phase difference along axis 0 into D from the centre W, the +
+    neighbours Wp of lines ..hi-1 and the - neighbours Wm of lines lo..:
+    central where a line has both, one-sided on the grid's first line
+    (lo = 1) and last line (hi short of D)."""
+    D[lo:hi] = (Wp[lo:] - Wm[: hi - lo]) / (2.0 * h)
+    if lo:
+        D[0] = (Wp[0] - W[0]) / h
+    if hi < len(D):
+        D[-1] = (W[-1] - Wm[-1]) / h
+
+
+def _remainder_jet(params, tile, psi, cos_psi, out):
     """The remainder W = r (A_c t + A_s n) at phase angle psi and its
-    frozen-phase derivatives on rows start.. of the grid, written into
-    out's pos, dfx and dfy.
+    frozen-phase derivatives on a tile of the grid, written into out's pos,
+    dfx and dfy.
 
     One pass over the harmonics (_harmonic_sums) gives the centre's sums
     and those of its four neighbours at the centre's phase, so only the
-    slow fields are differenced; the +x and -x neighbours of the rows' ends
-    are the one-row halo, read from the step's whole-grid fields. Central
-    differences inside, one-sided on the grid's first and last rows and
-    columns. Each cut's sums are released once its remainder field is
-    built.
+    slow fields are differenced, both axes by one routine (_difference).
+    Neighbours outside the tile are its halo, read from the step's
+    whole-grid fields. Each cut's sums are released once its remainder
+    field is built.
     """
-    hx, hy = params.hx, params.hy
-    rows, nx = psi.shape[0], params.coeff.shape[1]
-    cuts = _cuts(start, rows, nx)
-    sums = _harmonic_sums(params.coeff, psi, cos_psi, start)
+    grid = params.f.grid
+    cuts = _cuts(tile, grid.shape)
+    sums = _harmonic_sums(params.coeff, psi, cos_psi, cuts)
 
-    def remainder(i, W):
+    def remainder(i):
         Ac, As = sums[i]
         sums[i] = None
+        W = out.pos if i == 0 else np.empty(Ac.shape + (3,))
         return _remainder_field(params, Ac, As, cuts[i][0], W)
 
-    W = remainder(0, out.pos)
-
-    lo, hi = _x_neighbours(start, rows, nx)
-    Wp, Wm = remainder(1, np.empty_like(W[:hi])), remainder(2, np.empty_like(W[lo:]))
-    Dx = out.dfx
-    Dx[lo:hi] = (Wp[lo:] - Wm[: hi - lo]) / (2.0 * hx)
-    if lo:
-        Dx[0] = (Wp[0] - W[0]) / hx
-    if hi < rows:
-        Dx[-1] = (W[-1] - Wm[-1]) / hx
-
-    Wp, Wm = remainder(3, np.empty_like(W[:, 1:])), remainder(4, np.empty_like(W[:, 1:]))
-    Dy = out.dfy
-    Dy[:, 1:-1] = (Wp[:, 1:] - Wm[:, :-1]) / (2.0 * hy)
-    Dy[:, 0] = (Wp[:, 0] - W[:, 0]) / hy
-    Dy[:, -1] = (W[:, -1] - Wm[:, -1]) / hy
+    W = remainder(0)
+    for axis, (D, h) in enumerate(((out.dfx, grid.hx), (out.dfy, grid.hy))):
+        Wp, Wm = remainder(2 * axis + 1), remainder(2 * axis + 2)
+        lo, hi = _neighbours(tile[axis], grid.shape[axis])
+        _difference(*(a.swapaxes(0, axis) for a in (D, W, Wp, Wm)), lo, hi, h)
 
 
 @dataclass
 class _JetRows:
-    """A jet's arrays on some rows. A Grid needs two rows, so a one-row tile
-    cannot be an EmbeddingJet; pullback_metric and c1_increments read only
-    these arrays."""
+    """A jet's arrays on some nodes. A Grid needs two lines on each axis, so
+    a tile or a boundary line cannot be an EmbeddingJet; pullback_metric and
+    c1_increments read only these arrays."""
 
     pos: np.ndarray
     dfx: np.ndarray
     dfy: np.ndarray
 
     @classmethod
-    def of(cls, jet, take):
-        return cls(take(jet.pos), take(jet.dfx), take(jet.dfy))
+    def of(cls, jet, index):
+        return cls(jet.pos[index], jet.dfx[index], jet.dfy[index])
 
 
-def _row_tiles(shape):
-    """Row ranges covering an (nx, ny) grid in order, as even as their count
-    allows, each of at most max(TILE_NODES // ny, 1) rows."""
-    nx, ny = shape
-    count = -(-nx // max(TILE_NODES // ny, 1))
-    edges = [nx * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+def _whole(shape):
+    """The region (rows, cols) that is a whole grid of this shape."""
+    return (slice(0, shape[0]), slice(0, shape[1]))
 
 
-def _metric_on(m, take):
-    """m with each component passed through take; None stays None."""
-    return None if m is None else MetricField(take(m.E), take(m.F), take(m.G))
+def _tiles(region):
+    """Tiles covering a region (rows, cols) of the grid in order: ranges of
+    its rows, as even as their count allows, each of at most
+    max(TILE_NODES // width, 1) rows, with all of its columns."""
+    rows, cols = region
+    height = rows.stop - rows.start
+    count = -(-height // max(TILE_NODES // (cols.stop - cols.start), 1))
+    edges = [rows.start + height * i // count for i in range(count + 1)]
+    return [(slice(a, b), cols) for a, b in zip(edges, edges[1:])]
 
 
-def _step_on(params, take, f):
-    """The step on some nodes: f as its jet, every other per-node field
-    passed through take(array, lead), lead counting the axes before the node
-    axes, and the step's scalars kept."""
+def _metric_on(m, index):
+    """m on the nodes of index; None stays None."""
+    return None if m is None else MetricField(m.E[index], m.F[index], m.G[index])
+
+
+def _tile_of(params, tile):
+    """The step on a tile (rows, cols) of the grid: f as a _JetRows, every
+    other per-node field as views of the tile's nodes, and the step's
+    scalars kept."""
     return replace(
         params,
-        f=f,
-        frame=FrameField(**{k: take(v) for k, v in vars(params.frame).items()}),
-        r=take(params.r),
-        alpha=take(params.alpha),
-        coeff=take(params.coeff, lead=1),
-        phase0=take(params.phase0),
-        mu=_metric_on(params.mu, take),
-        pullback=_metric_on(params.pullback, take),
-        envelope=take(params.envelope),
-        base=take(params.base),
+        f=_JetRows.of(params.f, tile),
+        frame=FrameField(**{k: v[tile] for k, v in vars(params.frame).items()}),
+        r=params.r[tile],
+        alpha=params.alpha[tile],
+        coeff=params.coeff[(_ALL,) + tile],
+        phase0=params.phase0[tile],
+        mu=_metric_on(params.mu, tile),
+        pullback=_metric_on(params.pullback, tile),
+        envelope=params.envelope[tile],
+        base=params.base[tile],
     )
-
-
-def _tile_of(params, rows):
-    """(take, tile) for a row range: take views those rows of a per-node
-    array, and tile is the step on them."""
-
-    def take(a, lead=0):
-        return a[(_ALL,) * lead + (rows,)]
-
-    return take, _step_on(params, take, _JetRows.of(params.f, take))
 
 
 def _phase(params, N):
@@ -536,19 +541,18 @@ def _phase(params, N):
 
 @dataclass
 class _Probe:
-    """The corrugated jet at one N and the quantities acceptance reads.
+    """The corrugated jet at one N on some regions of the grid (out: one
+    _JetRows per region, shaped like it) and the quantities acceptance reads.
 
     Each quantity is a max (defect, C0 shift) or a min (spacelike and
-    long-for-next eigenvalues) over the probed nodes; long_min is None when
-    no next metric was given. _probe fills out one row tile at a time, with
-    a one-row halo for the x-differences, from the prepared step, which
-    stays whole-grid (prepare_step says why). The loop angle and
-    differential are not kept: the audits make them again per row tile
-    from phase0 and N, bitwise the same at every node.
+    long-for-next eigenvalues) over the regions' nodes; long_min is None
+    when no next metric was given. The loop angle and differential are not
+    kept: the audits make them again per tile from phase0 and N, bitwise the
+    same at every node.
     """
 
     N: int
-    out: EmbeddingJet
+    out: list
     sup_default: float
     spacelike_min: float
     c0_shift: float
@@ -566,47 +570,47 @@ def _node_values(params, out, gF, norm_metric, next_metric):
     )
 
 
-def _probe_rows(params, N, rows, out, norm_metric, next_metric, where):
-    """Corrugate rows of the grid at N into out; the extremes of the
-    acceptance values over the nodes where where is true (+-inf if none)."""
-    take, tile = _tile_of(params, rows)
-    new = _JetRows.of(out, take)
-    psi, cos_psi = _phase(tile, N)
-    _remainder_jet(params, psi, cos_psi, rows.start, new)
-    Lx, Ly = _loop_differential(tile, tile.alpha * cos_psi)
+def _probe_tile(params, N, tile, new, norm_metric, next_metric):
+    """Corrugate a tile of the grid at N into new, the tile's output arrays;
+    the extremes of the acceptance values over its nodes."""
+    step = _tile_of(params, tile)
+    psi, cos_psi = _phase(step, N)
+    _remainder_jet(params, tile, psi, cos_psi, new)
+    Lx, Ly = _loop_differential(step, step.alpha * cos_psi)
     # in place, bitwise f + W / N and L + D / N: addition commutes exactly
-    for remainder, base in ((new.pos, tile.f.pos), (new.dfx, Lx), (new.dfy, Ly)):
+    for remainder, base in ((new.pos, step.f.pos), (new.dfx, Lx), (new.dfy, Ly)):
         remainder /= float(N)
         remainder += base
     gF = pullback_metric(new)
-    norm_rows, next_rows = _metric_on(norm_metric, take), _metric_on(next_metric, take)
-    defect, spacelike, c0, long = _node_values(tile, new, gF, norm_rows, next_rows)
-    return (
-        np.max(defect, initial=-np.inf, where=where),
-        np.min(spacelike, initial=np.inf, where=where),
-        np.max(c0, initial=-np.inf, where=where),
-        None if long is None else np.min(long, initial=np.inf, where=where),
-    )
+    norm_tile, next_tile = _metric_on(norm_metric, tile), _metric_on(next_metric, tile)
+    defect, spacelike, c0, long = _node_values(step, new, gF, norm_tile, next_tile)
+    return np.max(defect), np.min(spacelike), np.max(c0), None if long is None else np.min(long)
 
 
-def _probe(params, N, norm_metric, next_metric=None, mask=None):
-    """Corrugate at N; measure what acceptance reads over the nodes in mask (default all).
+def _probe(params, N, norm_metric, next_metric, regions):
+    """Corrugate at N on regions (rows, cols) of the grid; measure what
+    acceptance reads over their nodes.
 
-    One row tile at a time (_probe_rows) into an output jet allocated once;
-    the tiles' maxima and minima are reduced here, which is exact.
+    Each region runs one tile at a time (_probe_tile) into its own output
+    jet, allocated once and shaped like the region, so a boundary line
+    touches no whole-grid output; the tiles' maxima and minima are reduced
+    here, which is exact.
     """
     if N < 1:
         raise DomainError("corrugation number must be positive")
-    f = params.f
-    out = EmbeddingJet(f.grid, np.empty(f.pos.shape), np.empty(f.dfx.shape), np.empty(f.dfy.shape))
-    extremes = []
-    for rows in _row_tiles(f.grid.shape):
-        where = True if mask is None else mask[rows]
-        extremes.append(_probe_rows(params, N, rows, out, norm_metric, next_metric, where))
+    outs, extremes = [], []
+    for region in regions:
+        shape = tuple(lines.stop - lines.start for lines in region) + (3,)
+        out = _JetRows(np.empty(shape), np.empty(shape), np.empty(shape))
+        for tile in _tiles(region):
+            local = tuple(slice(t.start - r.start, t.stop - r.start) for t, r in zip(tile, region))
+            new = _JetRows.of(out, local)
+            extremes.append(_probe_tile(params, N, tile, new, norm_metric, next_metric))
+        outs.append(out)
     defect, spacelike, c0, long = zip(*extremes)
     return _Probe(
         N=N,
-        out=out,
+        out=outs,
         sup_default=float(np.max(defect)),
         spacelike_min=float(np.min(spacelike)),
         c0_shift=float(np.max(c0)),
@@ -634,45 +638,25 @@ def _failures(probe, epsilon, c0_budget):
     return failed
 
 
-def _boundary_blocks(params, norm_metric, next_metric):
-    """The step on each of the two boundary blocks, with its outer-line mask.
-
-    A block is the step on four lines: rows [0, 1, n-2, n-1] with every
-    column, then columns [0, 1, n-2, n-1] with every row, every per-node
-    field taken on those lines and the step's scalars kept. Blocks are
-    probed, never audited. The one-sided frozen-phase differences on a
-    block's two outer lines read exactly lines 1 and n-2, and every other
-    operation of a probe is per node, so on those lines a block probe
-    computes bitwise the values of the whole-grid probe (also when n < 4
-    and lines repeat).
-    """
-    f = params.f
-    outer = np.array([True, False, False, True])
-    blocks = []
-    for axis, n in enumerate(f.grid.shape):
-        lines = [0, 1, n - 2, n - 1]
-
-        def take(a, lead=0):
-            return np.take(a, lines, axis=axis + lead)
-
-        grid = Grid(4, f.grid.ny) if axis == 0 else Grid(f.grid.nx, 4)
-        block = _step_on(params, take, EmbeddingJet(grid, take(f.pos), take(f.dfx), take(f.dfy)))
-        mask = np.broadcast_to(outer[:, None] if axis == 0 else outer, grid.shape)
-        blocks.append((block, _metric_on(norm_metric, take), _metric_on(next_metric, take), mask))
-    return blocks
+def _rungs(shape):
+    """The regions N-selection probes in turn, one list per rung: the
+    grid's first and last rows, its first and last columns, then the whole
+    grid."""
+    rows, cols = _whole(shape)
+    nx, ny = shape
+    return [
+        [(slice(0, 1), cols), (slice(nx - 1, nx), cols)],
+        [(rows, slice(0, 1)), (rows, slice(ny - 1, ny))],
+        [(rows, cols)],
+    ]
 
 
 def _step_record(params, probe, norm_metric):
-    """Full record of a probe: C1 shifts and the step audits, each a max
-    over row tiles of the tiles' maxima."""
-    shifts = []
-    for rows in _row_tiles(params.f.grid.shape):
-        take, tile = _tile_of(params, rows)
-        new = _JetRows.of(probe.out, take)
-        identity = MetricField.identity(new.pos.shape[:2])
-        shifts.append(c1_increments(new, tile.f, (_metric_on(norm_metric, take), identity)))
-    c1_shift, c1_shift_euclid = map(float, np.max(shifts, axis=0))
-    return CorrugationStepRecord(
+    """The whole-grid jet of a probe and its full record: the C1 shifts and
+    the step audits (_step_audits)."""
+    (out,) = probe.out
+    (c1_shift, c1_shift_euclid), audits = _step_audits(params, probe, norm_metric)
+    record = CorrugationStepRecord(
         N=int(probe.N),
         alpha_max=params.alpha_max,
         orders=params.orders,
@@ -682,8 +666,9 @@ def _step_record(params, probe, norm_metric):
         c1_shift=c1_shift,
         c1_shift_euclid=c1_shift_euclid,
         spacelike_min=probe.spacelike_min,
-        audits=_step_audits(params, probe),
+        audits=audits,
     )
+    return EmbeddingJet(params.f.grid, out.pos, out.dfx, out.dfy), record
 
 
 def apply_corrugation(params, N, raise_on_loss=True):
@@ -692,12 +677,12 @@ def apply_corrugation(params, N, raise_on_loss=True):
     The defect and the C1 shift are measured against the step's own
     intermediate metric mu.
     """
-    probe = _probe(params, N, params.mu)
+    probe = _probe(params, N, params.mu, None, [_whole(params.f.grid.shape)])
     if raise_on_loss and probe.spacelike_min <= SPACELIKE_TOL:
         raise LostSpacelike(
             "corrugated jet min eigenvalue %.3e at N=%d" % (probe.spacelike_min, N)
         )
-    return probe.out, _step_record(params, probe, params.mu)
+    return _step_record(params, probe, params.mu)
 
 
 def _unit_defect(n):
@@ -749,34 +734,39 @@ def _increment_margin(params, new, Lx, Ly):
     return float(np.max(lhs - params.envelope - slack))
 
 
-def _tile_audits(params, probe, rows, spacelike):
-    """The step audits that vary by node, each its max over rows. Each
-    group of audits runs in its own function, so its temporaries are freed
-    before the next group allocates."""
-    take, tile = _tile_of(params, rows)
-    new = _JetRows.of(probe.out, take)
-    theta = tile.alpha * _phase(tile, probe.N)[1]
-    Lx, Ly = _loop_differential(tile, theta)
-    mu = tile.mu
+def _tile_audits(params, probe, tile, norm_metric, spacelike):
+    """The C1 shifts and the step audits that vary by node, each its max over
+    a tile of the whole-grid probe. Each group of audits runs in its own
+    function, so its temporaries are freed before the next group
+    allocates."""
+    step = _tile_of(params, tile)
+    new = _JetRows.of(probe.out[0], tile)
+    identity = MetricField.identity(new.pos.shape[:2])
+    c1, c1_euclid = c1_increments(new, step.f, (_metric_on(norm_metric, tile), identity))
+    theta = step.alpha * _phase(step, probe.N)[1]
+    Lx, Ly = _loop_differential(step, theta)
+    mu = step.mu
     identity_max = max(
         np.max(np.abs(minkowski_inner(Lx, Lx) - mu.E)),
         np.max(np.abs(minkowski_inner(Lx, Ly) - mu.F)),
         np.max(np.abs(minkowski_inner(Ly, Ly) - mu.G)),
     )
-    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(tile.frame, theta, new, Lx, Ly)
+    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(step.frame, theta, new, Lx, Ly)
     # Growth bound: K controls the new differential and normal against the
     # old ones in the pullback operator norm.
-    K = tile.growth_constant
+    K = step.growth_constant
     # A candidate rejected for losing spacelikeness has no unit normal;
     # mark the actual-normal audits infinite instead of failing the probe.
     if spacelike:
         unit_actual, ortho_actual, normal_norm = _actual_normal_audits(new)
-        normal_growth_margin = np.max(normal_norm - K * tile.base)
+        normal_growth_margin = np.max(normal_norm - K * step.base)
     else:
         unit_actual = ortho_actual = normal_growth_margin = float("inf")
-    increment_margin = _increment_margin(tile, new, Lx, Ly)
-    new_norm = operator_norm_map(new.dfx, new.dfy, tile.pullback)
+    increment_margin = _increment_margin(step, new, Lx, Ly)
+    new_norm = operator_norm_map(new.dfx, new.dfy, step.pullback)
     return {
+        "c1_shift": c1,
+        "c1_shift_euclid": c1_euclid,
         "identity_max": identity_max,
         "normal_unit_predicted": unit_pred,
         "normal_ortho_predicted": ortho_pred,
@@ -784,24 +774,26 @@ def _tile_audits(params, probe, rows, spacelike):
         "normal_unit_actual": unit_actual,
         "normal_ortho_actual": ortho_actual,
         "increment_margin": increment_margin,
-        "growth_margin": np.max(new_norm - K * tile.base),
+        "growth_margin": np.max(new_norm - K * step.base),
         "normal_growth_margin": normal_growth_margin,
     }
 
 
-def _step_audits(params, probe):
-    """Exact-identity, bound and normal audits for one step: the maxima of
-    the row tiles (_tile_audits) reduced across tiles, and the step's
-    N-independent terms."""
+def _step_audits(params, probe, norm_metric):
+    """The C1 shifts (against norm_metric, then Euclidean) and the
+    exact-identity, bound and normal audits of a whole-grid probe: the
+    maxima of its tiles (_tile_audits, one pass over the tiles) reduced
+    across tiles, and the step's N-independent terms."""
     spacelike = probe.spacelike_min > SPACELIKE_TOL
     tiles = [
-        _tile_audits(params, probe, rows, spacelike) for rows in _row_tiles(params.f.grid.shape)
+        _tile_audits(params, probe, tile, norm_metric, spacelike)
+        for tile in _tiles(_whole(params.f.grid.shape))
     ]
 
     def peak(name):
         return float(np.max([t[name] for t in tiles]))
 
-    return {
+    return (peak("c1_shift"), peak("c1_shift_euclid")), {
         "identity_max": peak("identity_max"),
         "average_max": params.average_max,
         "normal_unit_predicted": peak("normal_unit_predicted"),
@@ -836,36 +828,36 @@ def select_corrugation_number(
     BudgetExceeded past LADDER_CAP, naming the form, epsilon and the tests
     the last rung failed with their measured values.
 
-    Each N is probed on three rungs in turn, and the first that fails
-    rejects it: the row block and the column block of the grid's four
-    boundary lines (_boundary_blocks), which cost a few percent of a
-    whole-grid probe, then the whole grid. Every acceptance quantity is a
-    max or a min over nodes and a block reproduces the whole-grid values on
-    its outer lines bitwise, so a block violation proves that the whole grid
-    fails: the blocks can only reject an N the whole-grid probe would
-    reject, and the chosen N is the one the whole-grid probe alone chooses.
+    Each N is probed on three rungs in turn (_rungs), and the first that
+    fails rejects it: the grid's first and last rows, its first and last
+    columns, which cost a few percent of a whole-grid probe, then the whole
+    grid. A boundary line is a region of tiles like the whole grid's, whose
+    halo reads its inner neighbour line, so it gets bitwise the whole-grid
+    probe's values. Every acceptance quantity is a max or a min over nodes,
+    so a violation on the lines proves that the whole grid fails: the
+    lines can only reject an N the whole-grid probe would reject, and the
+    chosen N is the one the whole-grid probe alone chooses.
     Only the accepted N is audited; the record equals the one
     apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
     if norm_metric is None:
         norm_metric = params.mu
-    rungs = _boundary_blocks(params, norm_metric, next_metric)
-    rungs.append((params, norm_metric, next_metric, None))
+    rungs = _rungs(f.grid.shape)
     N = LADDER_START
     while N <= LADDER_CAP:
-        for rung, rung_norm, rung_next, mask in rungs:
+        for regions in rungs:
             # drop the previous rung's probe before this one allocates: held
             # through it, its arrays raised the canonical run's peak RSS by ~1%
             probe = None
-            probe = _probe(rung, N, rung_norm, rung_next, mask)
+            probe = _probe(params, N, norm_metric, next_metric, regions)
             failed = _failures(probe, epsilon, c0_budget)
             if failed:
                 break
         else:
-            return probe.out, _step_record(params, probe, norm_metric)
+            return _step_record(params, probe, norm_metric)
         N *= 2
-    where = "whole grid" if mask is None else "boundary lines"
+    where = "whole grid" if regions is rungs[-1] else "boundary lines"
     raise BudgetExceeded(
         "no corrugation number up to %d met the bounds for form (%.3g, %.3g) at per-step"
         " budget %.6e; N=%d fails on the %s: %s"

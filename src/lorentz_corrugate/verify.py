@@ -62,9 +62,9 @@ class CheckResult:
 
 
 class Inputs:
-    """The grids, the strip step records and the staged run a level feeds the claims.
+    """The grids, the strip steps and records and the staged run a level feeds the claims.
 
-    The records and the staged run are built on first use, so their wall
+    The steps, records and staged run are built on first use, so their wall
     time counts toward the first claim that reads them (average-condition
     and staged-run-audits).
     """
@@ -82,11 +82,14 @@ class Inputs:
         return run_nash_kuiper(f0, g, stages=self.run_stages, eps=0.05)[1]
 
     @cached_property
+    def strip_steps(self):
+        """The prepared strip step at each grid, by grid size."""
+        return {n: cor.prepare_step(*_strip_setup(n)) for n in self.grids}
+
+    @cached_property
     def strip_records(self):
         """The N=40 strip step's record at each grid, shared by two claims."""
-        return [
-            cor.apply_corrugation(cor.prepare_step(*_strip_setup(n)), 40)[1] for n in self.grids
-        ]
+        return [cor.apply_corrugation(self.strip_steps[n], 40)[1] for n in self.grids]
 
 
 def _perturbed_jet(grid, rng):
@@ -297,7 +300,7 @@ def _check_average(n, inputs):
 
 
 def _check_identity(n, inputs):
-    params = cor.prepare_step(*_strip_setup(65))
+    params = inputs.strip_steps[65]
     worst = max(cor.apply_corrugation(params, N)[1].audits["identity_max"] for N in (12, 64))
     return CheckResult(n, worst <= 1e-9, worst, 1e-9, note="target differential pullback, N=12,64")
 
@@ -309,7 +312,8 @@ def _check_series_vs_quadrature(n, inputs):
         coeff = cor.bessel_table(np.full((1, 1), alpha), cor.series_orders(alpha))
         for x in (0.3, 0.7, 1.9):
             psi = 2.0 * np.pi * np.full((1, 1), x - np.floor(x))
-            Ac, As = cor._harmonic_sums(coeff, psi, np.cos(psi), 0)[0]
+            cuts = cor._cuts((slice(0, 1), slice(0, 1)), (1, 1))
+            Ac, As = cor._harmonic_sums(coeff, psi, np.cos(psi), cuts)[0]
             qc, qs = cor.remainder_quadrature(alpha, x, samples_per_period=4096)
             worst = max(worst, abs(float(Ac[0, 0]) - qc), abs(float(As[0, 0]) - qs))
     return CheckResult(n, worst <= 1e-6, worst, 1e-6, note="harmonic sums vs trapezoid")
@@ -391,7 +395,7 @@ def _check_normal_step(n, inputs):
 
 
 def _check_decay(n, inputs):
-    params = cor.prepare_step(*_strip_setup(257))
+    params = inputs.strip_steps[257]
     errs = {}
     for N in (20, 40, 80, 160):
         _, rec = cor.apply_corrugation(params, N)

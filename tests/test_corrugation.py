@@ -5,7 +5,6 @@ Library Bessel/quadrature/root-finding routines serve as independent
 oracles for the hand-rolled series and solvers.
 """
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -378,7 +377,8 @@ def test_harmonic_sums_equal_remainder_series_per_cut(shape, N):
     x = LinearForm(0.6, -0.8).phase(X, Y) * float(N)
     xhat = x - np.floor(x)
     psi = 2.0 * np.pi * xhat
-    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi), 0)
+    cuts = corrugation._cuts(corrugation._whole(shape), shape)
+    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi), cuts)
     sines = sin_table(xhat, orders)
     every, head, tail = slice(None), slice(None, -1), slice(1, None)
     cuts = [
@@ -402,7 +402,7 @@ def _probe_peak(eta):
     norm = MetricField.identity(grid.shape)
     tracemalloc.start()
     try:
-        corrugation._probe(params, 64, norm)
+        corrugation._probe(params, 64, norm, None, [corrugation._whole(grid.shape)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -681,36 +681,6 @@ def test_step_makes_two_pullbacks(monkeypatch):
     assert np.array_equal(calls[1].pos, out.pos)
 
 
-@pytest.mark.parametrize("shape", [(33, 40), (3, 5)])
-def test_boundary_block_is_the_step_on_four_lines(shape):
-    """Every per-node field of a block has the block's node shape; the
-    coefficient table keeps its order axis in front."""
-    grid = Grid(*shape)
-    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
-    per_node = {"f", "frame", "r", "alpha", "coeff", "phase0", "mu", "pullback", "envelope", "base"}
-    for axis, (block, *_) in enumerate(corrugation._boundary_blocks(params, params.mu, None)):
-        nodes = (4, shape[1]) if axis == 0 else (shape[0], 4)
-        assert block.f.grid.shape == nodes
-        checked = set()
-        for fld in dataclasses.fields(block):
-            value = getattr(block, fld.name)
-            if isinstance(value, fields.EmbeddingJet):
-                arrays = [value.pos, value.dfx, value.dfy]
-            elif isinstance(value, fields.FrameField):
-                arrays = list(vars(value).values())
-            elif isinstance(value, MetricField):
-                arrays = [value.E, value.F, value.G]
-            elif isinstance(value, np.ndarray):
-                arrays = [value[0] if fld.name == "coeff" else value]
-            else:
-                continue
-            checked.add(fld.name)
-            for a in arrays:
-                assert a.shape[:2] == nodes, fld.name
-        assert checked == per_node
-        assert block.coeff.shape == (params.orders + 1,) + nodes
-
-
 # --- boundary screen of N-selection ---
 
 
@@ -723,31 +693,39 @@ def test_boundary_block_is_the_step_on_four_lines(shape):
         ((3, 5), LinearForm(0.6, -0.8)),
     ],
 )
-def test_boundary_screen_values_equal_whole_grid(shape, ell):
-    """On the outer lines of both blocks the per-node acceptance values are
-    the whole-grid probe's, bitwise; lines repeat on the 2x2 and 3x5 grids."""
+def test_boundary_screen_values_equal_whole_grid(monkeypatch, shape, ell):
+    """On each of the four boundary line regions the screen's jet is the
+    whole-grid probe's, bitwise, and each rung reduces its acceptance values
+    over exactly its two lines; the lines are neighbours on the 2x2 grid.
+    With 5-node tiles a 33-node column region spans seven tiles."""
     grid = Grid(*shape)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), ell)
     norm = MetricField.identity(shape)
     nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
-    blocks = corrugation._boundary_blocks(params, norm, nxt)
-    for N in (1, 16, 48, 1024, 2**20):
-        whole = corrugation._probe(params, N, norm, nxt)
-        want = corrugation._node_values(params, whole.out, pullback_metric(whole.out), norm, nxt)
-        for axis, (block, block_norm, block_next, mask) in enumerate(blocks):
-            probe = corrugation._probe(block, N, block_norm, block_next, mask)
-            got = corrugation._node_values(
-                block, probe.out, pullback_metric(probe.out), block_norm, block_next
-            )
-            n = shape[axis]
-            for g, w in zip(got, want):
-                assert np.array_equal(np.take(g, [0, 3], axis), np.take(w, [0, n - 1], axis))
-            # the block probe reduces over exactly those lines
-            outer = [np.take(w, [0, n - 1], axis) for w in want]
-            assert probe.sup_default == np.max(outer[0])
-            assert probe.spacelike_min == np.min(outer[1])
-            assert probe.c0_shift == np.max(outer[2])
-            assert probe.long_min == np.min(outer[3])
+    nx, ny = shape
+    rows, cols = slice(0, nx), slice(0, ny)
+    screen = [
+        [(slice(0, 1), cols), (slice(nx - 1, nx), cols)],
+        [(rows, slice(0, 1)), (rows, slice(ny - 1, ny))],
+    ]
+    assert corrugation._rungs(shape) == screen + [[(rows, cols)]]
+    for tile_nodes in (corrugation.TILE_NODES, 5):
+        monkeypatch.setattr(corrugation, "TILE_NODES", tile_nodes)
+        assert len(corrugation._tiles(screen[1][0])) == -(-nx // tile_nodes)
+        for N in (1, 16, 48, 1024, 2**20):
+            whole = corrugation._probe(params, N, norm, nxt, [(rows, cols)])
+            (jet,) = whole.out
+            want = corrugation._node_values(params, jet, pullback_metric(jet), norm, nxt)
+            for regions in screen:
+                probe = corrugation._probe(params, N, norm, nxt, regions)
+                for region, out in zip(regions, probe.out, strict=True):
+                    for name in ("pos", "dfx", "dfy"):
+                        assert np.array_equal(getattr(out, name), getattr(jet, name)[region])
+                lines = [np.concatenate([w[region].ravel() for region in regions]) for w in want]
+                assert probe.sup_default == np.max(lines[0])
+                assert probe.spacelike_min == np.min(lines[1])
+                assert probe.c0_shift == np.max(lines[2])
+                assert probe.long_min == np.min(lines[3])
 
 
 def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None):
@@ -755,26 +733,26 @@ def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None):
     params = prepare_step(f, eta, ell)
     N = corrugation.LADDER_START
     while N <= corrugation.LADDER_CAP:
-        probe = corrugation._probe(params, N, params.mu)
+        probe = corrugation._probe(params, N, params.mu, None, [corrugation._whole(f.grid.shape)])
         ok = probe.sup_default <= epsilon and probe.spacelike_min > corrugation.SPACELIKE_TOL
         if ok and c0_budget is not None:
             ok = probe.c0_shift <= c0_budget
         if ok and next_metric is not None:
-            ok = (pullback_metric(probe.out) - next_metric).min_eigenvalue() >= -1e-12
+            ok = (pullback_metric(probe.out[0]) - next_metric).min_eigenvalue() >= -1e-12
         if ok:
-            return probe.out, corrugation._step_record(params, probe, params.mu)
+            return corrugation._step_record(params, probe, params.mu)
         N *= 2
     raise BudgetExceeded("reference ladder exhausted")
 
 
 def _count_whole_grid_probes(monkeypatch, shape):
-    """Record, per _probe call, whether it probed the whole grid of this shape."""
+    """Record, per _probe call, whether its one region is the whole grid of this shape."""
     calls = []
     original = corrugation._probe
 
-    def counted(params, *args):
-        calls.append(params.f.grid.shape == shape)
-        return original(params, *args)
+    def counted(params, N, norm, nxt, regions):
+        calls.append(regions == [(slice(0, shape[0]), slice(0, shape[1]))])
+        return original(params, N, norm, nxt, regions)
 
     monkeypatch.setattr(corrugation, "_probe", counted)
     return calls
@@ -820,26 +798,32 @@ def test_select_probes_whole_grid_once_per_step(monkeypatch):
 @pytest.mark.parametrize(
     "ell, epsilon, zero_rows, rejecting",
     [
-        (LinearForm(1.0, 0.3), 1e-3, False, {(4, 40)}),
-        # eta vanishes on the row block's lines, so only the other rungs can reject
-        (LinearForm(0.3, 1.0), 1e-2, True, {(33, 4), (33, 40)}),
+        (LinearForm(1.0, 0.3), 1e-3, False, {"rows"}),
+        # eta vanishes on the first and last two rows, so only the other rungs can reject
+        (LinearForm(0.3, 1.0), 1e-2, True, {"columns", "whole"}),
     ],
 )
 def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, rejecting):
-    """Per N: the row block, then the column block only if the row block
-    passed, then the whole grid only if both passed; the first failing
-    probe rejects N and the accepted N passed all three."""
+    """Per N: the first and last rows, then the first and last columns only
+    if the rows passed, then the whole grid only if both passed; the first
+    failing probe rejects N and the accepted N passed all three."""
     grid = Grid(33, 40)
     eta = strip_eta_field(grid)
     if zero_rows:
         eta[:2] = eta[-2:] = 0.0
+    rows, cols = slice(0, 33), slice(0, 40)
+    named = {
+        "rows": [(slice(0, 1), cols), (slice(32, 33), cols)],
+        "columns": [(rows, slice(0, 1)), (rows, slice(39, 40))],
+        "whole": [(rows, cols)],
+    }
     calls = []
     original = corrugation._probe
 
-    def recorded(params, N, *args):
-        probe = original(params, N, *args)
+    def recorded(params, N, norm, nxt, regions):
+        probe = original(params, N, norm, nxt, regions)
         failed = bool(corrugation._failures(probe, epsilon, None))
-        calls.append((N, params.f.grid.shape, failed))
+        calls.append((N, next(k for k, v in named.items() if v == regions), failed))
         return probe
 
     monkeypatch.setattr(corrugation, "_probe", recorded)
@@ -849,7 +833,7 @@ def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, reje
     ladder = sorted(set(Ns))
     assert ladder == [corrugation.LADDER_START * 2**i for i in range(len(ladder))]
     assert ladder[-1] == rec.N
-    rungs = [(4, 40), (33, 4), (33, 40)]
+    rungs = ["rows", "columns", "whole"]
     rejected = set()
     for N in ladder:
         shapes = [shape for n, shape, _ in calls if n == N]
@@ -863,13 +847,15 @@ def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, reje
     assert rejected == rejecting
 
 
-# --- row tiles ---
+# --- tiles ---
 
 
-def _probe_and_record(params, N, norm, nxt, mask):
-    probe = corrugation._probe(params, N, norm, nxt, mask)
+def _probe_and_record(params, N, norm, nxt, regions):
+    """A probe's jets and acceptance values, and the step record of a whole-grid probe."""
+    probe = corrugation._probe(params, N, norm, nxt, regions)
     values = (probe.sup_default, probe.spacelike_min, probe.c0_shift, probe.long_min)
-    return (probe.out, corrugation._step_record(params, probe, norm)), values
+    whole = regions == [corrugation._whole(params.f.grid.shape)]
+    return probe.out, values, corrugation._step_record(params, probe, norm) if whole else None
 
 
 @pytest.mark.parametrize(
@@ -884,30 +870,32 @@ def _probe_and_record(params, N, norm, nxt, mask):
     ],
 )
 def test_row_tiles_change_no_bit(monkeypatch, shape, tile_rows):
-    """Probe and step record in row tiles equal, bitwise, the one-tile run:
-    the jet, the four acceptance values, both C1 shifts and every audit,
-    with and without a mask and a next metric, on the whole grid and on
-    both boundary blocks."""
+    """Probe and step record in tiles equal, bitwise, the one-tile run: the
+    jets, the four acceptance values, both C1 shifts and every audit, with
+    and without a next metric, on the whole grid and on the screen's line
+    regions (a column region spans several tiles when its height exceeds
+    tile_rows x ny)."""
     grid = Grid(*shape)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     norm = MetricField.identity(shape)
     nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
-    X, Y = grid.mesh()
-    # no node of the last rows is in the mask, so whole tiles reduce over nothing
-    corner = X + Y < 0.7
-    cases = [(params, params.mu, nxt, corner)]
-    cases += corrugation._boundary_blocks(params, norm, nxt)
+    cases = [(params.mu, [corrugation._whole(shape)])]
+    cases += [(norm, rung) for rung in corrugation._rungs(shape)[:2]]
     nx = shape[0]
     for N in (1, 48, 2**20):
-        for step, step_norm, step_next, step_mask in cases:
-            for next_metric, mask in itertools.product((None, step_next), (None, step_mask)):
+        for step_norm, regions in cases:
+            for next_metric in (None, nxt):
                 monkeypatch.setattr(corrugation, "TILE_NODES", 2**62)
-                want = _probe_and_record(step, N, step_norm, next_metric, mask)
+                want = _probe_and_record(params, N, step_norm, next_metric, regions)
                 monkeypatch.setattr(corrugation, "TILE_NODES", tile_rows * shape[1])
-                got = _probe_and_record(step, N, step_norm, next_metric, mask)
-                _assert_same_step(got[0], want[0])
+                got = _probe_and_record(params, N, step_norm, next_metric, regions)
+                for out, ref in zip(got[0], want[0], strict=True):
+                    for name in ("pos", "dfx", "dfy"):
+                        assert np.array_equal(getattr(out, name), getattr(ref, name))
                 assert got[1] == want[1]
-    tiles = corrugation._row_tiles(shape)
+                if want[2] is not None:
+                    _assert_same_step(got[2], want[2])
+    tiles = [rows for rows, cols in corrugation._tiles(corrugation._whole(shape))]
     assert len(tiles) == -(-nx // tile_rows)
     assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
     assert tiles[0].start == 0 and tiles[-1].stop == nx
@@ -921,7 +909,7 @@ def _probe_and_record_peak(monkeypatch, tile_nodes):
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     tracemalloc.start()
     try:
-        probe = corrugation._probe(params, 64, params.mu)
+        probe = corrugation._probe(params, 64, params.mu, None, [corrugation._whole(grid.shape)])
         corrugation._step_record(params, probe, params.mu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -937,6 +925,29 @@ def test_row_tiles_bound_probe_and_record_peak(monkeypatch):
     one_tile = _probe_and_record_peak(monkeypatch, 2**62)
     tiled = _probe_and_record_peak(monkeypatch, 8 * 129)
     assert tiled - jet < 0.25 * (one_tile - jet)
+
+
+def _probe_peak_on(params, regions):
+    """Peak bytes allocated by one probe of the regions at N = 64."""
+    tracemalloc.start()
+    try:
+        corrugation._probe(params, 64, params.mu, None, regions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_screen_rungs_allocate_a_fraction_of_a_whole_grid_probe():
+    """At 129x129 the row rung and the column rung each allocate under 1/8
+    of a whole-grid probe: a line region's tiles write into outputs shaped
+    like the region, not into a whole-grid jet."""
+    grid = Grid(129, 129)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    rows, columns, whole = corrugation._rungs(grid.shape)
+    whole_peak = _probe_peak_on(params, whole)
+    for rung in (rows, columns):
+        assert _probe_peak_on(params, rung) < whole_peak / 8
 
 
 def test_select_budget_exhaustion(monkeypatch):
