@@ -39,9 +39,10 @@ frozen-phase differences, writes its nodes of an output jet, and reduces
 its maxima and minima, which are then reduced across tiles. Every
 operation is per node except those differences, so each node gets bitwise
 the value the whole grid would give it, and the whole grid is the
-one-tile case. A probe runs on regions of the grid, each cut into tiles by
-one rule: the whole grid, or the boundary lines that N-selection screens
-first. The prepared step stays whole-grid (see prepare_step).
+one-tile case. A probe runs on one region of the grid, cut into tiles by
+one rule: the whole grid, whose probe measures the step audits in the
+same walk, or a pair of boundary lines (one stepped slice) that
+N-selection screens first. The prepared step stays whole-grid.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import ALPHA_CAP, growth_constant, increment_constant, phi, phi_prime
-from .errors import BudgetExceeded, DomainError, LostSpacelike, NotRiemannian
+from .errors import BudgetExceeded, DegeneratePlane, DomainError, LostSpacelike, NotRiemannian
 from .fields import (
     LONG_TOL,
     EmbeddingJet,
@@ -75,8 +76,8 @@ SERIES_TOL = 1e-18
 LADDER_START = 16
 LADDER_CAP = 2**20
 # Probes and audits run in tiles of at most this many nodes (at least one row
-# of the region): a boundary line of 257 nodes is one tile, a 257 x 257 grid
-# nine.
+# of the region): a pair of 257-node boundary lines is one tile, a 257 x 257
+# grid nine.
 TILE_NODES = 2**13
 
 
@@ -241,24 +242,30 @@ _ALL = slice(None)
 
 
 def _neighbours(lines, n):
-    """(lo, hi) for a range of lines of an n-line axis: the range's local
+    """(lo, hi) for the lines (a slice) of an n-line axis: their local
     indices lo.. have a - neighbour, those ..hi-1 a + neighbour."""
-    return max(lines.start, 1) - lines.start, min(lines.stop, n - 1) - lines.start
+    lines = range(n)[lines]
+    return int(0 in lines), len(lines) - int(n - 1 in lines)
+
+
+def _slice(lines, shift=0):
+    """The lines (a range) moved by shift, as a slice."""
+    return slice(lines.start + shift, lines.stop + shift, lines.step)
 
 
 def _cuts(tile, shape):
     """(coefficient cut, sine cut) of the centre and of its +x, -x, +y and -y
     neighbours on a tile (rows, cols) of a grid of this shape: a neighbour's
     coefficients read at the centre node's phase. Coefficient cuts index the
-    whole grid, sine cuts the tile. Both axes follow one rule: a neighbour's
-    cut covers the tile's lines that have that neighbour, so the tile's halo
-    is the one line on each side that lies inside the grid."""
+    whole grid, sine cuts the tile. Both axes follow one rule on the lines
+    a slice selects (range(n)[slice]), stepped or not: a neighbour's cut
+    covers the tile's lines that have that neighbour inside the grid."""
     cuts = [(tile, (_ALL, _ALL))]
-    for axis, (lines, n) in enumerate(zip(tile, shape)):
-        a, b = lines.start, lines.stop
-        lo, hi = _neighbours(lines, n)
-        plus = (slice(a + 1, a + hi + 1), slice(0, hi))
-        minus = (slice(a + lo - 1, b - 1), slice(lo, b - a))
+    for axis, n in enumerate(shape):
+        lines = range(n)[tile[axis]]
+        lo, hi = _neighbours(tile[axis], n)
+        plus = (_slice(lines[:hi], 1), slice(0, hi))
+        minus = (_slice(lines[lo:], -1), slice(lo, len(lines)))
         for cut in (plus, minus):
             ccut, scut = list(tile), [_ALL, _ALL]
             ccut[axis], scut[axis] = cut
@@ -495,15 +502,15 @@ def _whole(shape):
     return (slice(0, shape[0]), slice(0, shape[1]))
 
 
-def _tiles(region):
-    """Tiles covering a region (rows, cols) of the grid in order: ranges of
-    its rows, as even as their count allows, each of at most
+def _tiles(region, shape):
+    """Tiles covering a region (rows, cols) of a grid of this shape in order,
+    each with its rows in an output shaped like the region: runs of the
+    region's rows, as even as their count allows, each of at most
     max(TILE_NODES // width, 1) rows, with all of its columns."""
-    rows, cols = region
-    height = rows.stop - rows.start
-    count = -(-height // max(TILE_NODES // (cols.stop - cols.start), 1))
-    edges = [rows.start + height * i // count for i in range(count + 1)]
-    return [(slice(a, b), cols) for a, b in zip(edges, edges[1:])]
+    rows, cols = (range(n)[lines] for lines, n in zip(region, shape))
+    count = -(-len(rows) // max(TILE_NODES // len(cols), 1))
+    edges = [len(rows) * i // count for i in range(count + 1)]
+    return [((_slice(rows[a:b]), region[1]), slice(a, b)) for a, b in zip(edges, edges[1:])]
 
 
 def _metric_on(m, index):
@@ -541,22 +548,22 @@ def _phase(params, N):
 
 @dataclass
 class _Probe:
-    """The corrugated jet at one N on some regions of the grid (out: one
-    _JetRows per region, shaped like it) and the quantities acceptance reads.
+    """The corrugated jet at one N on a region of the grid (out, shaped like
+    the region) and the quantities acceptance reads.
 
     Each quantity is a max (defect, C0 shift) or a min (spacelike and
-    long-for-next eigenvalues) over the regions' nodes; long_min is None
-    when no next metric was given. The loop angle and differential are not
-    kept: the audits make them again per tile from phase0 and N, bitwise the
-    same at every node.
+    long-for-next eigenvalues) over the region's nodes; long_min is None
+    when no next metric was given. audits holds each tile's step audits
+    (_tile_audits) on the whole grid, and None per tile elsewhere.
     """
 
     N: int
-    out: list
+    out: _JetRows
     sup_default: float
     spacelike_min: float
     c0_shift: float
     long_min: float | None
+    audits: tuple
 
 
 def _node_values(params, out, gF, norm_metric, next_metric):
@@ -570,13 +577,15 @@ def _node_values(params, out, gF, norm_metric, next_metric):
     )
 
 
-def _probe_tile(params, N, tile, new, norm_metric, next_metric):
+def _probe_tile(params, N, tile, new, norm_metric, next_metric, audited):
     """Corrugate a tile of the grid at N into new, the tile's output arrays;
-    the extremes of the acceptance values over its nodes."""
+    the extremes of the acceptance values over its nodes and, when audited,
+    the tile's step audits from the loop angle and differential made here."""
     step = _tile_of(params, tile)
     psi, cos_psi = _phase(step, N)
     _remainder_jet(params, tile, psi, cos_psi, new)
-    Lx, Ly = _loop_differential(step, step.alpha * cos_psi)
+    theta = step.alpha * cos_psi
+    Lx, Ly = _loop_differential(step, theta)
     # in place, bitwise f + W / N and L + D / N: addition commutes exactly
     for remainder, base in ((new.pos, step.f.pos), (new.dfx, Lx), (new.dfy, Ly)):
         remainder /= float(N)
@@ -584,37 +593,39 @@ def _probe_tile(params, N, tile, new, norm_metric, next_metric):
     gF = pullback_metric(new)
     norm_tile, next_tile = _metric_on(norm_metric, tile), _metric_on(next_metric, tile)
     defect, spacelike, c0, long = _node_values(step, new, gF, norm_tile, next_tile)
-    return np.max(defect), np.min(spacelike), np.max(c0), None if long is None else np.min(long)
+    extremes = np.max(defect), np.min(spacelike), np.max(c0), None if long is None else np.min(long)
+    return *extremes, _tile_audits(step, new, norm_tile, theta, Lx, Ly) if audited else None
 
 
-def _probe(params, N, norm_metric, next_metric, regions):
-    """Corrugate at N on regions (rows, cols) of the grid; measure what
-    acceptance reads over their nodes.
+def _probe(params, N, norm_metric, next_metric, region):
+    """Corrugate at N on a region (rows, cols) of the grid; measure what
+    acceptance reads over its nodes.
 
-    Each region runs one tile at a time (_probe_tile) into its own output
-    jet, allocated once and shaped like the region, so a boundary line
+    The region runs one tile at a time (_probe_tile) into one output jet,
+    allocated once and shaped like the region, so a boundary line pair
     touches no whole-grid output; the tiles' maxima and minima are reduced
-    here, which is exact.
+    here, which is exact. A whole-grid probe measures its step audits in
+    the same walk.
     """
     if N < 1:
         raise DomainError("corrugation number must be positive")
-    outs, extremes = [], []
-    for region in regions:
-        shape = tuple(lines.stop - lines.start for lines in region) + (3,)
-        out = _JetRows(np.empty(shape), np.empty(shape), np.empty(shape))
-        for tile in _tiles(region):
-            local = tuple(slice(t.start - r.start, t.stop - r.start) for t, r in zip(tile, region))
-            new = _JetRows.of(out, local)
-            extremes.append(_probe_tile(params, N, tile, new, norm_metric, next_metric))
-        outs.append(out)
-    defect, spacelike, c0, long = zip(*extremes)
+    shape = params.f.grid.shape
+    out = _JetRows(*(np.empty(params.f.pos[region].shape) for _ in range(3)))
+    audited = region == _whole(shape)
+    defect, spacelike, c0, long, audits = zip(
+        *(
+            _probe_tile(params, N, tile, _JetRows.of(out, rows), norm_metric, next_metric, audited)
+            for tile, rows in _tiles(region, shape)
+        )
+    )
     return _Probe(
         N=N,
-        out=outs,
+        out=out,
         sup_default=float(np.max(defect)),
         spacelike_min=float(np.min(spacelike)),
         c0_shift=float(np.max(c0)),
         long_min=None if next_metric is None else float(np.min(long)),
+        audits=audits,
     )
 
 
@@ -639,23 +650,31 @@ def _failures(probe, epsilon, c0_budget):
 
 
 def _rungs(shape):
-    """The regions N-selection probes in turn, one list per rung: the
-    grid's first and last rows, its first and last columns, then the whole
-    grid."""
-    rows, cols = _whole(shape)
+    """The regions N-selection probes in turn, one per rung: the grid's
+    first and last rows, its first and last columns (each pair one stepped
+    region), then the whole grid."""
     nx, ny = shape
-    return [
-        [(slice(0, 1), cols), (slice(nx - 1, nx), cols)],
-        [(rows, slice(0, 1)), (rows, slice(ny - 1, ny))],
-        [(rows, cols)],
-    ]
+    rows, cols = _whole(shape)
+    return [(slice(0, nx, nx - 1), cols), (rows, slice(0, ny, ny - 1)), (rows, cols)]
 
 
-def _step_record(params, probe, norm_metric):
-    """The whole-grid jet of a probe and its full record: the C1 shifts and
-    the step audits (_step_audits)."""
-    (out,) = probe.out
-    (c1_shift, c1_shift_euclid), audits = _step_audits(params, probe, norm_metric)
+def _step_record(params, probe):
+    """The jet of a whole-grid probe and its record: the maxima of its tiles'
+    C1 shifts and audits, and the step's N-independent terms. A probe that
+    is not spacelike somewhere has no unit normal there: its actual-normal
+    audits are infinite. A spacelike probe raises its first DegeneratePlane."""
+    tiles = probe.audits
+    spacelike = probe.spacelike_min > SPACELIKE_TOL
+    errors = [tile["degenerate"] for tile in tiles if "degenerate" in tile]
+    if spacelike and errors:
+        raise errors[0]
+
+    def peak(name):
+        return float(np.max([tile[name] for tile in tiles]))
+
+    def actual(name):
+        return peak(name) if spacelike else float("inf")
+
     record = CorrugationStepRecord(
         N=int(probe.N),
         alpha_max=params.alpha_max,
@@ -663,12 +682,26 @@ def _step_record(params, probe, norm_metric):
         eta_max=params.eta_max,
         sup_default=probe.sup_default,
         c0_shift=probe.c0_shift,
-        c1_shift=c1_shift,
-        c1_shift_euclid=c1_shift_euclid,
+        c1_shift=peak("c1_shift"),
+        c1_shift_euclid=peak("c1_shift_euclid"),
         spacelike_min=probe.spacelike_min,
-        audits=audits,
+        audits={
+            "identity_max": peak("identity_max"),
+            "average_max": params.average_max,
+            "normal_unit_predicted": peak("normal_unit_predicted"),
+            "normal_ortho_predicted": peak("normal_ortho_predicted"),
+            "normal_ortho_exact": peak("normal_ortho_exact"),
+            "normal_unit_actual": actual("normal_unit_actual"),
+            "normal_ortho_actual": actual("normal_ortho_actual"),
+            "normal_ortho_budget": 10.0 / float(probe.N),
+            "increment_margin": peak("increment_margin"),
+            "growth_margin": peak("growth_margin"),
+            "normal_growth_margin": actual("normal_growth_margin"),
+            "increment_constant": params.increment_constant,
+            "growth_constant": params.growth_constant,
+        },
     )
-    return EmbeddingJet(params.f.grid, out.pos, out.dfx, out.dfy), record
+    return EmbeddingJet(params.f.grid, probe.out.pos, probe.out.dfx, probe.out.dfy), record
 
 
 def apply_corrugation(params, N, raise_on_loss=True):
@@ -677,12 +710,12 @@ def apply_corrugation(params, N, raise_on_loss=True):
     The defect and the C1 shift are measured against the step's own
     intermediate metric mu.
     """
-    probe = _probe(params, N, params.mu, None, [_whole(params.f.grid.shape)])
+    probe = _probe(params, N, params.mu, None, _whole(params.f.grid.shape))
     if raise_on_loss and probe.spacelike_min <= SPACELIKE_TOL:
         raise LostSpacelike(
             "corrugated jet min eigenvalue %.3e at N=%d" % (probe.spacelike_min, N)
         )
-    return _step_record(params, probe, params.mu)
+    return _step_record(params, probe)
 
 
 def _unit_defect(n):
@@ -734,17 +767,14 @@ def _increment_margin(params, new, Lx, Ly):
     return float(np.max(lhs - params.envelope - slack))
 
 
-def _tile_audits(params, probe, tile, norm_metric, spacelike):
-    """The C1 shifts and the step audits that vary by node, each its max over
-    a tile of the whole-grid probe. Each group of audits runs in its own
-    function, so its temporaries are freed before the next group
-    allocates."""
-    step = _tile_of(params, tile)
-    new = _JetRows.of(probe.out[0], tile)
+def _tile_audits(step, new, norm_metric, theta, Lx, Ly):
+    """The C1 shifts (against norm_metric, then Euclidean) and the step
+    audits that vary by node, each its max over a tile, from the jet new and
+    the loop angle and differential the probe made; a DegeneratePlane is
+    kept for _step_record. Each group of audits runs in its own function,
+    so its temporaries are freed before the next group allocates."""
     identity = MetricField.identity(new.pos.shape[:2])
-    c1, c1_euclid = c1_increments(new, step.f, (_metric_on(norm_metric, tile), identity))
-    theta = step.alpha * _phase(step, probe.N)[1]
-    Lx, Ly = _loop_differential(step, theta)
+    c1, c1_euclid = c1_increments(new, step.f, (norm_metric, identity))
     mu = step.mu
     identity_max = max(
         np.max(np.abs(minkowski_inner(Lx, Lx) - mu.E)),
@@ -755,59 +785,26 @@ def _tile_audits(params, probe, tile, norm_metric, spacelike):
     # Growth bound: K controls the new differential and normal against the
     # old ones in the pullback operator norm.
     K = step.growth_constant
-    # A candidate rejected for losing spacelikeness has no unit normal;
-    # mark the actual-normal audits infinite instead of failing the probe.
-    if spacelike:
-        unit_actual, ortho_actual, normal_norm = _actual_normal_audits(new)
-        normal_growth_margin = np.max(normal_norm - K * step.base)
-    else:
-        unit_actual = ortho_actual = normal_growth_margin = float("inf")
-    increment_margin = _increment_margin(step, new, Lx, Ly)
-    new_norm = operator_norm_map(new.dfx, new.dfy, step.pullback)
-    return {
+    audits = {
         "c1_shift": c1,
         "c1_shift_euclid": c1_euclid,
         "identity_max": identity_max,
         "normal_unit_predicted": unit_pred,
         "normal_ortho_predicted": ortho_pred,
         "normal_ortho_exact": ortho_exact,
-        "normal_unit_actual": unit_actual,
-        "normal_ortho_actual": ortho_actual,
-        "increment_margin": increment_margin,
-        "growth_margin": np.max(new_norm - K * step.base),
-        "normal_growth_margin": normal_growth_margin,
+        "increment_margin": _increment_margin(step, new, Lx, Ly),
+        "growth_margin": np.max(operator_norm_map(new.dfx, new.dfy, step.pullback) - K * step.base),
     }
-
-
-def _step_audits(params, probe, norm_metric):
-    """The C1 shifts (against norm_metric, then Euclidean) and the
-    exact-identity, bound and normal audits of a whole-grid probe: the
-    maxima of its tiles (_tile_audits, one pass over the tiles) reduced
-    across tiles, and the step's N-independent terms."""
-    spacelike = probe.spacelike_min > SPACELIKE_TOL
-    tiles = [
-        _tile_audits(params, probe, tile, norm_metric, spacelike)
-        for tile in _tiles(_whole(params.f.grid.shape))
-    ]
-
-    def peak(name):
-        return float(np.max([t[name] for t in tiles]))
-
-    return (peak("c1_shift"), peak("c1_shift_euclid")), {
-        "identity_max": peak("identity_max"),
-        "average_max": params.average_max,
-        "normal_unit_predicted": peak("normal_unit_predicted"),
-        "normal_ortho_predicted": peak("normal_ortho_predicted"),
-        "normal_ortho_exact": peak("normal_ortho_exact"),
-        "normal_unit_actual": peak("normal_unit_actual"),
-        "normal_ortho_actual": peak("normal_ortho_actual"),
-        "normal_ortho_budget": 10.0 / float(probe.N),
-        "increment_margin": peak("increment_margin"),
-        "growth_margin": peak("growth_margin"),
-        "normal_growth_margin": peak("normal_growth_margin"),
-        "increment_constant": params.increment_constant,
-        "growth_constant": params.growth_constant,
-    }
+    try:
+        unit_actual, ortho_actual, normal_norm = _actual_normal_audits(new)
+    except DegeneratePlane as error:
+        # without its traceback, whose frames would hold the tile's arrays
+        audits["degenerate"] = error.with_traceback(None)
+    else:
+        audits["normal_unit_actual"] = unit_actual
+        audits["normal_ortho_actual"] = ortho_actual
+        audits["normal_growth_margin"] = np.max(normal_norm - K * step.base)
+    return audits
 
 
 def select_corrugation_number(
@@ -831,14 +828,14 @@ def select_corrugation_number(
     Each N is probed on three rungs in turn (_rungs), and the first that
     fails rejects it: the grid's first and last rows, its first and last
     columns, which cost a few percent of a whole-grid probe, then the whole
-    grid. A boundary line is a region of tiles like the whole grid's, whose
-    halo reads its inner neighbour line, so it gets bitwise the whole-grid
-    probe's values. Every acceptance quantity is a max or a min over nodes,
-    so a violation on the lines proves that the whole grid fails: the
-    lines can only reject an N the whole-grid probe would reject, and the
-    chosen N is the one the whole-grid probe alone chooses.
-    Only the accepted N is audited; the record equals the one
-    apply_corrugation gives at that N.
+    grid. A pair of boundary lines is a region of tiles like the whole
+    grid's, whose halo reads each line's inner neighbour, so it gets
+    bitwise the whole-grid probe's values. Every acceptance quantity is a
+    max or a min over nodes, so a violation on the lines proves that the
+    whole grid fails: the lines can only reject an N the whole-grid probe
+    would reject, and the chosen N is the one the whole-grid probe alone
+    chooses. Only the accepted N's audits make a record, which equals the
+    one apply_corrugation gives at that N.
     """
     params = prepare_step(f, eta, ell)
     if norm_metric is None:
@@ -846,18 +843,18 @@ def select_corrugation_number(
     rungs = _rungs(f.grid.shape)
     N = LADDER_START
     while N <= LADDER_CAP:
-        for regions in rungs:
+        for region in rungs:
             # drop the previous rung's probe before this one allocates: held
             # through it, its arrays raised the canonical run's peak RSS by ~1%
             probe = None
-            probe = _probe(params, N, norm_metric, next_metric, regions)
+            probe = _probe(params, N, norm_metric, next_metric, region)
             failed = _failures(probe, epsilon, c0_budget)
             if failed:
                 break
         else:
-            return _step_record(params, probe, norm_metric)
+            return _step_record(params, probe)
         N *= 2
-    where = "whole grid" if regions is rungs[-1] else "boundary lines"
+    where = "whole grid" if region is rungs[-1] else "boundary lines"
     raise BudgetExceeded(
         "no corrugation number up to %d met the bounds for form (%.3g, %.3g) at per-step"
         " budget %.6e; N=%d fails on the %s: %s"

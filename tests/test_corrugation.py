@@ -34,6 +34,7 @@ from lorentz_corrugate.corrugation import (
 from lorentz_corrugate.decomp import build_dictionary, decompose
 from lorentz_corrugate.errors import (
     BudgetExceeded,
+    DegeneratePlane,
     DomainError,
     LostSpacelike,
     NotRiemannian,
@@ -402,7 +403,7 @@ def _probe_peak(eta):
     norm = MetricField.identity(grid.shape)
     tracemalloc.start()
     try:
-        corrugation._probe(params, 64, norm, None, [corrugation._whole(grid.shape)])
+        corrugation._probe(params, 64, norm, None, corrugation._whole(grid.shape))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,9 +568,11 @@ def test_apply_corrugation_rejects_bad_N():
         apply_corrugation(params, 0)
 
 
-def test_chained_steps_can_lose_spacelikeness():
+def test_chained_steps_can_lose_spacelikeness(monkeypatch):
     """Corrugating an already corrugated jet at too small an N drives the
-    pullback metric past the light cone; the guard reports it."""
+    pullback metric past the light cone; the guard reports it, and without
+    the guard the record's actual-normal audits are infinite, even where a
+    tile's normal degenerates."""
     grid = Grid(33, 33)
     f = flat_inclusion(grid)
     g1 = MetricField.constant(0.75, 0.0, 0.75, grid.shape)
@@ -582,6 +585,13 @@ def test_chained_steps_can_lose_spacelikeness():
     out, rec = apply_corrugation(params, 4, raise_on_loss=False)
     assert rec.spacelike_min <= 0.0
     assert rec.audits["normal_unit_actual"] == np.inf
+    # a degenerate normal on one tile is not raised from a record that is not spacelike
+    monkeypatch.setattr(corrugation, "TILE_NODES", 8 * 33)
+    raised = _degenerate_tiles(monkeypatch, lambda N, index: index == 1)
+    _, rec = apply_corrugation(params, 4, raise_on_loss=False)
+    assert raised == ["N=4 tile 1"]
+    for name in ("normal_unit_actual", "normal_ortho_actual", "normal_growth_margin"):
+        assert rec.audits[name] == np.inf
 
 
 # --- corrugation number search ---
@@ -635,19 +645,96 @@ def test_select_record_equals_apply_at_accepted_N(ell, epsilon, c0_budget, next_
     _assert_same_step(got, want)
 
 
-def test_select_audits_once(monkeypatch):
-    calls = []
-    original = corrugation._step_audits
+def test_select_audits_only_the_accepted_N(monkeypatch):
+    """In the strip case the screen rejects every refused N, so the one
+    audited probe is the whole-grid probe at the accepted N, and its record
+    is built once."""
+    probes, records = [], []
+    probe, record = corrugation._probe, corrugation._step_record
 
-    def counted(*args):
-        calls.append(args[1].N)
-        return original(*args)
+    def probed(*args):
+        out = probe(*args)
+        probes.append((out.N, out.audits[0] is not None))
+        return out
 
-    monkeypatch.setattr(corrugation, "_step_audits", counted)
+    def recorded(params, out):
+        records.append(out.N)
+        return record(params, out)
+
+    monkeypatch.setattr(corrugation, "_probe", probed)
+    monkeypatch.setattr(corrugation, "_step_record", recorded)
     grid, f, eta = strip_jet(33)
     _, rec = select_corrugation_number(f, eta, LinearForm(1.0, 0.3), 1e-3)
     assert rec.N > 16  # the ladder rejected at least one probe
-    assert calls == [rec.N]
+    assert [N for N, audited in probes if audited] == records == [rec.N]
+
+
+def test_applied_step_makes_each_tile_once(monkeypatch):
+    """A probe and its record walk the tiles once: the phase and the loop
+    differential are made once per tile, and the audits read them."""
+    calls = []
+    for name in ("_phase", "_loop_differential"):
+        original = getattr(corrugation, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(corrugation, name, counted)
+    monkeypatch.setattr(corrugation, "TILE_NODES", 8 * 33)
+    grid, f, eta = strip_jet(33)
+    apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
+    tiles = len(corrugation._tiles(corrugation._whole(grid.shape), grid.shape))
+    assert tiles == 5
+    assert calls == ["_phase", "_loop_differential"] * tiles
+
+
+def _degenerate_tiles(monkeypatch, fails):
+    """Make the actual-normal audits raise DegeneratePlane, naming N and the
+    tile's index in its probe, on the tiles for which fails(N, index) holds;
+    returns the messages raised."""
+    probe, normal = corrugation._probe, corrugation._actual_normal_audits
+    at, raised = [], []
+
+    def probed(params, N, *args):
+        at[:] = [N, 0]
+        return probe(params, N, *args)
+
+    def audited(out):
+        N, index = at
+        at[1] += 1
+        if fails(N, index):
+            raised.append("N=%d tile %d" % (N, index))
+            raise DegeneratePlane(raised[-1])
+        return normal(out)
+
+    monkeypatch.setattr(corrugation, "_probe", probed)
+    monkeypatch.setattr(corrugation, "_actual_normal_audits", audited)
+    return raised
+
+
+def test_rejected_probe_never_raises_from_its_audits(monkeypatch):
+    """The collar case rejects whole-grid probes; a degenerate normal on one
+    of their tiles changes neither the selected N nor its record."""
+    monkeypatch.setattr(corrugation, "TILE_NODES", 8 * 33)
+    grid, f, _ = strip_jet(33)
+    eta, ell = collar_eta_field(grid), LinearForm(1.0, 0.3)
+    want = select_corrugation_number(f, eta, ell, 1e-3)
+    raised = _degenerate_tiles(monkeypatch, lambda N, index: N < want[1].N and index == 1)
+    _assert_same_step(select_corrugation_number(f, eta, ell, 1e-3), want)
+    assert raised  # whole-grid probes were rejected
+
+
+def test_spacelike_record_raises_the_first_degenerate_tile(monkeypatch):
+    """Every tile is audited, and the record of a spacelike probe raises the
+    error of the first tile whose normal degenerated."""
+    monkeypatch.setattr(corrugation, "TILE_NODES", 8 * 33)
+    grid, f, eta = strip_jet(33)
+    params = prepare_step(f, eta, LinearForm(1.0, 0.3))
+    raised = _degenerate_tiles(monkeypatch, lambda N, index: index in (1, 3))
+    with pytest.raises(DegeneratePlane, match="^N=64 tile 1$"):
+        apply_corrugation(params, 64)
+    assert raised == ["N=64 tile 1", "N=64 tile 3"]
 
 
 def test_one_step_applied_at_several_N_equals_fresh_steps():
@@ -694,34 +781,32 @@ def test_step_makes_two_pullbacks(monkeypatch):
     ],
 )
 def test_boundary_screen_values_equal_whole_grid(monkeypatch, shape, ell):
-    """On each of the four boundary line regions the screen's jet is the
-    whole-grid probe's, bitwise, and each rung reduces its acceptance values
-    over exactly its two lines; the lines are neighbours on the 2x2 grid.
-    With 5-node tiles a 33-node column region spans seven tiles."""
+    """On each rung's pair of boundary lines, one stepped region, the
+    screen's jet is the whole-grid probe's, bitwise, and the rung reduces
+    its acceptance values over exactly those lines; the lines are
+    neighbours on the 2x2 grid. With 5-node tiles a 33-node column pair
+    spans 17 tiles, and below 2 x ny nodes the row pair splits into two
+    one-row tiles."""
     grid = Grid(*shape)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), ell)
     norm = MetricField.identity(shape)
     nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
     nx, ny = shape
     rows, cols = slice(0, nx), slice(0, ny)
-    screen = [
-        [(slice(0, 1), cols), (slice(nx - 1, nx), cols)],
-        [(rows, slice(0, 1)), (rows, slice(ny - 1, ny))],
-    ]
-    assert corrugation._rungs(shape) == screen + [[(rows, cols)]]
-    for tile_nodes in (corrugation.TILE_NODES, 5):
+    screen = [(slice(0, nx, nx - 1), cols), (rows, slice(0, ny, ny - 1))]
+    assert corrugation._rungs(shape) == screen + [(rows, cols)]
+    for tile_nodes in (corrugation.TILE_NODES, 5, 2 * ny - 1):
         monkeypatch.setattr(corrugation, "TILE_NODES", tile_nodes)
-        assert len(corrugation._tiles(screen[1][0])) == -(-nx // tile_nodes)
+        assert len(corrugation._tiles(screen[0], shape)) == (1 if tile_nodes >= 2 * ny else 2)
+        assert len(corrugation._tiles(screen[1], shape)) == -(-nx // max(tile_nodes // 2, 1))
         for N in (1, 16, 48, 1024, 2**20):
-            whole = corrugation._probe(params, N, norm, nxt, [(rows, cols)])
-            (jet,) = whole.out
+            jet = corrugation._probe(params, N, norm, nxt, (rows, cols)).out
             want = corrugation._node_values(params, jet, pullback_metric(jet), norm, nxt)
-            for regions in screen:
-                probe = corrugation._probe(params, N, norm, nxt, regions)
-                for region, out in zip(regions, probe.out, strict=True):
-                    for name in ("pos", "dfx", "dfy"):
-                        assert np.array_equal(getattr(out, name), getattr(jet, name)[region])
-                lines = [np.concatenate([w[region].ravel() for region in regions]) for w in want]
+            for region in screen:
+                probe = corrugation._probe(params, N, norm, nxt, region)
+                for name in ("pos", "dfx", "dfy"):
+                    assert np.array_equal(getattr(probe.out, name), getattr(jet, name)[region])
+                lines = [w[region] for w in want]
                 assert probe.sup_default == np.max(lines[0])
                 assert probe.spacelike_min == np.min(lines[1])
                 assert probe.c0_shift == np.max(lines[2])
@@ -733,26 +818,26 @@ def _unscreened_select(f, eta, ell, epsilon, c0_budget=None, next_metric=None):
     params = prepare_step(f, eta, ell)
     N = corrugation.LADDER_START
     while N <= corrugation.LADDER_CAP:
-        probe = corrugation._probe(params, N, params.mu, None, [corrugation._whole(f.grid.shape)])
+        probe = corrugation._probe(params, N, params.mu, None, corrugation._whole(f.grid.shape))
         ok = probe.sup_default <= epsilon and probe.spacelike_min > corrugation.SPACELIKE_TOL
         if ok and c0_budget is not None:
             ok = probe.c0_shift <= c0_budget
         if ok and next_metric is not None:
-            ok = (pullback_metric(probe.out[0]) - next_metric).min_eigenvalue() >= -1e-12
+            ok = (pullback_metric(probe.out) - next_metric).min_eigenvalue() >= -1e-12
         if ok:
-            return corrugation._step_record(params, probe, params.mu)
+            return corrugation._step_record(params, probe)
         N *= 2
     raise BudgetExceeded("reference ladder exhausted")
 
 
 def _count_whole_grid_probes(monkeypatch, shape):
-    """Record, per _probe call, whether its one region is the whole grid of this shape."""
+    """Record, per _probe call, whether its region is the whole grid of this shape."""
     calls = []
     original = corrugation._probe
 
-    def counted(params, N, norm, nxt, regions):
-        calls.append(regions == [(slice(0, shape[0]), slice(0, shape[1]))])
-        return original(params, N, norm, nxt, regions)
+    def counted(params, N, norm, nxt, region):
+        calls.append(region == (slice(0, shape[0]), slice(0, shape[1])))
+        return original(params, N, norm, nxt, region)
 
     monkeypatch.setattr(corrugation, "_probe", counted)
     return calls
@@ -783,16 +868,20 @@ def test_select_equals_unscreened_ladder(monkeypatch, ell, epsilon, c0_budget, n
 
 
 def test_select_probes_whole_grid_once_per_step(monkeypatch):
-    """The screen rejects every refused N, so each step makes one whole-grid probe."""
+    """The screen rejects every refused N, so each step makes one whole-grid
+    probe, and no whole-grid probe pays for audits it does not keep. The
+    targets are the first stage metrics of flat-shrink and aniso-shrink."""
     grid = Grid(33, 33)
     f = flat_inclusion(grid)
-    g1 = MetricField.constant(0.75, 0.0, 0.75, grid.shape)
-    dec = decompose(isometric_default(f, g1), build_dictionary(3))
     whole = _count_whole_grid_probes(monkeypatch, grid.shape)
-    _, records = successive_cp(f, dec, 1e-3, norm_metric=g1)
-    assert any(rec.N > corrugation.LADDER_START for rec in records)  # rejections happened
-    assert sum(whole) == len(records) == 3
-    assert len(whole) > 2 * len(records)
+    for stage_1 in ((0.75, 0.0, 0.75), (0.8, 0.0, 0.9)):
+        g1 = MetricField.constant(*stage_1, grid.shape)
+        dec = decompose(isometric_default(f, g1), build_dictionary(3))
+        whole.clear()
+        _, records = successive_cp(f, dec, 1e-3, norm_metric=g1)
+        assert any(rec.N > corrugation.LADDER_START for rec in records)  # rejections happened
+        assert sum(whole) == len(records) == 3
+        assert len(whole) > 2 * len(records)
 
 
 @pytest.mark.parametrize(
@@ -813,17 +902,17 @@ def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, reje
         eta[:2] = eta[-2:] = 0.0
     rows, cols = slice(0, 33), slice(0, 40)
     named = {
-        "rows": [(slice(0, 1), cols), (slice(32, 33), cols)],
-        "columns": [(rows, slice(0, 1)), (rows, slice(39, 40))],
-        "whole": [(rows, cols)],
+        "rows": (slice(0, 33, 32), cols),
+        "columns": (rows, slice(0, 40, 39)),
+        "whole": (rows, cols),
     }
     calls = []
     original = corrugation._probe
 
-    def recorded(params, N, norm, nxt, regions):
-        probe = original(params, N, norm, nxt, regions)
+    def recorded(params, N, norm, nxt, region):
+        probe = original(params, N, norm, nxt, region)
         failed = bool(corrugation._failures(probe, epsilon, None))
-        calls.append((N, next(k for k, v in named.items() if v == regions), failed))
+        calls.append((N, next(k for k, v in named.items() if v == region), failed))
         return probe
 
     monkeypatch.setattr(corrugation, "_probe", recorded)
@@ -850,12 +939,12 @@ def test_select_probes_rungs_in_order(monkeypatch, ell, epsilon, zero_rows, reje
 # --- tiles ---
 
 
-def _probe_and_record(params, N, norm, nxt, regions):
-    """A probe's jets and acceptance values, and the step record of a whole-grid probe."""
-    probe = corrugation._probe(params, N, norm, nxt, regions)
+def _probe_and_record(params, N, norm, nxt, region):
+    """A probe's jet and acceptance values, and the step record of a whole-grid probe."""
+    probe = corrugation._probe(params, N, norm, nxt, region)
     values = (probe.sup_default, probe.spacelike_min, probe.c0_shift, probe.long_min)
-    whole = regions == [corrugation._whole(params.f.grid.shape)]
-    return probe.out, values, corrugation._step_record(params, probe, norm) if whole else None
+    whole = region == corrugation._whole(params.f.grid.shape)
+    return probe.out, values, corrugation._step_record(params, probe) if whole else None
 
 
 @pytest.mark.parametrize(
@@ -872,30 +961,31 @@ def _probe_and_record(params, N, norm, nxt, regions):
 def test_row_tiles_change_no_bit(monkeypatch, shape, tile_rows):
     """Probe and step record in tiles equal, bitwise, the one-tile run: the
     jets, the four acceptance values, both C1 shifts and every audit, with
-    and without a next metric, on the whole grid and on the screen's line
-    regions (a column region spans several tiles when its height exceeds
-    tile_rows x ny)."""
+    and without a next metric, on the whole grid and on the screen's two
+    stepped line pairs (the row pair splits into one-row tiles when
+    tile_rows is 1, and the column pair spans several tiles when its 2 x nx
+    nodes exceed tile_rows x ny)."""
     grid = Grid(*shape)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     norm = MetricField.identity(shape)
     nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
-    cases = [(params.mu, [corrugation._whole(shape)])]
-    cases += [(norm, rung) for rung in corrugation._rungs(shape)[:2]]
+    rows_rung, columns_rung, whole = corrugation._rungs(shape)
+    cases = [(params.mu, whole), (norm, rows_rung), (norm, columns_rung)]
     nx = shape[0]
     for N in (1, 48, 2**20):
-        for step_norm, regions in cases:
+        for step_norm, region in cases:
             for next_metric in (None, nxt):
                 monkeypatch.setattr(corrugation, "TILE_NODES", 2**62)
-                want = _probe_and_record(params, N, step_norm, next_metric, regions)
+                want = _probe_and_record(params, N, step_norm, next_metric, region)
                 monkeypatch.setattr(corrugation, "TILE_NODES", tile_rows * shape[1])
-                got = _probe_and_record(params, N, step_norm, next_metric, regions)
-                for out, ref in zip(got[0], want[0], strict=True):
-                    for name in ("pos", "dfx", "dfy"):
-                        assert np.array_equal(getattr(out, name), getattr(ref, name))
+                got = _probe_and_record(params, N, step_norm, next_metric, region)
+                for name in ("pos", "dfx", "dfy"):
+                    assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
                 assert got[1] == want[1]
                 if want[2] is not None:
                     _assert_same_step(got[2], want[2])
-    tiles = [rows for rows, cols in corrugation._tiles(corrugation._whole(shape))]
+    assert len(corrugation._tiles(rows_rung, shape)) == (2 if tile_rows == 1 else 1)
+    tiles = [rows for (rows, cols), _ in corrugation._tiles(whole, shape)]
     assert len(tiles) == -(-nx // tile_rows)
     assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
     assert tiles[0].start == 0 and tiles[-1].stop == nx
@@ -909,8 +999,8 @@ def _probe_and_record_peak(monkeypatch, tile_nodes):
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     tracemalloc.start()
     try:
-        probe = corrugation._probe(params, 64, params.mu, None, [corrugation._whole(grid.shape)])
-        corrugation._step_record(params, probe, params.mu)
+        probe = corrugation._probe(params, 64, params.mu, None, corrugation._whole(grid.shape))
+        corrugation._step_record(params, probe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -927,11 +1017,11 @@ def test_row_tiles_bound_probe_and_record_peak(monkeypatch):
     assert tiled - jet < 0.25 * (one_tile - jet)
 
 
-def _probe_peak_on(params, regions):
-    """Peak bytes allocated by one probe of the regions at N = 64."""
+def _probe_peak_on(params, region):
+    """Peak bytes allocated by one probe of the region at N = 64."""
     tracemalloc.start()
     try:
-        corrugation._probe(params, 64, params.mu, None, regions)
+        corrugation._probe(params, 64, params.mu, None, region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -940,8 +1030,8 @@ def _probe_peak_on(params, regions):
 
 def test_screen_rungs_allocate_a_fraction_of_a_whole_grid_probe():
     """At 129x129 the row rung and the column rung each allocate under 1/8
-    of a whole-grid probe: a line region's tiles write into outputs shaped
-    like the region, not into a whole-grid jet."""
+    of a whole-grid probe: a line pair's tiles write into an output shaped
+    like the pair, not into a whole-grid jet."""
     grid = Grid(129, 129)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     rows, columns, whole = corrugation._rungs(grid.shape)
