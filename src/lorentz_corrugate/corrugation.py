@@ -462,22 +462,17 @@ def _remainder_jet(params, tile, psi, cos_psi, out):
     and those of its four neighbours at the centre's phase, so only the
     slow fields are differenced, both axes by one routine (_difference).
     Neighbours outside the tile are its halo, read from the step's
-    whole-grid fields. Each cut's sums are released once its remainder
-    field is built.
+    whole-grid fields.
     """
     grid = params.f.grid
     cuts = _cuts(tile, grid.shape)
     sums = _harmonic_sums(params.coeff, psi, cos_psi, cuts)
-
-    def remainder(i):
-        Ac, As = sums[i]
-        sums[i] = None
-        W = out.pos if i == 0 else np.empty(Ac.shape + (3,))
-        return _remainder_field(params, Ac, As, cuts[i][0], W)
-
-    W = remainder(0)
+    W, *neighbours = [
+        _remainder_field(params, Ac, As, ccut, out.pos if i == 0 else np.empty(Ac.shape + (3,)))
+        for i, ((Ac, As), (ccut, _)) in enumerate(zip(sums, cuts))
+    ]
     for axis, (D, h) in enumerate(((out.dfx, grid.hx), (out.dfy, grid.hy))):
-        Wp, Wm = remainder(2 * axis + 1), remainder(2 * axis + 2)
+        Wp, Wm = neighbours[2 * axis : 2 * axis + 2]
         lo, hi = _neighbours(tile[axis], grid.shape[axis])
         _difference(*(a.swapaxes(0, axis) for a in (D, W, Wp, Wm)), lo, hi, h)
 
@@ -845,7 +840,7 @@ def select_corrugation_number(
     while N <= LADDER_CAP:
         for region in rungs:
             # drop the previous rung's probe before this one allocates: held
-            # through it, its arrays raised the canonical run's peak RSS by ~1%
+            # through a whole-grid probe, its line-pair jet adds to that peak
             probe = None
             probe = _probe(params, N, norm_metric, next_metric, region)
             failed = _failures(probe, epsilon, c0_budget)

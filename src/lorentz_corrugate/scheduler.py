@@ -8,12 +8,13 @@ budget tuned so the stage lands inside its acceptance inequality
 and audits the C0 and C1 drift against their budgets. All field norms are
 sup-node operator norms measured against the fixed target metric g.
 
-The schedule is dyadic and computed in run_nash_kuiper's stage loop:
+The schedule is dyadic and written once, in stage_metric and c0_budget:
 delta_n = 2^-n, so each stage removes half of the remaining surplus, and
-the C0 budgets a_n = eps 2^-(n+1) sum below eps. The last stage T is
-accepted against g_{T+1}, the next term of the same formula. Each ladder of
-corrugation numbers is N = 16, 32, ..., 2^20 (corrugation.LADDER_START to
-corrugation.LADDER_CAP). A stage's C1 bound is the one-stage estimate
+the C0 budgets a_n = eps 2^-(n+1) sum below eps. run_stage derives stage
+n's terms from n and the run's g, Delta and eps. The last stage T is
+accepted against g_{T+1}, the next term of the same formula. Each ladder
+of corrugation numbers is N = 16, 32, ..., 2^20 (corrugation.LADDER_START
+to corrugation.LADDER_CAP). A stage's C1 bound is the one-stage estimate
 taken at the stage's own start jet f_{n-1},
     a_n + 2 M c sqrt|g_n - g_{n-1}| (|df_{n-1}|_g + |n_{n-1}|_E),
 with M the largest increment constant the stage's steps measured and c the
@@ -100,19 +101,23 @@ class RunLedger:
         write_table(path, ("name", "value"), ((k, self.summary[k]) for k in sorted(self.summary)))
 
 
-def run_stage(
-    f_prev,
-    g_n,
-    g_next,
-    a_n,
-    dictionary,
-    g_norm,
-    stage_index,
-    delta,
-    delta_prev_norm,
-    threads=None,
-):
-    """One stage: decompose the defect, corrugate per form, audit budgets.
+def stage_metric(g, Delta, n):
+    """g_n; g_0 is the start jet's induced metric, g_{T+1} only the last stage's target."""
+    return g + 2.0**-n * Delta
+
+
+def c0_budget(eps, n):
+    """a_n, stage n's C0 budget."""
+    return eps * 2.0 ** (-n - 1)
+
+
+def run_stage(f_prev, n, g, Delta, eps, dictionary, threads=None):
+    """Stage n: decompose the defect, corrugate per form, audit budgets.
+
+    The stage takes its terms from the dyadic schedule: it corrects f_prev
+    toward g_n = stage_metric(g, Delta, n), is accepted against g_{n+1}
+    within the C0 budget a_n = c0_budget(eps, n), and takes its norms
+    against g.
 
     The per-step error budget starts at stage_bound / k_active, with
     k_active the number of pairs dec.active() returns. When no
@@ -121,7 +126,7 @@ def run_stage(
     the light cone) the budget is doubled, up to 0.9 of the stage bound;
     k_active <= MAX_FORMS = 12, so that takes at most
     ceil(log2(0.9 * 12)) = 4 doublings. A failure at the cap propagates
-    with the stage index prefixed to its message. The stage defect is
+    with the stage number prefixed to its message. The stage defect is
     measured once, under the first budget the ladder meets, against the
     stage inequality with a 1e-12 slack. A miss is recorded as
     stage_bound_pass false under the starting budget and raises
@@ -130,10 +135,13 @@ def run_stage(
     at f_prev with the stage's largest measured increment constant M and
     its form constant c.
     """
+    g_n, g_next = stage_metric(g, Delta, n), stage_metric(g, Delta, n + 1)
+    a_n = c0_budget(eps, n)
+    delta_prev_norm = float(np.max(operator_norm_form(g_n - stage_metric(g, Delta, n - 1), g)))
     D_n = require_long(f_prev, g_n)
-    stage_bound = float(np.max(operator_norm_form(g_next - g_n, g_norm)))
+    stage_bound = float(np.max(operator_norm_form(g_next - g_n, g)))
     dec = decompose(D_n, dictionary, threads=threads)
-    c_stage = form_family_constant(dec, g_norm)
+    c_stage = form_family_constant(dec, g)
     active = len(dec.active())
 
     per_step_eps, c0_per_step = (stage_bound / active, a_n / active) if active else (0.0, 0.0)
@@ -145,40 +153,36 @@ def run_stage(
                 f_prev,
                 dec,
                 per_step_eps,
-                norm_metric=g_norm,
+                norm_metric=g,
                 c0_budget_per_step=c0_per_step,
                 final_long_for=g_next,
             )
             break
         except BudgetExceeded as exc:
             if per_step_eps >= eps_cap:
-                raise BudgetExceeded("stage %d: %s" % (stage_index, exc)) from exc
+                raise BudgetExceeded("stage %d: %s" % (n, exc)) from exc
             retries += 1
             per_step_eps = min(2.0 * per_step_eps, eps_cap)
     pulled = pullback_metric(f_n)
-    sup_def = float(np.max(operator_norm_form(pulled - g_n, g_norm)))
+    sup_def = float(np.max(operator_norm_form(pulled - g_n, g)))
     stage_bound_pass = sup_def <= stage_bound + 1e-12
     if retries and not stage_bound_pass:
         raise BudgetExceeded(
             "stage %d defect %.6e misses its bound %.6e at the doubled per-step budget %.6e"
-            % (stage_index, sup_def, stage_bound, per_step_eps)
+            % (n, sup_def, stage_bound, per_step_eps)
         )
 
     c0_shift = c0_distance(f_n, f_prev)
-    c1_inc, c1_inc_e = c1_increments(
-        f_n, f_prev, (g_norm, MetricField.identity(g_norm.shape))
-    )
+    c1_inc, c1_inc_e = c1_increments(f_n, f_prev, (g, MetricField.identity(g.shape)))
     M_stage = max((r.audits["increment_constant"] for r in records), default=0.0)
-    c1_bound = a_n + c1_budget_constant(M_stage, c_stage, f_prev, g_norm) * math.sqrt(
-        delta_prev_norm
-    )
-    sup_Dn = float(np.max(operator_norm_form(D_n, g_norm)))
+    c1_bound = a_n + c1_budget_constant(M_stage, c_stage, f_prev, g) * math.sqrt(delta_prev_norm)
+    sup_Dn = float(np.max(operator_norm_form(D_n, g)))
     triangle_pass = math.sqrt(sup_Dn) <= 2.0 * math.sqrt(delta_prev_norm) + 1e-12
     long_next = float((pulled - g_next).min_eigenvalue())
 
     row = StageRow(
-        stage=stage_index,
-        delta=delta,
+        stage=n,
+        delta=2.0**-n,
         sup_default=sup_def,
         stage_bound=stage_bound,
         stage_bound_pass=stage_bound_pass,
@@ -198,7 +202,7 @@ def run_stage(
         decomp_residual=dec.residual,
         form_constant=c_stage,
         long_next_min_eig=long_next,
-        sup_vs_target=float(np.max(operator_norm_form(pulled - g_norm, g_norm))),
+        sup_vs_target=float(np.max(operator_norm_form(pulled - g, g))),
         step_records=records,
     )
     return f_n, row
@@ -228,14 +232,9 @@ def run_nash_kuiper(
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError("eps must be positive and finite")
 
-    def stage_metric(n):
-        """g_n; g_0 is f0's induced metric, g_{T+1} only the last stage's target."""
-        return g + 2.0**-n * Delta
-
     # Stage n builds g_{n-1}, g_n and g_{n+1} when it starts; all are checked here.
     for n in range(stages + 2):
-        stage_metric(n).require_positive_definite(what="stage metric")
-    a_seq = [eps * 2.0 ** (-n - 1) for n in range(1, stages + 1)]
+        stage_metric(g, Delta, n).require_positive_definite(what="stage metric")
     delta_norm = float(np.max(operator_norm_form(Delta, g)))
     rows = []
 
@@ -251,7 +250,7 @@ def run_nash_kuiper(
             "initial_sup_default": delta_norm,
             "final_sup_default": sups[-1],
             "c0_total": c0_distance(final, f0) if rows else 0.0,
-            "c0_budget_total": sum(a_seq),
+            "c0_budget_total": sum(c0_budget(eps, n) for n in range(1, stages + 1)),
             "monotone_pass": all(b < a for a, b in zip(sups, sups[1:])),
         }
         ledger = RunLedger(rows=rows, summary=summary)
@@ -267,19 +266,7 @@ def run_nash_kuiper(
     cur = f0
     for n in range(1, stages + 1):
         try:
-            g_n = stage_metric(n)
-            cur, row = run_stage(
-                cur,
-                g_n,
-                stage_metric(n + 1),
-                a_seq[n - 1],
-                dictionary,
-                g_norm=g,
-                stage_index=n,
-                delta=2.0**-n,
-                delta_prev_norm=float(np.max(operator_norm_form(g_n - stage_metric(n - 1), g))),
-                threads=threads,
-            )
+            cur, row = run_stage(cur, n, g, Delta, eps, dictionary, threads)
         except EngineError:
             finish(cur)
             raise

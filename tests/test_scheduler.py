@@ -9,6 +9,7 @@ from lorentz_corrugate.fields import (
     EmbeddingJet,
     Grid,
     MetricField,
+    require_long,
 )
 from lorentz_corrugate.scenarios import flat_inclusion, scenario
 from lorentz_corrugate.scheduler import run_nash_kuiper
@@ -112,16 +113,14 @@ def test_stage_without_active_form():
     """A stage whose defect is zero keeps its jet, with no step, no budget and no retry."""
     shape = (9, 9)
     f = flat_inclusion(Grid(*shape))
+    # g_1 = I is f's own metric, g_2 = 0.9 I, a_1 = 0.01 and |g_1 - g_0|_g = 0.25
     f_n, row = scheduler.run_stage(
         f,
-        MetricField.identity(shape),
-        MetricField.constant(0.9, 0.0, 0.9, shape),
-        0.01,
+        1,
+        MetricField.constant(0.8, 0.0, 0.8, shape),
+        MetricField.constant(0.4, 0.0, 0.4, shape),
+        0.04,
         build_dictionary(5),
-        g_norm=MetricField.constant(0.8, 0.0, 0.8, shape),
-        stage_index=1,
-        delta=0.5,
-        delta_prev_norm=0.25,
     )
     assert f_n is f
     assert row.n_values == [] and row.step_records == []
@@ -129,6 +128,19 @@ def test_stage_without_active_form():
     assert row.sup_default == 0.0 and row.stage_bound_pass
     assert row.c0_shift == 0.0 and row.c1_increment == 0.0
     assert row.long_next_min_eig == pytest.approx(0.1, abs=1e-15)
+
+
+def test_run_stage_replays_the_run_from_its_number():
+    """run_stage(f, n, g, Delta, eps, dictionary) is stage n of run_nash_kuiper, bitwise."""
+    f0, g = scenario("flat-shrink").build(Grid(17, 17))
+    Delta, dictionary = require_long(f0, g), build_dictionary(5)
+    f1, _ = run_nash_kuiper(f0, g, stages=1, eps=0.05, dictionary=dictionary)
+    f2, ledger = run_nash_kuiper(f0, g, stages=2, eps=0.05, dictionary=dictionary)
+    for n, (f_prev, f_run) in enumerate(((f0, f1), (f1, f2)), 1):
+        f_n, row = scheduler.run_stage(f_prev, n, g, Delta, 0.05, dictionary)
+        for a, b in zip((f_n.pos, f_n.dfx, f_n.dfy), (f_run.pos, f_run.dfx, f_run.dfy)):
+            assert np.array_equal(a, b)
+        assert row.ledger_cells() == ledger.rows[n - 1].ledger_cells()
 
 
 def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
