@@ -43,9 +43,25 @@ one-tile case. A probe runs on one region of the grid, cut into tiles by
 one rule: the whole grid, whose probe measures the step audits in the
 same walk, or a pair of boundary lines (one stepped slice) that
 N-selection screens first. The prepared step stays whole-grid.
+
+A region of several tiles runs them on WORKERS threads (two where the
+process may use two CPUs, else one): the calling thread and helpers
+started for each probe. Tiles write disjoint rows of the output jet and
+every reduction is a max or a min, taken in tile order, so the outputs are
+bitwise the same on any number of threads. Each numpy call holds the GIL
+for its Python part, so a tile must be large enough for its arithmetic to
+outweigh those hand-offs: two threads save under a tenth of a 257 x 257
+probe's time in tiles of 2^13 nodes and over a third in its four tiles
+of about 2^14 nodes, two per thread. An odd tile count leaves one thread
+a tile more. Each thread holds one tile's temporaries at a time, so a
+probe's peak beyond its output jet is about WORKERS tiles' worth. A
+boundary line pair is one tile and runs on the calling thread, as does
+prepare_step.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +71,6 @@ from .errors import BudgetExceeded, DegeneratePlane, DomainError, LostSpacelike,
 from .fields import (
     LONG_TOL,
     EmbeddingJet,
-    FrameField,
     MetricField,
     c1_increments,
     corrugation_frame,
@@ -77,8 +92,13 @@ LADDER_START = 16
 LADDER_CAP = 2**20
 # Probes and audits run in tiles of at most this many nodes (at least one row
 # of the region): a pair of 257-node boundary lines is one tile, a 257 x 257
-# grid nine.
-TILE_NODES = 2**13
+# grid four.
+TILE_NODES = 20000
+# A probe's tiles run on this many threads: two, or one where the process may
+# use a single CPU.
+WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -322,9 +342,10 @@ class StepParams:
     envelope = M sqrt(eta) dl(u) (|t| + |n|) with M the increment constant
     bounds the u-direction C1 shift up to the O(1/N) slack, and the growth
     constant K times base bounds the new differential and normal in the
-    norm of pullback.
+    norm of pullback. Of the adapted frame it keeps what probes and audits
+    read: t, n and the tangent field u.
 
-    Every per-node field covers the whole grid: 25 arrays of nodes beside
+    Every per-node field covers the whole grid: 19 arrays of nodes beside
     the input jet, plus the orders + 1 of the coefficient table (see
     prepare_step for why), and the grid spacing is f.grid's. Probes and
     audits read it one tile at a time (_tile_of): the tile's nodes of each
@@ -335,7 +356,9 @@ class StepParams:
     f: EmbeddingJet
     eta_max: float
     ell: object
-    frame: object
+    t: np.ndarray
+    n: np.ndarray
+    u: np.ndarray
     r: np.ndarray
     alpha: np.ndarray
     alpha_max: float
@@ -399,7 +422,9 @@ def prepare_step(f, eta, ell):
         f=f,
         eta_max=float(np.max(eta)),
         ell=ell,
-        frame=frame,
+        t=frame.t,
+        n=frame.n,
+        u=frame.u,
         r=r,
         alpha=alpha,
         alpha_max=alpha_max,
@@ -419,13 +444,12 @@ def prepare_step(f, eta, ell):
 def _loop_differential(params, theta):
     """Corrugated differential pair (L dx, L dy) at loop angle theta, one
     vector component at a time."""
-    fr = params.frame
     ch = np.cosh(theta) - params.coeff[0]
     sh = np.sinh(theta)
     Lx = np.empty(params.f.dfx.shape)
     Ly = np.empty(params.f.dfy.shape)
     for c in range(3):
-        gap = params.r * (ch * fr.t[..., c] + sh * fr.n[..., c])
+        gap = params.r * (ch * params.t[..., c] + sh * params.n[..., c])
         Lx[..., c] = params.f.dfx[..., c] + params.ell.a * gap
         Ly[..., c] = params.f.dfy[..., c] + params.ell.b * gap
     return Lx, Ly
@@ -434,10 +458,14 @@ def _loop_differential(params, theta):
 def _remainder_field(params, Ac, As, sel, W):
     """W = r (A_c t + A_s n) with the slow fields sliced by sel, one component
     at a time, written into W; returns W."""
-    fr = params.frame
     r = params.r[sel]
+    term = np.empty(Ac.shape)
     for c in range(3):
-        W[..., c] = r * (Ac * fr.t[sel + (c,)] + As * fr.n[sel + (c,)])
+        Wc = W[..., c]
+        np.multiply(Ac, params.t[sel + (c,)], out=Wc)
+        np.multiply(As, params.n[sel + (c,)], out=term)
+        Wc += term
+        Wc *= r
     return W
 
 
@@ -508,6 +536,47 @@ def _tiles(region, shape):
     return [((_slice(rows[a:b]), region[1]), slice(a, b)) for a, b in zip(edges, edges[1:])]
 
 
+def _lane(run, items):
+    """(index, run(item), None) for the (index, item) pairs in order, up to
+    the first that raises, which ends the list as (index, None, error)."""
+    done = []
+    for index, item in items:
+        try:
+            done.append((index, run(item), None))
+        except Exception as error:
+            done.append((index, None, error))
+            break
+    return done
+
+
+def _in_lanes(run, items):
+    """[run(item) for item in items], in lanes: the calling thread runs items
+    0, W, 2W, ... and one helper thread for each other residue mod
+    W = WORKERS runs its items, each lane in order; one item runs on the
+    calling thread alone.
+
+    Every lane stops at its first error. The helpers are started for this
+    call and have stopped before it returns or raises, and it raises the
+    first error in item order, the one the serial walk raises; every item
+    before it has run.
+    """
+    numbered = list(enumerate(items))
+    lanes = [numbered[lane::WORKERS] for lane in range(min(WORKERS, len(numbered)))]
+    # leaving the block waits for every helper, also when the calling lane raised
+    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="probe-tile") as helpers:
+        helped = [helpers.submit(_lane, run, lane) for lane in lanes[1:]]
+        done = _lane(run, lanes[0])
+    for helper in helped:
+        done += helper.result()
+    results = []
+    # indices are distinct, so the entries sort by index alone
+    for _, result, error in sorted(done):
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def _metric_on(m, index):
     """m on the nodes of index; None stays None."""
     return None if m is None else MetricField(m.E[index], m.F[index], m.G[index])
@@ -520,7 +589,9 @@ def _tile_of(params, tile):
     return replace(
         params,
         f=_JetRows.of(params.f, tile),
-        frame=FrameField(**{k: v[tile] for k, v in vars(params.frame).items()}),
+        t=params.t[tile],
+        n=params.n[tile],
+        u=params.u[tile],
         r=params.r[tile],
         alpha=params.alpha[tile],
         coeff=params.coeff[(_ALL,) + tile],
@@ -596,23 +667,25 @@ def _probe(params, N, norm_metric, next_metric, region):
     """Corrugate at N on a region (rows, cols) of the grid; measure what
     acceptance reads over its nodes.
 
-    The region runs one tile at a time (_probe_tile) into one output jet,
-    allocated once and shaped like the region, so a boundary line pair
-    touches no whole-grid output; the tiles' maxima and minima are reduced
-    here, which is exact. A whole-grid probe measures its step audits in
-    the same walk.
+    The region runs tile by tile (_probe_tile), on WORKERS threads when it
+    has more than one tile (_in_lanes), into one output jet, allocated once
+    and shaped like the region, so a boundary line pair touches no
+    whole-grid output. Tiles write disjoint rows of it, and their maxima
+    and minima are reduced here in tile order, which is exact. A whole-grid
+    probe measures its step audits in the same walk.
     """
     if N < 1:
         raise DomainError("corrugation number must be positive")
     shape = params.f.grid.shape
     out = _JetRows(*(np.empty(params.f.pos[region].shape) for _ in range(3)))
     audited = region == _whole(shape)
-    defect, spacelike, c0, long, audits = zip(
-        *(
-            _probe_tile(params, N, tile, _JetRows.of(out, rows), norm_metric, next_metric, audited)
-            for tile, rows in _tiles(region, shape)
-        )
-    )
+
+    def run(tile_rows):
+        tile, rows = tile_rows
+        new = _JetRows.of(out, rows)
+        return _probe_tile(params, N, tile, new, norm_metric, next_metric, audited)
+
+    defect, spacelike, c0, long, audits = zip(*_in_lanes(run, _tiles(region, shape)))
     return _Probe(
         N=N,
         out=out,
@@ -725,16 +798,16 @@ def _ortho_defect(n, ax, ay):
     )
 
 
-def _predicted_normal_audits(frame, theta, new, Lx, Ly):
+def _predicted_normal_audits(step, theta, new, Lx, Ly):
     """Unit and orthogonality defects of n_L = sinh(theta) t + cosh(theta) n.
 
     Against the corrugated jet's differential and against L itself.
     """
     sh = np.sinh(theta)
     ch = np.cosh(theta)
-    nL = np.empty(frame.n.shape)
+    nL = np.empty(step.n.shape)
     for c in range(3):
-        nL[..., c] = sh * frame.t[..., c] + ch * frame.n[..., c]
+        nL[..., c] = sh * step.t[..., c] + ch * step.n[..., c]
     return (
         _unit_defect(nL),
         _ortho_defect(nL, new.dfx, new.dfy),
@@ -754,10 +827,9 @@ def _increment_margin(params, new, Lx, Ly):
     The u-direction C1 shift is controlled by the amplitude envelope plus the
     O(1/N) remainder slack.
     """
-    fr = params.frame
-    u0, u1 = fr.u[..., 0:1], fr.u[..., 1:2]
+    u0, u1 = params.u[..., 0:1], params.u[..., 1:2]
     du_new = u0 * new.dfx + u1 * new.dfy
-    lhs = euclidean_norm(du_new - fr.t)
+    lhs = euclidean_norm(du_new - params.t)
     slack = euclidean_norm(du_new - (u0 * Lx + u1 * Ly))
     return float(np.max(lhs - params.envelope - slack))
 
@@ -768,15 +840,14 @@ def _tile_audits(step, new, norm_metric, theta, Lx, Ly):
     the loop angle and differential the probe made; a DegeneratePlane is
     kept for _step_record. Each group of audits runs in its own function,
     so its temporaries are freed before the next group allocates."""
-    identity = MetricField.identity(new.pos.shape[:2])
-    c1, c1_euclid = c1_increments(new, step.f, (norm_metric, identity))
+    c1, c1_euclid = c1_increments(new, step.f, (norm_metric, None))
     mu = step.mu
     identity_max = max(
         np.max(np.abs(minkowski_inner(Lx, Lx) - mu.E)),
         np.max(np.abs(minkowski_inner(Lx, Ly) - mu.F)),
         np.max(np.abs(minkowski_inner(Ly, Ly) - mu.G)),
     )
-    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(step.frame, theta, new, Lx, Ly)
+    unit_pred, ortho_pred, ortho_exact = _predicted_normal_audits(step, theta, new, Lx, Ly)
     # Growth bound: K controls the new differential and normal against the
     # old ones in the pullback operator norm.
     K = step.growth_constant

@@ -231,18 +231,23 @@ def require_long(f, g):
     return d
 
 
-def _pencil_eigenvalues(B, g):
-    """Eigenvalues of the pencil det(B - lambda g) = 0 for PD g, both (...)."""
-    dg = g.det()
-    if np.any(dg <= 0.0):
-        raise SingularMetric("pencil needs a positive definite base metric")
-    tr = B.E * g.G + B.G * g.E - 2.0 * B.F * g.F
+def _pencil(B, g):
+    """(tr, rad, 2 det g) of the pencil det(B - lambda g) = 0 for PD g, or
+    for the identity when g is None: its eigenvalues are (tr -+ rad) / (2 det g).
+
+    The identity pencil is bitwise the general one at E = G = 1, F = 0:
+    det g = 1 and tr = B.E + B.G.
+    """
+    if g is None:
+        dg, tr = 1.0, B.E + B.G
+    else:
+        dg = g.det()
+        if np.any(dg <= 0.0):
+            raise SingularMetric("pencil needs a positive definite base metric")
+        tr = B.E * g.G + B.G * g.E - 2.0 * B.F * g.F
     disc = tr**2 - 4.0 * dg * B.det()
     # Symmetric pencil with PD base: discriminant is nonnegative up to rounding.
-    rad = np.sqrt(np.maximum(disc, 0.0))
-    lo = (tr - rad) / (2.0 * dg)
-    hi = (tr + rad) / (2.0 * dg)
-    return lo, hi
+    return tr, np.sqrt(np.maximum(disc, 0.0)), 2.0 * dg
 
 
 def operator_norm_map(Ax, Ay, g):
@@ -267,9 +272,12 @@ def _gram(Ax, Ay):
 
 
 def _map_norm(B, g):
-    """Pointwise operator norm against g of a map whose Gram field is B."""
-    _, hi = _pencil_eigenvalues(B, g)
-    return np.sqrt(np.maximum(hi, 0.0))
+    """Pointwise operator norm against g (the identity when None) of a map
+    whose Gram field is B: the root of the pencil's upper eigenvalue."""
+    tr, rad, dg2 = _pencil(B, g)
+    tr += rad
+    tr /= dg2
+    return np.sqrt(np.maximum(tr, 0.0))
 
 
 def operator_norm_form(B, g):
@@ -278,8 +286,8 @@ def operator_norm_form(B, g):
     Largest absolute generalized eigenvalue of det(B - lambda g) = 0; B may
     be indefinite, g must be positive definite.
     """
-    lo, hi = _pencil_eigenvalues(B, g)
-    return np.maximum(np.abs(lo), np.abs(hi))
+    tr, rad, dg2 = _pencil(B, g)
+    return np.maximum(np.abs((tr - rad) / dg2), np.abs((tr + rad) / dg2))
 
 
 def c0_distance(f1, f2):
@@ -290,7 +298,8 @@ def c0_distance(f1, f2):
 
 
 def c1_increments(f1, f2, metrics):
-    """Sup over nodes of the operator norm of df1 - df2 against each g in metrics, in order.
+    """Sup over nodes of the operator norm of df1 - df2 against each g in
+    metrics, in order; None stands for the Euclidean (identity) metric.
 
     f1 and f2 are jets on one grid, or any two objects whose dfx and dfy
     have one shape (the rows of a jet). The difference df1 - df2 and its

@@ -61,9 +61,15 @@ def timelike_unit_normal(t1, t2):
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     # Raising the index of the Euclidean cross product with diag(1,1,-1)
-    # produces an h-orthogonal direction.
-    e = np.cross(t1, t2)
-    raw = e * HSIG
+    # produces an h-orthogonal direction. It is made by components and in
+    # place, bitwise np.cross(t1, t2) * HSIG.
+    raw = np.empty(np.broadcast_shapes(t1.shape, t2.shape))
+    term = np.empty(raw.shape[:-1])
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(t1[..., i], t2[..., j], out=raw[..., c])
+        np.multiply(t1[..., j], t2[..., i], out=term)
+        raw[..., c] -= term
+    np.negative(raw[..., 2], out=raw[..., 2])
     span = euclidean_norm(raw)
     if np.any(span <= 0.0):
         raise DegeneratePlane("tangent vectors are parallel")
@@ -73,8 +79,7 @@ def timelike_unit_normal(t1, t2):
         raise DegeneratePlane(
             "plane is not spacelike: normalized h(n,n) = %s" % float(np.max(q))
         )
-    n = raw / np.sqrt(-hh)[..., None]
+    raw /= np.sqrt(-hh)[..., None]
     # Two candidate unit normals differ by sign; pick the future-pointing one.
-    flip = n[..., 2] < 0.0
-    n = np.where(flip[..., None], -n, n)
-    return n
+    np.negative(raw, out=raw, where=(raw[..., 2] < 0.0)[..., None])
+    return raw

@@ -6,6 +6,9 @@ oracles for the hand-rolled series and solvers.
 """
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -481,7 +484,7 @@ def test_target_differential_fixes_kernel_direction():
     """Along ker dl the corrugated differential equals the original."""
     grid, f, eta = strip_jet(17)
     params = prepare_step(f, eta, STRIP_FORM)
-    v = params.frame.v
+    v = corrugation_frame(f, STRIP_FORM, pullback_metric(f)).v
     theta = params.alpha * np.cos(2.0 * np.pi * np.full(grid.shape, 0.37))
     Lx, Ly = corrugation._loop_differential(params, theta)
     new = v[..., 0:1] * Lx + v[..., 1:2] * Ly
@@ -671,7 +674,8 @@ def test_select_audits_only_the_accepted_N(monkeypatch):
 
 def test_applied_step_makes_each_tile_once(monkeypatch):
     """A probe and its record walk the tiles once: the phase and the loop
-    differential are made once per tile, and the audits read them."""
+    differential are made once per tile, and the audits read them, on one
+    thread and on two."""
     calls = []
     for name in ("_phase", "_loop_differential"):
         original = getattr(corrugation, name)
@@ -683,32 +687,38 @@ def test_applied_step_makes_each_tile_once(monkeypatch):
         monkeypatch.setattr(corrugation, name, counted)
     monkeypatch.setattr(corrugation, "TILE_NODES", 8 * 33)
     grid, f, eta = strip_jet(33)
-    apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
+    params = prepare_step(f, eta, LinearForm(1.0, 0.3))
     tiles = len(corrugation._tiles(corrugation._whole(grid.shape), grid.shape))
     assert tiles == 5
-    assert calls == ["_phase", "_loop_differential"] * tiles
+    for workers in (1, 2):
+        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        calls.clear()
+        apply_corrugation(params, 32)
+        assert sorted(calls) == sorted(["_phase", "_loop_differential"] * tiles)
 
 
 def _degenerate_tiles(monkeypatch, fails):
     """Make the actual-normal audits raise DegeneratePlane, naming N and the
-    tile's index in its probe, on the tiles for which fails(N, index) holds;
-    returns the messages raised."""
-    probe, normal = corrugation._probe, corrugation._actual_normal_audits
-    at, raised = [], []
+    tile's index in its whole-grid probe, on the tiles for which
+    fails(N, index) holds; returns the messages raised, in the order the
+    tiles' threads raised them."""
+    probe_tile, normal = corrugation._probe_tile, corrugation._actual_normal_audits
+    at, raised = threading.local(), []
 
-    def probed(params, N, *args):
-        at[:] = [N, 0]
-        return probe(params, N, *args)
+    def probed(params, N, tile, *args):
+        shape = params.f.grid.shape
+        tiles = [t for t, _ in corrugation._tiles(corrugation._whole(shape), shape)]
+        at.tile = N, tiles.index(tile) if tile in tiles else None
+        return probe_tile(params, N, tile, *args)
 
     def audited(out):
-        N, index = at
-        at[1] += 1
+        N, index = at.tile
         if fails(N, index):
             raised.append("N=%d tile %d" % (N, index))
             raise DegeneratePlane(raised[-1])
         return normal(out)
 
-    monkeypatch.setattr(corrugation, "_probe", probed)
+    monkeypatch.setattr(corrugation, "_probe_tile", probed)
     monkeypatch.setattr(corrugation, "_actual_normal_audits", audited)
     return raised
 
@@ -734,7 +744,7 @@ def test_spacelike_record_raises_the_first_degenerate_tile(monkeypatch):
     raised = _degenerate_tiles(monkeypatch, lambda N, index: index in (1, 3))
     with pytest.raises(DegeneratePlane, match="^N=64 tile 1$"):
         apply_corrugation(params, 64)
-    assert raised == ["N=64 tile 1", "N=64 tile 3"]
+    assert sorted(raised) == ["N=64 tile 1", "N=64 tile 3"]
 
 
 def test_one_step_applied_at_several_N_equals_fresh_steps():
@@ -990,6 +1000,180 @@ def test_row_tiles_change_no_bit(monkeypatch, shape, tile_rows):
     assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
     assert tiles[0].start == 0 and tiles[-1].stop == nx
     assert all(1 <= t.stop - t.start <= tile_rows for t in tiles)
+
+
+def _same_bytes(a, b):
+    """Equal arrays, down to the sign of zeros and the dtype."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, tile_nodes, region",
+    [
+        ((33, 17), 6 * 17, "whole"),  # odd row count: six tiles at one, two and three threads
+        ((33, 17), 17, "whole"),  # one row per tile
+        ((33, 17), 2**62, "whole"),  # a region smaller than two tiles
+        ((33, 17), 12, "columns"),  # the column pair in six tiles
+        ((33, 17), 17, "rows"),
+        ((2, 7), 7, "whole"),
+    ],
+)
+def test_probe_is_the_same_on_any_thread_count(monkeypatch, shape, tile_nodes, region):
+    """On one, two and three threads a probe gives the same bytes: its jet,
+    its four acceptance values, each tile's audits and the step record."""
+    grid = Grid(*shape)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    nxt = MetricField.constant(0.4, 0.1, 0.5, shape)
+    monkeypatch.setattr(corrugation, "TILE_NODES", tile_nodes)
+    region = dict(zip(("rows", "columns", "whole"), corrugation._rungs(shape)))[region]
+    for N in (1, 48, 2**20):
+        for next_metric in (None, nxt):
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(corrugation, "WORKERS", workers)
+                probe = corrugation._probe(params, N, params.mu, next_metric, region)
+                whole = region == corrugation._whole(shape)
+                runs.append((probe, corrugation._step_record(params, probe) if whole else None))
+            (want, want_record), *others = runs
+            for probe, record in others:
+                for name in ("pos", "dfx", "dfy"):
+                    assert _same_bytes(getattr(probe.out, name), getattr(want.out, name))
+                for name in ("sup_default", "spacelike_min", "c0_shift", "long_min"):
+                    assert getattr(probe, name) == getattr(want, name), name
+                assert len(probe.audits) == len(want.audits)
+                for got, ref in zip(probe.audits, want.audits):
+                    assert got == ref
+                if record is not None:
+                    _assert_same_step(record, want_record)
+
+
+def test_probe_is_the_same_on_more_threads_than_cores(monkeypatch):
+    """Five threads switching every microsecond over one-row tiles write
+    the same jet and measure the same values and audits as one thread.
+    Each lane's first tile waits until all five lanes run, so the four
+    helper lanes run on four threads at once."""
+    grid = Grid(33, 17)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    monkeypatch.setattr(corrugation, "TILE_NODES", 17)
+    whole = corrugation._whole(grid.shape)
+    tiles = [t for t, _ in corrugation._tiles(whole, grid.shape)]
+    probe_tile, threads, probes = corrugation._probe_tile, {}, []
+
+    def tile_run(params, N, tile, *args):
+        index = tiles.index(tile)
+        threads[index] = threading.get_ident()
+        if index < corrugation.WORKERS:
+            started.wait(timeout=30)
+        return probe_tile(params, N, tile, *args)
+
+    monkeypatch.setattr(corrugation, "_probe_tile", tile_run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 5):
+            monkeypatch.setattr(corrugation, "WORKERS", workers)
+            started = threading.Barrier(workers)
+            probes.append(corrugation._probe(params, 48, params.mu, None, whole))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threads[0] == threading.get_ident()
+    assert len({threads[lane] for lane in range(1, 5)} - {threads[0]}) == 4
+    assert all(threads[i] == threads[i % 5] for i in range(len(tiles)))
+    want, got = probes
+    for name in ("pos", "dfx", "dfy"):
+        assert _same_bytes(getattr(got.out, name), getattr(want.out, name))
+    assert (got.sup_default, got.spacelike_min, got.c0_shift) == (
+        want.sup_default,
+        want.spacelike_min,
+        want.c0_shift,
+    )
+    assert len(got.audits) == 33 and got.audits == want.audits
+
+
+def test_select_is_the_same_on_one_and_two_threads(monkeypatch):
+    """N-selection with rejections, a C0 budget and a next metric picks the
+    same N and gives the same jet and record on one and two threads."""
+    monkeypatch.setattr(corrugation, "TILE_NODES", 6 * 33)
+    grid, f, eta = strip_jet(33)
+    nxt = MetricField.constant(0.4, 0.0, 0.4, grid.shape)
+    steps = []
+    for workers in (1, 2):
+        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        steps.append(
+            select_corrugation_number(
+                f, eta, LinearForm(1.0, 0.3), 1e-3, c0_budget=3e-3, next_metric=nxt
+            )
+        )
+    assert steps[0][1].N > corrugation.LADDER_START
+    _assert_same_step(steps[1], steps[0])
+
+
+def test_tiles_run_on_the_calling_thread_and_one_helper(monkeypatch):
+    """On two threads a region of several tiles runs its even tiles on the
+    calling thread and its odd tiles on a helper; a one-tile region, such
+    as a boundary line pair, runs on the calling thread alone."""
+    monkeypatch.setattr(corrugation, "WORKERS", 2)
+    monkeypatch.setattr(corrugation, "TILE_NODES", 4 * 33)
+    grid, f, eta = strip_jet(33)
+    params = prepare_step(f, eta, LinearForm(1.0, 0.3))
+    rows, _, whole = corrugation._rungs(grid.shape)
+    tiles = [t for t, _ in corrugation._tiles(whole, grid.shape)]
+    probe_tile, threads = corrugation._probe_tile, {}
+
+    def tile_run(params, N, tile, *args):
+        threads[tiles.index(tile) if tile in tiles else None] = threading.get_ident()
+        return probe_tile(params, N, tile, *args)
+
+    monkeypatch.setattr(corrugation, "_probe_tile", tile_run)
+    corrugation._probe(params, 64, params.mu, None, rows)
+    assert threads == {None: threading.get_ident()}
+    threads.clear()
+    corrugation._probe(params, 64, params.mu, None, whole)
+    assert len(tiles) == 9 and sorted(threads) == list(range(9))
+    assert {threads[i] for i in range(0, 9, 2)} == {threading.get_ident()}
+    helper = {threads[i] for i in range(1, 9, 2)}
+    assert len(helper) == 1 and threading.get_ident() not in helper
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tile_errors_raise_as_the_serial_walk(monkeypatch, workers):
+    """A probe whose tiles raise raises the first error in tile order, after
+    every tile before it has run, and no tile is still running when the
+    probe raises or returns. Tile 1 raises late, tile 2 at once."""
+    monkeypatch.setattr(corrugation, "WORKERS", workers)
+    monkeypatch.setattr(corrugation, "TILE_NODES", 4 * 33)
+    grid, f, eta = strip_jet(33)
+    params = prepare_step(f, eta, LinearForm(1.0, 0.3))
+    whole = corrugation._whole(grid.shape)
+    tiles = [t for t, _ in corrugation._tiles(whole, grid.shape)]
+    probe_tile = corrugation._probe_tile
+    running, ran, failing = set(), [], set()
+
+    def tile_run(params, N, tile, *args):
+        index = tiles.index(tile)
+        running.add(index)
+        try:
+            if index in failing:
+                time.sleep(0.05 if index == 1 else 0.0)
+                raise RuntimeError("tile %d" % index)
+            return probe_tile(params, N, tile, *args)
+        finally:
+            ran.append(index)
+            running.discard(index)
+
+    monkeypatch.setattr(corrugation, "_probe_tile", tile_run)
+    want = corrugation._probe(params, 64, params.mu, None, whole)
+    assert not running and sorted(ran) == list(range(len(tiles)))
+    failing.update((1, 2))
+    ran.clear()
+    with pytest.raises(RuntimeError, match="^tile 1$"):
+        corrugation._probe(params, 64, params.mu, None, whole)
+    assert not running and {0, 1} <= set(ran)
+    if workers == 1:
+        assert ran == [0, 1]
+    failing.clear()
+    got = corrugation._probe(params, 64, params.mu, None, whole)
+    assert not running and got.audits == want.audits
 
 
 def _probe_and_record_peak(monkeypatch, tile_nodes):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lorentz_corrugate import fields
 from lorentz_corrugate.cli import _write_record
 from lorentz_corrugate.corrugation import CorrugationStepRecord
 from lorentz_corrugate.errors import (
@@ -297,6 +298,23 @@ def test_c0_c1_distances():
     assert c1_increments(f1, f2, (g, 4.0 * g)) == [c1_increments(f1, f2, (g,))[0], 0.25]
     with pytest.raises(GridMismatch):
         c0_distance(f1, flat_inclusion(Grid(5, 5)))
+
+
+def test_identity_pencil_is_bitwise_the_identity_metric():
+    """None stands for the identity metric in c1_increments, to the last bit."""
+    rng = np.random.default_rng(29)
+    shape = (17, 13)
+    for scale in (1e-9, 1e-3, 1.0, 1e3):
+        f1, f2 = flat_inclusion(Grid(*shape)), flat_inclusion(Grid(*shape))
+        for jet in (f1, f2):
+            jet.dfx += scale * rng.normal(size=shape + (3,))
+            jet.dfy += scale * rng.normal(size=shape + (3,))
+        f2.dfy[::2] = f1.dfy[::2]  # rank-one differences on every other row
+        identity = MetricField.identity(shape)
+        assert c1_increments(f1, f2, (None,)) == c1_increments(f1, f2, (identity,))
+        B = fields._gram(f1.dfx - f2.dfx, f1.dfy - f2.dfy)
+        got, want = fields._map_norm(B, None), fields._map_norm(B, identity)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- frame

@@ -96,3 +96,19 @@ def test_normal_batched_matches_loop():
     for i in range(6):
         single = timelike_unit_normal(t1[i], t2[i])
         assert np.array_equal(batch[i], single)
+
+
+def test_normal_is_bitwise_the_cross_product_form():
+    """The normal made by components equals, to the sign of each zero, the
+    raised-index np.cross normalized and flipped to the future."""
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        t1 = rng.normal(size=(9, 7, 3)) * 0.1 + (1.0, 0.0, 0.0)
+        t2 = rng.normal(size=(9, 7, 3)) * 0.1 + (0.0, 1.0, 0.0)
+        t1[::2, :, 2] = 0.0  # exact zero components
+        t2[:, ::3, 0] = 0.0
+        t1[0, 0], t2[0, 0] = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)  # a normal with zeros flipped to -0
+        raw = np.cross(t1, t2) * HSIG
+        n = raw / np.sqrt(-minkowski_inner(raw, raw))[..., None]
+        want = np.where((n[..., 2] < 0.0)[..., None], -n, n)
+        assert timelike_unit_normal(t1, t2).tobytes() == want.tobytes()

@@ -143,6 +143,23 @@ def test_run_stage_replays_the_run_from_its_number():
         assert row.ledger_cells() == ledger.rows[n - 1].ledger_cells()
 
 
+def test_run_stage_is_the_same_on_one_and_two_threads(monkeypatch):
+    """A stage whose probes run in several tiles gives the same jet, ledger
+    row and step records on one and two threads."""
+    f0, g = scenario("flat-shrink").build(Grid(33, 33))
+    Delta, dictionary = require_long(f0, g), build_dictionary(5)
+    monkeypatch.setattr(corrugation, "TILE_NODES", 6 * 33)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        runs.append(scheduler.run_stage(f0, 1, g, Delta, 0.05, dictionary))
+    (f_1, row_1), (f_2, row_2) = runs
+    for a, b in zip((f_1.pos, f_1.dfx, f_1.dfy), (f_2.pos, f_2.dfx, f_2.dfy)):
+        assert a.tobytes() == b.tobytes()
+    assert row_1.ledger_cells() == row_2.ledger_cells()
+    assert row_1.step_records == row_2.step_records
+
+
 def test_c1_bound_fails_an_overshooting_stage(monkeypatch):
     """A stage that moves the jet 20 times as far as its steps did breaks the C1 bound."""
     grid = Grid(33, 33)
