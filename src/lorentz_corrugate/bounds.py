@@ -37,7 +37,17 @@ def _bessel_series(alpha, nu, name):
     """(alpha, sum_m q^m nu! / (m! (m + nu)!)) with q = (alpha/2)^2, nu = 0 or 1.
 
     The sum is I_nu(alpha) (2 / alpha)^nu nu!, absolutely convergent;
-    evaluation stops when the running term falls below 1e-17 of the sum.
+    evaluation stops when the largest term over the array is at most 1e-17
+    of the largest running sum.
+
+    The stop is exact on any part of the array, so a row band of a grid
+    gets bitwise the whole grid's values. Rounded products and sums are
+    monotone, so a node's term and running sum never decrease with alpha,
+    and a part's largest term and largest sum both sit at its largest
+    alpha. The ratio term / sum grows with q, so where a part stops every
+    node of it has a term of at most 1e-17 of its own sum, and later terms
+    are smaller still: below half an ulp of the sum (over 5.55e-17 of it),
+    each term the whole array would still add rounds away.
     """
     z = np.asarray(alpha, dtype=float)
     if np.any(z < 0.0) or np.any(z > ALPHA_CAP):

@@ -42,7 +42,11 @@ the value the whole grid would give it, and the whole grid is the
 one-tile case. A probe runs on one region of the grid, cut into tiles by
 one rule: the whole grid, whose probe measures the step audits in the
 same walk, or a pair of boundary lines (one stepped slice) that
-N-selection screens first. The prepared step stays whole-grid.
+N-selection screens first. The prepared step's fields cover the whole
+grid; prepare_step makes them in WORKERS row bands, one per thread, and
+takes its two whole-grid decisions exactly across the bands (the Newton
+count and the stop of the series behind phi), so every field is bitwise
+the one the whole grid as one band gives.
 
 A region of several tiles runs them on WORKERS threads (two where the
 process may use two CPUs, else one): the calling thread and helpers
@@ -55,19 +59,26 @@ probe's time in tiles of 2^13 nodes and over a third in its four tiles
 of about 2^14 nodes, two per thread. An odd tile count leaves one thread
 a tile more. Each thread holds one tile's temporaries at a time, so a
 probe's peak beyond its output jet is about WORKERS tiles' worth. A
-boundary line pair is one tile and runs on the calling thread, as does
-prepare_step.
+boundary line pair is one tile and runs on the calling thread.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .bounds import ALPHA_CAP, growth_constant, increment_constant, phi, phi_prime
-from .errors import BudgetExceeded, DegeneratePlane, DomainError, LostSpacelike, NotRiemannian
+from .errors import (
+    BudgetExceeded,
+    DegeneratePlane,
+    DomainError,
+    EngineError,
+    LostSpacelike,
+    NotRiemannian,
+)
 from .fields import (
     LONG_TOL,
     EmbeddingJet,
@@ -116,7 +127,7 @@ class AmplitudeSolveResult:
     iterations: int
 
 
-def phi_inverse(y):
+def phi_inverse(y, at_least=0):
     """Solve phi(alpha) = y for alpha >= 0 by Newton steps with phi_prime.
 
     phi <= cosh, so the start arccosh(y) is at or left of the root; phi is
@@ -126,7 +137,8 @@ def phi_inverse(y):
     at ALPHA_CAP only. Deterministic and vectorized. y may be an
     array; values inside [1 - 1e-12, 1) are clamped to 1; smaller values,
     NaN, values above phi(ALPHA_CAP) and a solve that needs more than
-    PHI_INVERSE_MAX_ITER steps raise DomainError.
+    PHI_INVERSE_MAX_ITER steps raise DomainError. No count below at_least
+    is returned: prepare_step holds a row band to the whole grid's count.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 1.0 - 1e-12):
@@ -138,7 +150,7 @@ def phi_inverse(y):
     a = np.arccosh(y)
     for iterations in range(PHI_INVERSE_MAX_ITER + 1):
         fa = phi(a) - y
-        if np.all(np.abs(fa) <= tol):
+        if iterations >= at_least and np.all(np.abs(fa) <= tol):
             return AmplitudeSolveResult(alpha=np.asarray(a), iterations=iterations)
         # phi_prime vanishes only at alpha = 0, where y = 1 is solved exactly
         step = np.divide(fa, phi_prime(a), out=np.zeros_like(fa), where=fa != 0.0)
@@ -173,7 +185,7 @@ def series_orders(alpha_max):
     return max(10, min(m + 6, 120))
 
 
-def bessel_table(alpha, orders):
+def bessel_table(alpha, orders, alpha_max=None, out=None):
     """Modified Bessel values I_m(alpha) for m = 0..orders, per node.
 
     Downward recurrence on the ratios r_m = I_m / I_{m-1},
@@ -182,10 +194,16 @@ def bessel_table(alpha, orders):
     nothing overflows, and alpha = 0 gives r_m = 0 exactly. alpha may be
     any array. Agrees with library Bessel evaluations to ~1e-15 and is an
     order of magnitude faster on grid-sized batches.
+
+    The start order follows alpha_max (default: the largest alpha), so a
+    row band given its grid's alpha_max gets bitwise the grid's rows, and
+    writes them into out (default: a new table) when given its columns.
     """
     z = np.asarray(alpha, dtype=float)
-    start = orders + int(np.sqrt(40.0 * max(float(np.max(z)), 1.0))) + 14
-    out = np.empty((orders + 1,) + z.shape)
+    top = float(np.max(z)) if alpha_max is None else alpha_max
+    start = orders + int(np.sqrt(40.0 * max(top, 1.0))) + 14
+    if out is None:
+        out = np.empty((orders + 1,) + z.shape)
     r = np.zeros(z.shape)
     for m in range(start, 0, -1):
         # r = z / (2m + z r), in place
@@ -346,11 +364,11 @@ class StepParams:
     read: t, n and the tangent field u.
 
     Every per-node field covers the whole grid: 19 arrays of nodes beside
-    the input jet, plus the orders + 1 of the coefficient table (see
-    prepare_step for why), and the grid spacing is f.grid's. Probes and
-    audits read it one tile at a time (_tile_of): the tile's nodes of each
-    field as views, with f as a _JetRows; the differences read the
-    whole-grid fields and coefficient table around a tile (_cuts).
+    the input jet, plus the orders + 1 of the coefficient table, each
+    written band by band (prepare_step), and the grid spacing is f.grid's.
+    Probes and audits read it one tile at a time (_tile_of): the tile's
+    nodes of each field as views, with f as a _JetRows; the differences
+    read the whole-grid fields and coefficient table around a tile (_cuts).
     """
 
     f: EmbeddingJet
@@ -390,55 +408,165 @@ class CorrugationStepRecord:
     audits: dict = field(default_factory=dict)
 
 
+def _bands(nx):
+    """The row bands prepare_step cuts an nx-row grid into: min(WORKERS, nx)
+    runs of rows, as even as their count allows."""
+    count = min(WORKERS, nx)
+    edges = [nx * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def prepare_step(f, eta, ell):
     """Frame, radius, amplitude, coefficient tables and audit terms for a step.
 
-    Unlike probes and audits, this runs on the whole grid at once, because
-    its per-node values depend on every node: phi_inverse steps all nodes
-    until every one has converged (one Newton count for the grid), and the
-    series behind phi (bounds._bessel_series), which gives alpha and the
-    table's first row, stops when its largest term over all nodes is below
-    1e-17 of its largest sum. Made tile by tile, alpha and the table would
-    change in their last bits.
+    The grid is cut into WORKERS row bands (_bands), run on as many
+    threads (_in_lanes), and every per-node field is written by its band
+    into one whole-grid array. Each node gets bitwise the value the whole
+    grid would give it, although two decisions look at every node:
+
+    - phi_inverse steps all nodes until every one has converged. Each band
+      steps until it first converges; the bands short of the largest count
+      are solved again, held to it, and while one has not converged there
+      the largest count grows (_catch_up). That gives the first count at
+      which all nodes have converged, the whole grid's count.
+    - The series behind phi stops on its largest term over the nodes it is
+      given, and that stop is exact on any band (bounds._bessel_series).
+      The coefficient table's orders and its recurrence start follow the
+      grid's largest amplitude.
+
+    A band checks only its own rows, and an EngineError's message names an
+    extreme over the nodes checked. So when a band raises one, the step is
+    prepared again as one band, the whole grid on the calling thread,
+    which raises what the whole-grid order of checks raises. A band may be
+    one row: it reads the jet's rows (_JetRows), never a Grid.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != f.grid.shape:
         raise DomainError("eta shape %s does not match grid" % (eta.shape,))
     if np.any(eta < 0.0):
         raise DomainError("eta must be nonnegative")
-    g = pullback_metric(f)
-    frame = corrugation_frame(f, ell, g)
-    r = radial_factor(eta, frame.dlu)
-    # average condition: the loop average r phi(alpha) equals 1 / dl(u)
-    alpha = phi_inverse(1.0 / (r * frame.dlu)).alpha
-    alpha_max = float(np.max(alpha))
-    orders = series_orders(alpha_max)
-    coeff = bessel_table(alpha, orders)
-    X, Y = f.grid.mesh()
-    amplitude = max(alpha_max, 1e-12)
-    M = increment_constant(amplitude)
-    n_norm = euclidean_norm(frame.n)
-    return StepParams(
+    bands = _bands(f.grid.nx)
+    if len(bands) > 1:
+        try:
+            return _prepare(f, eta, ell, bands)
+        except EngineError:
+            # raised below as the whole grid raises it
+            pass
+    return _prepare(f, eta, ell, [slice(0, f.grid.nx)])
+
+
+def _prepare(f, eta, ell, bands):
+    """prepare_step on these row bands, in three walks over them: the fields
+    that do not depend on alpha with a first Newton solve, the catch-up to
+    the grid's Newton count, then the coefficient table and the terms that
+    read alpha or the grid's largest amplitude."""
+
+    def nodes(*tail):
+        return np.empty(f.grid.shape + tail)
+
+    step = StepParams(
         f=f,
         eta_max=float(np.max(eta)),
         ell=ell,
-        t=frame.t,
-        n=frame.n,
-        u=frame.u,
-        r=r,
-        alpha=alpha,
-        alpha_max=alpha_max,
-        coeff=coeff,
-        phase0=ell.phase(X, Y),
-        orders=orders,
-        mu=g - ell.outer(eta),
-        pullback=g,
-        average_max=float(np.max(np.abs(r * coeff[0] - 1.0 / frame.dlu))),
-        increment_constant=M,
-        envelope=M * np.sqrt(eta) * frame.dlu * (euclidean_norm(frame.t) + n_norm),
-        growth_constant=growth_constant(amplitude),
-        base=operator_norm_map(f.dfx, f.dfy, g) + n_norm,
+        t=nodes(3),
+        n=nodes(3),
+        u=nodes(2),
+        r=nodes(),
+        alpha=nodes(),
+        alpha_max=None,
+        coeff=None,
+        phase0=nodes(),
+        orders=None,
+        mu=MetricField(nodes(), nodes(), nodes()),
+        pullback=MetricField(nodes(), nodes(), nodes()),
+        average_max=None,
+        increment_constant=None,
+        envelope=nodes(),
+        growth_constant=None,
+        base=nodes(),
     )
+    _catch_up(step, bands, _in_lanes(partial(_frame_band, step, eta), bands))
+    step.alpha_max = float(np.max(step.alpha))
+    step.orders = series_orders(step.alpha_max)
+    step.coeff = np.empty((step.orders + 1,) + f.grid.shape)
+    amplitude = max(step.alpha_max, 1e-12)
+    step.increment_constant = increment_constant(amplitude)
+    step.growth_constant = growth_constant(amplitude)
+    step.average_max = float(np.max(_in_lanes(partial(_table_band, step, eta), bands)))
+    return step
+
+
+def _frame_band(step, eta, rows):
+    """Write the step's fields that do not depend on alpha on a band of rows,
+    and solve the band's amplitude; returns the solve's target y and count."""
+    # the whole grid's band reads the jet itself
+    f = step.f if rows == slice(0, step.f.grid.nx) else _JetRows.of(step.f, rows)
+    eta = eta[rows]
+    dlu = _frame_fields(step, f, eta, rows)
+    r = radial_factor(eta, dlu)
+    # average condition: the loop average r phi(alpha) equals 1 / dl(u)
+    y = 1.0 / (r * dlu)
+    solve = phi_inverse(y)
+    step.alpha[rows] = solve.alpha
+    step.r[rows] = r
+    n_norm = euclidean_norm(step.n[rows])
+    step.base[rows] = operator_norm_map(f.dfx, f.dfy, _metric_on(step.pullback, rows)) + n_norm
+    # the frame's norms; _table_band scales them to the envelope
+    step.envelope[rows] = euclidean_norm(step.t[rows]) + n_norm
+    return y, solve.iterations
+
+
+def _frame_fields(step, f, eta, rows):
+    """Write the frame's t, n and u, the pullback, mu and phase0 on a band of
+    rows (f, eta: the band's); returns the band's dl(u). The frame's other
+    fields are dropped here, before the band's amplitude solve allocates."""
+    g = pullback_metric(f)
+    frame = corrugation_frame(f, step.ell, g)
+    mu = g - step.ell.outer(eta)
+    grid = step.f.grid
+    for whole, band in (
+        (step.t, frame.t),
+        (step.n, frame.n),
+        (step.u, frame.u),
+        (step.phase0, step.ell.phase(grid.x[rows, None], grid.y)),
+        *((getattr(step.pullback, c), getattr(g, c)) for c in "EFG"),
+        *((getattr(step.mu, c), getattr(mu, c)) for c in "EFG"),
+    ):
+        whole[rows] = band
+    return frame.dlu
+
+
+def _catch_up(step, bands, solves):
+    """Solve the amplitude again on the bands (solves: each band's y and first
+    converged count) short of the largest count, held to it, until every
+    band has converged at one count: the whole grid's Newton count."""
+    ys, counts = zip(*solves)
+    count = max(counts)
+    while min(counts) < count:
+        counts = _in_lanes(partial(_solve_band, step, count), list(zip(bands, ys, counts)))
+        count = max(counts)
+
+
+def _solve_band(step, at_least, band):
+    """A band (rows, y, count) solved at a count below at_least is solved
+    again, to the first count of at least at_least at which it has
+    converged; returns the band's count."""
+    rows, y, count = band
+    if count < at_least:
+        solve = phi_inverse(y, at_least=at_least)
+        step.alpha[rows] = solve.alpha
+        count = solve.iterations
+    return count
+
+
+def _table_band(step, eta, rows):
+    """Write the coefficient table's columns and the envelope on a band of
+    rows; returns the band's average_max."""
+    table = bessel_table(step.alpha[rows], step.orders, step.alpha_max, step.coeff[:, rows])
+    dlu = step.ell.of(step.u[rows])
+    envelope = step.increment_constant * np.sqrt(eta[rows]) * dlu * step.envelope[rows]
+    step.envelope[rows] = envelope
+    return np.max(np.abs(step.r[rows] * table[0] - 1.0 / dlu))
 
 
 def _loop_differential(params, theta):
@@ -563,7 +691,7 @@ def _in_lanes(run, items):
     numbered = list(enumerate(items))
     lanes = [numbered[lane::WORKERS] for lane in range(min(WORKERS, len(numbered)))]
     # leaving the block waits for every helper, also when the calling lane raised
-    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="probe-tile") as helpers:
+    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="lane") as helpers:
         helped = [helpers.submit(_lane, run, lane) for lane in lanes[1:]]
         done = _lane(run, lanes[0])
     for helper in helped:

@@ -199,13 +199,15 @@ class EmbeddingJet:
                 raise GridMismatch("%s has shape %s, expected %s" % (name, arr.shape, want))
             setattr(self, name, arr)
 
-    def apply_d(self, u):
-        """df(u) for tangent vectors u with trailing axis of length 2."""
-        u = np.asarray(u, dtype=float)
-        out = np.empty(np.broadcast_shapes(u.shape[:-1], self.grid.shape) + (3,))
-        for c in range(3):
-            out[..., c] = u[..., 0] * self.dfx[..., c] + u[..., 1] * self.dfy[..., c]
-        return out
+
+def apply_d(f, u):
+    """df(u) for tangent vectors u with trailing axis of length 2, for a jet
+    or any object with its dfx and dfy (the rows of a jet)."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty(np.broadcast_shapes(u.shape[:-1], f.dfx.shape[:-1]) + (3,))
+    for c in range(3):
+        out[..., c] = u[..., 0] * f.dfx[..., c] + u[..., 1] * f.dfy[..., c]
+    return out
 
 
 def pullback_metric(f):
@@ -333,7 +335,8 @@ def corrugation_frame(f, ell, g):
     Parameters
     ----------
     f : EmbeddingJet
-        Spacelike embedding jet.
+        Spacelike embedding jet, or any object with its dfx and dfy (the
+        rows of a jet, as prepare_step passes a row band).
     ell : LinearForm
         Nonzero constant form whose kernel directs the corrugation.
     g : MetricField
@@ -348,7 +351,7 @@ def corrugation_frame(f, ell, g):
         t = df(u), n the timelike unit normal.
     """
     g.require_positive_definite(what="pullback")
-    shape = f.grid.shape
+    shape = g.shape
 
     kd = ell.kernel_direction()
     v = np.broadcast_to(kd, shape + (2,)).copy()
@@ -366,8 +369,8 @@ def corrugation_frame(f, ell, g):
     if np.any(dlu <= 0.0):
         raise SingularMetric("frame orientation failed: ell(u) <= 0 somewhere")
 
-    vhat = f.apply_d(v)
-    t = f.apply_d(u)
+    vhat = apply_d(f, v)
+    t = apply_d(f, u)
     n = timelike_unit_normal(t, vhat)
     return FrameField(v=v, u=u, vhat=vhat, t=t, n=n, dlu=dlu)
 

@@ -17,6 +17,7 @@ from lorentz_corrugate.bounds import (
     growth_constant,
     increment_constant,
     phi,
+    phi_prime,
     psi,
     psi1,
     psi2,
@@ -31,6 +32,40 @@ from lorentz_corrugate.fields import (
     operator_norm_form,
 )
 from lorentz_corrugate.scenarios import flat_inclusion
+
+
+def _amplitude_arrays(rng):
+    """Random amplitude arrays of the shapes a step's solve meets, each with
+    the special values 0, 1e-300, SMALL_ALPHA, 20.80 and ALPHA_CAP."""
+    special = [0.0, 1e-300, SMALL_ALPHA, 20.80, ALPHA_CAP]
+    for _ in range(40):
+        n = int(rng.integers(8, 200))
+        kind = rng.integers(4)
+        if kind == 0:
+            a = rng.uniform(0.0, 20.8, n)
+        elif kind == 1:
+            a = 10.0 ** rng.uniform(-13.0, np.log10(20.0), n)
+        elif kind == 2:
+            a = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 20.8, n))
+        else:
+            a = rng.uniform(0.0, ALPHA_CAP, n)
+        a[rng.choice(n, len(special), replace=False)] = special
+        yield a
+
+
+def test_series_stops_exactly_on_every_part():
+    """phi and phi_prime on any run of an array's nodes equal, bitwise, the
+    whole array's values there: the series stops on a part's largest term
+    and sum, and every term the whole array adds later rounds away."""
+    rng = np.random.default_rng(27)
+    for a in _amplitude_arrays(rng):
+        cuts = np.sort(rng.choice(np.arange(1, len(a)), 6, replace=False))
+        for fn in (phi, phi_prime):
+            whole = fn(a)
+            parts = np.concatenate([fn(part) for part in np.split(a, cuts)])
+            assert parts.tobytes() == whole.tobytes()
+            for value in a[:: len(a) // 7]:
+                assert fn(value) == whole[a == value][0]
 
 
 def test_psi_limits_at_zero():

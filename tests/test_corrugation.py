@@ -41,6 +41,7 @@ from lorentz_corrugate.errors import (
     DomainError,
     LostSpacelike,
     NotRiemannian,
+    SingularMetric,
 )
 from lorentz_corrugate.fields import (
     Grid,
@@ -311,6 +312,38 @@ def test_bessel_table_library_oracle():
     assert abs(scal[3] - special.iv(3, 2.5)) < 1e-14
 
 
+def test_bessel_table_bands_given_the_grid_alpha_max():
+    """Given the grid's alpha_max, a row band's table, written into its
+    columns of one table, is bitwise the whole grid's."""
+    rng = np.random.default_rng(29)
+    alpha = rng.uniform(0.0, 20.8, (11, 7))
+    alpha[0, 0], alpha[3, 2], alpha[10, 6] = 0.0, 1e-300, ALPHA_CAP
+    alpha_max = float(np.max(alpha))
+    orders = series_orders(alpha_max)
+    whole = bessel_table(alpha, orders)
+    banded = np.empty_like(whole)
+    for rows in (slice(0, 1), slice(1, 4), slice(4, 5), slice(5, 11)):
+        out = bessel_table(alpha[rows], orders, alpha_max, banded[:, rows])
+        assert np.shares_memory(out, banded)
+    assert banded.tobytes() == whole.tobytes()
+
+
+def test_phi_inverse_holds_at_least():
+    """at_least at or below a solve's count changes nothing; above it, the
+    solve steps on to that count and stays converged."""
+    y = phi(np.linspace(0.0, 20.0, 41))
+    first = phi_inverse(y)
+    assert first.iterations > 0
+    for at_least in (0, first.iterations):
+        again = phi_inverse(y, at_least=at_least)
+        assert again.iterations == first.iterations
+        assert again.alpha.tobytes() == first.alpha.tobytes()
+    for at_least in (first.iterations + 1, first.iterations + 3):
+        held = phi_inverse(y, at_least=at_least)
+        assert held.iterations == at_least
+        assert np.all(np.abs(phi(held.alpha) - y) <= PHI_INVERSE_TOL * y)
+
+
 def test_sin_table_recurrence():
     rng = np.random.default_rng(17)
     x = rng.uniform(0.0, 1.0, size=64)
@@ -466,6 +499,124 @@ def test_prepare_step_reaches_its_largest_amplitude_below_cap():
     _, rec = apply_corrugation(params, 16, raise_on_loss=False)
     assert np.isfinite(rec.audits["increment_constant"])
     assert np.isfinite(rec.audits["growth_constant"])
+
+
+def _assert_same_params(got, want):
+    """Every StepParams field of got is bitwise want's."""
+    for field in dataclasses.fields(corrugation.StepParams):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, MetricField):
+            a, b = np.stack([a.E, a.F, a.G]), np.stack([b.E, b.F, b.G])
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def _prepared(monkeypatch, workers, *step):
+    monkeypatch.setattr(corrugation, "WORKERS", workers)
+    return prepare_step(*step)
+
+
+@pytest.mark.parametrize(
+    "shape, ell",
+    [
+        ((2, 5), STRIP_FORM),
+        ((3, 4), LinearForm(1.0, 0.3)),
+        ((17, 9), LinearForm(0.6, -0.8)),
+        ((33, 33), LinearForm(1.0, 0.3)),
+    ],
+)
+def test_prepare_step_does_not_depend_on_workers(monkeypatch, shape, ell):
+    """Every prepared field is bitwise the same in one, two, three or five
+    row bands (more threads than cores, switching often), a band of one row
+    included, on a curved input jet."""
+    grid = Grid(*shape)
+    eta = strip_eta_field(grid)
+    f, _ = apply_corrugation(prepare_step(flat_inclusion(grid), eta, STRIP_FORM), 16)
+    want = _prepared(monkeypatch, 1, f, 0.5 * eta, ell)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            _assert_same_params(_prepared(monkeypatch, workers, f, 0.5 * eta, ell), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_prepare_step_catches_bands_up_to_the_grid_newton_count(monkeypatch):
+    """A band that converges in fewer Newton steps is solved again, held to
+    the count the other band needs, so every node gets the whole grid's
+    Newton count."""
+    calls = []
+    original = corrugation.phi_inverse
+
+    def spy(y, at_least=0):
+        solve = original(y, at_least=at_least)
+        calls.append((at_least, solve.iterations))
+        return solve
+
+    monkeypatch.setattr(corrugation, "phi_inverse", spy)
+    grid, f, eta = strip_jet(16)
+    # the first band converges in 4 steps and the second in 6; steps past
+    # convergence still move the first band's last bits
+    eta[:8], eta[8:] = 1e-3, 0.99
+    want = _prepared(monkeypatch, 1, f, eta, STRIP_FORM)
+    assert calls == [(0, 6)]
+    calls.clear()
+    got = _prepared(monkeypatch, 2, f, eta, STRIP_FORM)
+    assert sorted(calls[:2]) == [(0, 4), (0, 6)]
+    assert calls[2:] == [(6, 6)]
+    _assert_same_params(got, want)
+    # the first band's own solve: dl(u) = 1 on the flat jet
+    first = phi_inverse(1.0 / got.r[:8])
+    assert first.iterations == 4
+    assert first.alpha.tobytes() != got.alpha[:8].tobytes()
+
+
+def _raised(monkeypatch, f, eta, ell=STRIP_FORM):
+    """(type, message) that prepare_step raises in one, two and three bands."""
+    seen = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        with pytest.raises(Exception) as info:
+            prepare_step(f, eta, ell)
+        seen.append((type(info.value), str(info.value)))
+    return seen
+
+
+def _bent(grid, nodes=()):
+    """The flat jet with the given (field, row, col) -> vector changes."""
+    f = flat_inclusion(grid)
+    for (name, i, j), value in dict(nodes).items():
+        getattr(f, name)[i, j] = value
+    return f
+
+
+def test_prepare_step_raises_what_one_band_raises(monkeypatch):
+    """An error found in a band has the type and message the whole grid
+    gives, whose messages name an extreme over every node; with one bad
+    node in the first band and a worse one in the last, and with bands
+    failing different checks (the frame's is the grid's first)."""
+    grid = Grid(9, 9)
+    eta = strip_eta_field(grid)
+    big = eta.copy()
+    big[0, 2], big[8, 4] = 2.0, 3.0
+    nan = eta.copy()
+    nan[8, 4] = np.nan
+    timelike = {("dfx", 0, 2): (0.5, 0.0, 1.0), ("dfx", 8, 4): (0.1, 0.0, 1.0)}
+    null = {("dfy", 0, 2): (0.0, 1.0, 1.0 - 4e-12), ("dfy", 8, 4): (0.0, 1.0, 1.0 - 1e-12)}
+    cases = [
+        (_bent(grid), big, NotRiemannian, "reaches 3 >= 1"),
+        (_bent(grid), nan, DomainError, "got min nan"),
+        (_bent(grid, timelike), eta, SingularMetric, "min eigenvalue -9.900e-01"),
+        (_bent(grid, null), eta, DegeneratePlane, "not spacelike"),
+        (_bent(grid, {("dfx", 8, 4): (0.1, 0.0, 1.0)}), big, SingularMetric, "-9.900e-01"),
+    ]
+    for f, eta_case, error, text in cases:
+        seen = _raised(monkeypatch, f, eta_case)
+        assert seen == [seen[0]] * 3
+        assert seen[0][0] is error and text in seen[0][1]
 
 
 def test_target_differential_pullback_identity():
@@ -761,7 +912,9 @@ def test_one_step_applied_at_several_N_equals_fresh_steps():
 
 def test_step_makes_two_pullbacks(monkeypatch):
     """A prepared and applied step evaluates f*h once for its input jet and
-    once for its output, whether called through corrugation or fields."""
+    once for its output, whether called through corrugation or fields. On
+    one thread the input's is the whole jet's; on two, one per row band,
+    which together cover the jet's rows once, in order."""
     calls = []
     original = fields.pullback_metric
 
@@ -772,10 +925,26 @@ def test_step_makes_two_pullbacks(monkeypatch):
     monkeypatch.setattr(corrugation, "pullback_metric", counted)
     monkeypatch.setattr(fields, "pullback_metric", counted)
     grid, f, eta = strip_jet(17)
+    monkeypatch.setattr(corrugation, "WORKERS", 1)
     out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
     assert len(calls) == 2
     assert calls[0] is f
     assert np.array_equal(calls[1].pos, out.pos)
+    calls.clear()
+    monkeypatch.setattr(corrugation, "WORKERS", 2)
+    out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
+    assert len(calls) == 3
+    # the bands read views of the jet's rows, on two threads in either order
+    for name in ("pos", "dfx", "dfy"):
+        whole = getattr(f, name)
+        starts = {
+            (getattr(band, name).ctypes.data - whole.ctypes.data) // whole.strides[0]: band
+            for band in calls[:2]
+        }
+        assert sorted(starts) == [0, 8]
+        bands = [getattr(starts[start], name) for start in sorted(starts)]
+        assert np.array_equal(np.concatenate(bands), whole)
+    assert np.array_equal(calls[2].pos, out.pos)
 
 
 # --- boundary screen of N-selection ---

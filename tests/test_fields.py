@@ -21,6 +21,7 @@ from lorentz_corrugate.fields import (
     Grid,
     LinearForm,
     MetricField,
+    apply_d,
     c0_distance,
     c1_increments,
     corrugation_frame,
@@ -220,7 +221,7 @@ def test_apply_d():
     rng = np.random.default_rng(2)
     f = graph_jet(Grid(3, 3), 0.2, -0.1)
     u = rng.normal(size=(3, 3, 2))
-    got = f.apply_d(u)
+    got = apply_d(f, u)
     expect = u[..., 0:1] * f.dfx + u[..., 1:2] * f.dfy
     assert np.array_equal(got, expect)
 
