@@ -49,17 +49,19 @@ count and the stop of the series behind phi), so every field is bitwise
 the one the whole grid as one band gives.
 
 A region of several tiles runs them on WORKERS threads (two where the
-process may use two CPUs, else one): the calling thread and helpers
-started for each probe. Tiles write disjoint rows of the output jet and
-every reduction is a max or a min, taken in tile order, so the outputs are
-bitwise the same on any number of threads. Each numpy call holds the GIL
-for its Python part, so a tile must be large enough for its arithmetic to
-outweigh those hand-offs: two threads save under a tenth of a 257 x 257
-probe's time in tiles of 2^13 nodes and over a third in its four tiles
-of about 2^14 nodes, two per thread. An odd tile count leaves one thread
-a tile more. Each thread holds one tile's temporaries at a time, so a
-probe's peak beyond its output jet is about WORKERS tiles' worth. A
-boundary line pair is one tile and runs on the calling thread.
+process may use two CPUs, else one), as prepare_step runs its row bands
+(_in_lanes): the calling thread runs items 0, W, 2W, ... and a helper
+started for the call each other residue mod W; tiles and bands are cut
+into even runs of rows by one rule (_runs). Tiles write disjoint rows of
+the output jet and every reduction is a max or a min, taken in tile order,
+so the outputs are bitwise the same on any number of threads. Each numpy
+call holds the GIL for its Python part, so a tile must be large enough for
+its arithmetic to outweigh those hand-offs: two threads save under a tenth
+of a 257 x 257 probe's time in tiles of 2^13 nodes and over a third in its
+four tiles of about 2^14 nodes, two per thread. An odd tile count leaves
+one thread a tile more. Each thread holds one tile's temporaries at a
+time, so a probe's peak beyond its output jet is about WORKERS tiles'
+worth. A boundary line pair is one tile and runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -408,26 +410,19 @@ class CorrugationStepRecord:
     audits: dict = field(default_factory=dict)
 
 
-def _bands(nx):
-    """The row bands prepare_step cuts an nx-row grid into: min(WORKERS, nx)
-    runs of rows, as even as their count allows."""
-    count = min(WORKERS, nx)
-    edges = [nx * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def prepare_step(f, eta, ell):
     """Frame, radius, amplitude, coefficient tables and audit terms for a step.
 
-    The grid is cut into WORKERS row bands (_bands), run on as many
+    The grid is cut into WORKERS row bands (_runs), run on as many
     threads (_in_lanes), and every per-node field is written by its band
     into one whole-grid array. Each node gets bitwise the value the whole
     grid would give it, although two decisions look at every node:
 
     - phi_inverse steps all nodes until every one has converged. Each band
       steps until it first converges; the bands short of the largest count
-      are solved again, held to it, and while one has not converged there
-      the largest count grows (_catch_up). That gives the first count at
+      are solved again (_solve_band), phi_inverse(y, at_least=count), and
+      while one has not converged there the largest count grows, until
+      every band has converged at one count. That is the first count at
       which all nodes have converged, the whole grid's count.
     - The series behind phi stops on its largest term over the nodes it is
       given, and that stop is exact on any band (bounds._bessel_series).
@@ -445,7 +440,7 @@ def prepare_step(f, eta, ell):
         raise DomainError("eta shape %s does not match grid" % (eta.shape,))
     if np.any(eta < 0.0):
         raise DomainError("eta must be nonnegative")
-    bands = _bands(f.grid.nx)
+    bands = _runs(f.grid.nx, min(WORKERS, f.grid.nx))
     if len(bands) > 1:
         try:
             return _prepare(f, eta, ell, bands)
@@ -456,10 +451,11 @@ def prepare_step(f, eta, ell):
 
 
 def _prepare(f, eta, ell, bands):
-    """prepare_step on these row bands, in three walks over them: the fields
-    that do not depend on alpha with a first Newton solve, the catch-up to
-    the grid's Newton count, then the coefficient table and the terms that
-    read alpha or the grid's largest amplitude."""
+    """prepare_step on these row bands, in walks over them: the fields that
+    do not depend on alpha with a first Newton solve, the solves again of
+    the bands short of the largest count until all counts agree, then the
+    coefficient table and the terms that read alpha or the grid's largest
+    amplitude."""
 
     def nodes(*tail):
         return np.empty(f.grid.shape + tail)
@@ -485,7 +481,14 @@ def _prepare(f, eta, ell, bands):
         growth_constant=None,
         base=nodes(),
     )
-    _catch_up(step, bands, _in_lanes(partial(_frame_band, step, eta), bands))
+    ys, counts = zip(*_in_lanes(partial(_frame_band, step, eta), bands))
+    count = max(counts)
+    # the bands short of the largest count solve again until all counts agree
+    while min(counts) < count:
+        counts = _in_lanes(partial(_solve_band, step, count), list(zip(bands, ys, counts)))
+        count = max(counts)
+    # the targets go before the coefficient table allocates
+    del ys
     step.alpha_max = float(np.max(step.alpha))
     step.orders = series_orders(step.alpha_max)
     step.coeff = np.empty((step.orders + 1,) + f.grid.shape)
@@ -499,27 +502,8 @@ def _prepare(f, eta, ell, bands):
 def _frame_band(step, eta, rows):
     """Write the step's fields that do not depend on alpha on a band of rows,
     and solve the band's amplitude; returns the solve's target y and count."""
-    # the whole grid's band reads the jet itself
-    f = step.f if rows == slice(0, step.f.grid.nx) else _JetRows.of(step.f, rows)
+    f = _JetRows.of(step.f, rows)
     eta = eta[rows]
-    dlu = _frame_fields(step, f, eta, rows)
-    r = radial_factor(eta, dlu)
-    # average condition: the loop average r phi(alpha) equals 1 / dl(u)
-    y = 1.0 / (r * dlu)
-    solve = phi_inverse(y)
-    step.alpha[rows] = solve.alpha
-    step.r[rows] = r
-    n_norm = euclidean_norm(step.n[rows])
-    step.base[rows] = operator_norm_map(f.dfx, f.dfy, _metric_on(step.pullback, rows)) + n_norm
-    # the frame's norms; _table_band scales them to the envelope
-    step.envelope[rows] = euclidean_norm(step.t[rows]) + n_norm
-    return y, solve.iterations
-
-
-def _frame_fields(step, f, eta, rows):
-    """Write the frame's t, n and u, the pullback, mu and phase0 on a band of
-    rows (f, eta: the band's); returns the band's dl(u). The frame's other
-    fields are dropped here, before the band's amplitude solve allocates."""
     g = pullback_metric(f)
     frame = corrugation_frame(f, step.ell, g)
     mu = g - step.ell.outer(eta)
@@ -533,18 +517,20 @@ def _frame_fields(step, f, eta, rows):
         *((getattr(step.mu, c), getattr(mu, c)) for c in "EFG"),
     ):
         whole[rows] = band
-    return frame.dlu
-
-
-def _catch_up(step, bands, solves):
-    """Solve the amplitude again on the bands (solves: each band's y and first
-    converged count) short of the largest count, held to it, until every
-    band has converged at one count: the whole grid's Newton count."""
-    ys, counts = zip(*solves)
-    count = max(counts)
-    while min(counts) < count:
-        counts = _in_lanes(partial(_solve_band, step, count), list(zip(bands, ys, counts)))
-        count = max(counts)
+    dlu = frame.dlu
+    # the frame's other fields go before the amplitude solve allocates
+    del frame, g, mu, band
+    r = radial_factor(eta, dlu)
+    # average condition: the loop average r phi(alpha) equals 1 / dl(u)
+    y = 1.0 / (r * dlu)
+    solve = phi_inverse(y)
+    step.alpha[rows] = solve.alpha
+    step.r[rows] = r
+    n_norm = euclidean_norm(step.n[rows])
+    step.base[rows] = operator_norm_map(f.dfx, f.dfy, _metric_on(step.pullback, rows)) + n_norm
+    # the frame's norms; _table_band scales them to the envelope
+    step.envelope[rows] = euclidean_norm(step.t[rows]) + n_norm
+    return y, solve.iterations
 
 
 def _solve_band(step, at_least, band):
@@ -653,28 +639,20 @@ def _whole(shape):
     return (slice(0, shape[0]), slice(0, shape[1]))
 
 
+def _runs(n, count):
+    """count runs of range(n) in order, as slices, as even as their count
+    allows: row bands and tiles are cut by this one rule."""
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
 def _tiles(region, shape):
     """Tiles covering a region (rows, cols) of a grid of this shape in order,
     each with its rows in an output shaped like the region: runs of the
-    region's rows, as even as their count allows, each of at most
-    max(TILE_NODES // width, 1) rows, with all of its columns."""
+    region's rows (_runs), each of at most max(TILE_NODES // width, 1) rows,
+    with all of its columns."""
     rows, cols = (range(n)[lines] for lines, n in zip(region, shape))
     count = -(-len(rows) // max(TILE_NODES // len(cols), 1))
-    edges = [len(rows) * i // count for i in range(count + 1)]
-    return [((_slice(rows[a:b]), region[1]), slice(a, b)) for a, b in zip(edges, edges[1:])]
-
-
-def _lane(run, items):
-    """(index, run(item), None) for the (index, item) pairs in order, up to
-    the first that raises, which ends the list as (index, None, error)."""
-    done = []
-    for index, item in items:
-        try:
-            done.append((index, run(item), None))
-        except Exception as error:
-            done.append((index, None, error))
-            break
-    return done
+    return [((_slice(rows[run]), region[1]), run) for run in _runs(len(rows), count)]
 
 
 def _in_lanes(run, items):
@@ -688,20 +666,26 @@ def _in_lanes(run, items):
     first error in item order, the one the serial walk raises; every item
     before it has run.
     """
-    numbered = list(enumerate(items))
-    lanes = [numbered[lane::WORKERS] for lane in range(min(WORKERS, len(numbered)))]
+    results, errors = [None] * len(items), {}
+
+    def lane(first):
+        for index in range(first, len(items), WORKERS):
+            try:
+                results[index] = run(items[index])
+            except Exception as error:
+                errors[index] = error
+                return
+
+    lanes = range(min(WORKERS, len(items)))
     # leaving the block waits for every helper, also when the calling lane raised
     with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="lane") as helpers:
-        helped = [helpers.submit(_lane, run, lane) for lane in lanes[1:]]
-        done = _lane(run, lanes[0])
+        helped = [helpers.submit(lane, first) for first in lanes[1:]]
+        lane(0)
     for helper in helped:
-        done += helper.result()
-    results = []
-    # indices are distinct, so the entries sort by index alone
-    for _, result, error in sorted(done):
-        if error is not None:
-            raise error
-        results.append(result)
+        # raises what is not an Exception, which the lane let through
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
     return results
 
 

@@ -126,7 +126,8 @@ class MetricField:
             raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (what, m, LONG_TOL))
 
     def inner(self, u, w):
-        """g(u, w) for tangent vectors given as (..., 2) component arrays."""
+        """g(u, w) for tangent vectors given as (..., 2) component arrays; a
+        (2,) array is one vector for every node."""
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
         return (
@@ -351,14 +352,12 @@ def corrugation_frame(f, ell, g):
         t = df(u), n the timelike unit normal.
     """
     g.require_positive_definite(what="pullback")
-    shape = g.shape
 
+    # the kernel and form directions are constant: one (2,) vector each
     kd = ell.kernel_direction()
-    v = np.broadcast_to(kd, shape + (2,)).copy()
-    nv = np.sqrt(g.inner(v, v))
-    v /= nv[..., None]
+    v = kd / np.sqrt(g.inner(kd, kd))[..., None]
 
-    w = np.broadcast_to(np.array([ell.a, ell.b]), shape + (2,)).copy()
+    w = np.array([ell.a, ell.b])
     u = w - g.inner(w, v)[..., None] * v
     nu = np.sqrt(g.inner(u, u))
     if np.any(nu <= 0.0):

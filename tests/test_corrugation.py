@@ -913,8 +913,9 @@ def test_one_step_applied_at_several_N_equals_fresh_steps():
 def test_step_makes_two_pullbacks(monkeypatch):
     """A prepared and applied step evaluates f*h once for its input jet and
     once for its output, whether called through corrugation or fields. On
-    one thread the input's is the whole jet's; on two, one per row band,
-    which together cover the jet's rows once, in order."""
+    one thread the input's reads the jet's own arrays over every row; on
+    two, one per row band, which together cover the jet's rows once, in
+    order."""
     calls = []
     original = fields.pullback_metric
 
@@ -928,7 +929,11 @@ def test_step_makes_two_pullbacks(monkeypatch):
     monkeypatch.setattr(corrugation, "WORKERS", 1)
     out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
     assert len(calls) == 2
-    assert calls[0] is f
+    # the one band is a view of the whole jet
+    for name in ("pos", "dfx", "dfy"):
+        band, whole = getattr(calls[0], name), getattr(f, name)
+        assert np.shares_memory(band, whole)
+        assert band.shape == whole.shape and band.tobytes() == whole.tobytes()
     assert np.array_equal(calls[1].pos, out.pos)
     calls.clear()
     monkeypatch.setattr(corrugation, "WORKERS", 2)
@@ -1343,6 +1348,32 @@ def test_tile_errors_raise_as_the_serial_walk(monkeypatch, workers):
     failing.clear()
     got = corrugation._probe(params, 64, params.mu, None, whole)
     assert not running and got.audits == want.audits
+
+
+def test_a_helper_base_exception_reaches_the_caller(monkeypatch):
+    """An error that is not an Exception, raised on a helper thread, ends
+    that lane and is raised to the caller once no lane is running."""
+    monkeypatch.setattr(corrugation, "WORKERS", 2)
+
+    class Stop(BaseException):
+        pass
+
+    running, ran = set(), []
+
+    def run(index):
+        running.add(index)
+        try:
+            if index == 1:
+                raise Stop()
+            time.sleep(0.01)
+            return index
+        finally:
+            ran.append(index)
+            running.discard(index)
+
+    with pytest.raises(Stop):
+        corrugation._in_lanes(run, list(range(6)))
+    assert not running and sorted(ran) == [0, 1, 2, 4]
 
 
 def _probe_and_record_peak(monkeypatch, tile_nodes):
