@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -374,26 +373,245 @@ def corrugation_frame(f, ell, g):
     return FrameField(v=v, u=u, vhat=vhat, t=t, n=n, dlu=dlu)
 
 
+# ------------------------------------------------------------ float text
+#
+# The grid writers print every float exactly as FLOAT_FMT does ("%.17g", the
+# correctly rounded C printf: ties to even), for a block of whole grid rows at
+# a time in numpy. A value x with 1e-4 <= |x| < 1e16 has decimal exponent
+# X = floor(log10|x|) in [-4, 15], which "%.17g" writes in fixed notation, and
+# its 17 significant digits are D = |x| 10^(16 - X) rounded half to even.
+# 10^(16 - X) is an exact double (16 - X <= 20 <= 22), so Dekker's
+# two-product gives |x| 10^(16 - X) = P + E exactly, and P >= 1e16 > 2^53 is
+# an even integer, so D = P + rint(E). D never rounds up to 10^17: the
+# greatest double below each of 10^-3 .. 10^16 lies at least 8e-17 of it
+# below. Zero is "0" or "-0". Every other value (nonzero |x| < 1e-4,
+# |x| >= 1e16, nan, inf) goes through FLOAT_FMT itself, in one call per block.
+#
+# A value fills a slot of four 8-byte words. Word 0 holds, right-aligned, the
+# separator, the sign, "0." and the zeros before the first digit when X < 0,
+# and the first digit d0; words 1-3 hold d1..d16 with the point after d_X
+# when X >= 0, up to the last digit printed. Every other byte is zero, and
+# one compress of the block's words drops them.
+
+_WORD = np.dtype("<u8")  # byte i of a word is its bits 8i .. 8i+7
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
+# A block of whole grid rows holds about this many values (at least one row):
+# enough to spread numpy's per-call cost (about 40 us a block) thin, few
+# enough that the working arrays (about 110 bytes a value) stay in cache.
+_BLOCK_VALUES = 2048
+
+
+def _by_exponent(f):
+    """f(k) for k = -8 .. 22 in an array indexed by k itself (negative k wraps)."""
+    return np.array([f(k) for k in range(23)] + [f(k) for k in range(-8, 0)])
+
+
+def _least_double_at(k):
+    """The least double >= 10^k (10^k itself when k >= 0)."""
+    if k >= 0:
+        return float(10**k)
+    t = 1 / 10**-k  # correctly rounded
+    a, b = t.as_integer_ratio()
+    return t if a * 10**-k >= b else float(np.nextafter(t, np.inf))
+
+
+# |x| >= _AT_LEAST[k] exactly when |x| >= 10^k
+_AT_LEAST = _by_exponent(_least_double_at)
+# 10^(16 - k), exact for the k of every value written in fixed notation
+_SCALE = _by_exponent(lambda k: float(10 ** (16 - k)))
+_SCALE_HI = _SCALE * _SPLITTER - (_SCALE * _SPLITTER - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+# 10 * -X when X < 0 ("0." and -X - 1 zeros come before d0), else 0
+_LEAD = _by_exponent(lambda k: 10 * max(-k, 0))
+
+
+def _digit_tables():
+    """_TEXT4[q]: 0000 .. 9999 as text in the low four bytes of a word.
+    _LAST[g][q]: the index among d1..d16 of the last nonzero digit of q when
+    q is digit group g (d4g+1 .. d4g+4), or a negative number when q is 0."""
+    q = np.arange(10000, dtype=np.int16)[:, None]
+    digits = (q // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+    text = (digits + np.uint8(ord("0"))).view("<u4").ravel().astype(_WORD)
+    last = np.where(q[:, 0] > 0, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), -99)
+    return text, last.astype(np.int8) + np.arange(0, 16, 4, dtype=np.int8)[:, None]
+
+
+_TEXT4, _LAST = _digit_tables()
+
+
+def _body_masks():
+    """Byte masks of words 1-3 for each (X, last), row (X + 4) * 17 + last.
+
+    last is the index of the last nonzero digit among d1..d16 (0 if none).
+    The masks pick the printed bytes that keep their digit, those that take
+    the digit one place before (after the point), and the point itself.
+    """
+    X = np.arange(-4, 16)[:, None, None]
+    last = np.arange(17)[None, :, None]
+    p = np.arange(1, 25)  # place in the number of each byte; d0 is place 0
+    shown = p < np.where(X < 0, last + 1, np.maximum(X, last) + 1 + (last > X))
+    masks = ((X < 0) | (p <= X), (X >= 0) & (p > X + 1), (X >= 0) & (p == X + 1))
+    return [
+        (shown & m).astype(np.uint8).reshape(-1, 24) * np.uint8(byte)
+        for m, byte in zip(masks, (0xFF, 0xFF, ord(".")))
+    ]
+
+
+_KEEP, _SHIFT, _POINT = [np.ascontiguousarray(m.view(_WORD).T) for m in _body_masks()]
+
+
+@cache
+def _heads(sep):
+    """Word 0 for each (sign, X, d0), at 50 * sign + _LEAD[X] + d0."""
+    heads = np.zeros((100, 8), np.uint8)
+    for i in range(100):
+        neg, lead, d0 = i // 50, i // 10 % 5, i % 10
+        text = sep + b"-" * neg + (b"0." + b"0" * (lead - 1)) * (lead > 0) + b"%d" % d0
+        heads[i, 8 - len(text) :] = np.frombuffer(text, np.uint8)
+    return heads.view(_WORD).ravel()
+
+
+def _word(text):
+    """text right-aligned in one word."""
+    return np.frombuffer(text.rjust(8, b"\0"), _WORD)[0]
+
+
+def _lines(prefix, values, sep):
+    """The text prefix + sep.join(FLOAT_FMT % v for v in row) + "\n" of every
+    row of the 2-D float array values, byte for byte what % writes, as one
+    uint8 array. prefix has at most seven bytes and sep one."""
+    lines, cols = values.shape
+    v = values.reshape(-1)
+    # words 0 .. lines * (1 + 4 cols) - 1 are each line's head ("\n" ending
+    # the line before, then prefix) and slots; the last ends the last line
+    words = np.empty(lines * (1 + 4 * cols) + 1, _WORD)
+    words[-1] = _word(b"\n")
+    line = words[:-1].reshape(lines, 1 + 4 * cols)
+    line[:, 0] = _word(b"\n" + prefix)
+    slot = line[:, 1:].reshape(lines, cols, 4)
+
+    ax = np.abs(v)
+    fast = ax >= 1e-4
+    fast &= ax < 1e16
+    np.copyto(ax, 1.0, where=~fast)
+    k = np.log10(ax)
+    np.floor(k, out=k)
+    k = k.astype(np.intp)
+    k += ax >= _AT_LEAST[k + 1]
+    k -= ax < _AT_LEAST[k]
+    # two-product: ax * 10^(16 - k) = P + E, with ax = ah + al
+    P = ax * _SCALE[k]
+    ah = ax * _SPLITTER
+    al = ah - ax
+    ah -= al
+    np.subtract(ax, ah, out=al)
+    del ax
+    E = ah * _SCALE_HI[k]
+    E -= P
+    ah *= _SCALE_LO[k]
+    E += ah
+    ah = _SCALE_HI[k]
+    ah *= al
+    E += ah
+    al *= _SCALE_LO[k]
+    E += al
+    del ah, al
+    D = P.astype(np.int64)
+    del P
+    D += np.rint(E, out=E).astype(np.int64)
+    del E
+    D *= fast
+
+    # word 0 from the sign, X and d0; D keeps d1..d16
+    d0 = D // 10**16
+    D -= d0 * 10**16
+    d0 += _LEAD[k]
+    d0 += np.signbit(v) * 50
+    d0 = d0.reshape(lines, cols)
+    slot[:, 0, 0] = _heads(b"")[d0[:, 0]]
+    slot[:, 1:, 0] = _heads(sep)[d0[:, 1:]]
+    del d0
+    # D is d1..d16: groups q of four digits make words 1 (d1..d8) and 2
+    hi = D // 10**8
+    D -= hi * 10**8
+    q = hi // 10**4
+    hi -= q * 10**4
+    last = np.maximum(_LAST[0][q], _LAST[1][hi])
+    w1 = _TEXT4[hi] << 32
+    w1 |= _TEXT4[q]
+    np.floor_divide(D, 10**4, out=q)
+    D -= q * 10**4
+    np.maximum(last, _LAST[2][q], out=last)
+    np.maximum(last, _LAST[3][D], out=last)
+    np.maximum(last, 0, out=last)
+    w2 = _TEXT4[D] << 32
+    w2 |= _TEXT4[q]
+    del q, hi, D
+    # the point moves the digits after d_X one byte up, d16 into word 3
+    k += 4
+    k *= 17
+    k += last
+    del last
+    shifted = w2 >> 56
+    shifted &= _SHIFT[2][k]
+    slot[..., 3] = shifted.reshape(lines, cols)
+    np.left_shift(w2, 8, out=shifted)
+    shifted |= w1 >> 56
+    shifted &= _SHIFT[1][k]
+    w2 &= _KEEP[1][k]
+    w2 |= shifted
+    w2 |= _POINT[1][k]
+    slot[..., 2] = w2.reshape(lines, cols)
+    np.left_shift(w1, 8, out=shifted)
+    shifted &= _SHIFT[0][k]
+    w1 &= _KEEP[0][k]
+    w1 |= shifted
+    w1 |= _POINT[0][k]
+    slot[..., 1] = w1.reshape(lines, cols)
+    del w1, w2, shifted, k
+
+    other = np.flatnonzero(~fast & (v != 0))
+    if other.size:
+        text = ("%-32" + FLOAT_FMT[1:]) * other.size % tuple(v[other].tolist())
+        text = np.frombuffer(text.replace(" ", "\0").encode(), np.uint8).reshape(-1, 32)
+        i, c = np.divmod(other, cols)
+        raw = slot.view(np.uint8)
+        raw[i, c, 0] = np.where(c > 0, ord(sep), 0)
+        raw[i, c, 1:] = text[:, :31]
+    raw = words.view(np.uint8)
+    return raw[raw != 0][1:]
+
+
+def _row_blocks(shape, columns):
+    """Row ranges [i0, i1) of about _BLOCK_VALUES values of columns values a
+    node, at least one grid row each."""
+    nx, ny = shape
+    step = max(1, _BLOCK_VALUES // (ny * columns))
+    return [(i, min(i + step, nx)) for i in range(0, nx, step)]
+
+
 def export_obj(f, path):
     """Write the jet positions as a triangulated OBJ mesh.
 
     Vertices appear in row-major node order; each grid quad is split into
-    two triangles with consistent orientation. Floats carry 17 significant
-    digits so the mesh round-trips the double values. The file is written
-    one grid row at a time, each row's vertices and each row of quads with
-    one format call.
+    two triangles with consistent orientation. Floats are exactly
+    FLOAT_FMT's 17 significant digits, so the mesh round-trips the double
+    values. The vertex lines are formatted in numpy blocks of whole grid
+    rows, about 2048 values each but at least one row. A block's working
+    arrays take about 110 bytes a value, so the write holds about 0.25 MB
+    beside the jet, more only when one grid row has over 2048 values. The
+    faces are written one row of quads per format call.
     """
     nx, ny = f.grid.shape
-    vertices = ("v " + " ".join([FLOAT_FMT] * 3) + "\n") * ny
     faces = "f %d %d %d\nf %d %d %d\n" * (ny - 1)
     # quad (0, j) has 1-based corner v = j + 1; two triangles each
     v = np.arange(1, ny)
     first = np.stack([v, v + ny, v + ny + 1, v, v + ny + 1, v + 1], axis=-1).ravel()
-    with open(path, "w") as fh:
-        for row in f.pos:
-            fh.write(vertices % tuple(row.ravel().tolist()))
+    with open(path, "wb") as fh:
+        for i0, i1 in _row_blocks(f.grid.shape, 3):
+            fh.write(_lines(b"v ", f.pos[i0:i1].reshape(-1, 3), b" "))
         for i in range(nx - 1):
-            fh.write(faces % tuple((first + i * ny).tolist()))
+            fh.write((faces % tuple((first + i * ny).tolist())).encode())
 
 
 def _cell(value):
@@ -419,10 +637,14 @@ def write_grid_csv(path, columns):
     """Write fields over a grid as x_idx,y_idx,<names...> rows in row-major order.
 
     columns maps each name to an (nx, ny) array; columns of differing or
-    non-2-D shapes raise GridMismatch before the file is opened. Floats
-    carry 17 significant digits, so read_grid_csv returns the doubles
-    bitwise. The file is written one grid row at a time, each with one
-    format call.
+    non-2-D shapes raise GridMismatch before the file is opened. Floats are
+    exactly FLOAT_FMT's 17 significant digits, so read_grid_csv returns the
+    doubles bitwise, and the indices are their integers (FLOAT_FMT prints an
+    integral double below 10^16 as %d does). The rows are formatted in numpy
+    blocks of whole grid rows, about 2048 values each but at least one row.
+    A block's working arrays take about 110 bytes a value, so the write
+    holds about 0.25 MB beside the columns, more only when one grid row has
+    over 2048 values.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -431,13 +653,13 @@ def write_grid_csv(path, columns):
             "grid CSV columns need one 2-D shape, got %s"
             % ", ".join("%s %s" % (name, a.shape) for name, a in zip(names, arrays))
         )
-    ny = arrays[0].shape[1]
-    rows = ("%d,%d," + ",".join([FLOAT_FMT] * len(names)) + "\n") * ny
-    with open(path, "w") as fh:
-        fh.write(",".join(["x_idx", "y_idx"] + names) + "\n")
-        for i in range(arrays[0].shape[0]):
-            values = zip(repeat(i), range(ny), *(a[i].tolist() for a in arrays))
-            fh.write(rows % tuple(chain.from_iterable(values)))
+    shape = arrays[0].shape
+    with open(path, "wb") as fh:
+        fh.write((",".join(["x_idx", "y_idx"] + names) + "\n").encode())
+        for i0, i1 in _row_blocks(shape, 2 + len(arrays)):
+            idx = np.meshgrid(np.arange(i0, i1), np.arange(shape[1]), indexing="ij")
+            block = np.stack([*idx, *(a[i0:i1] for a in arrays)], axis=-1, dtype=float)
+            fh.write(_lines(b"", block.reshape(-1, 2 + len(arrays)), b","))
 
 
 def read_grid_csv(path, names=None):

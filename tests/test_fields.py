@@ -7,7 +7,8 @@ import pytest
 
 from lorentz_corrugate import fields
 from lorentz_corrugate.cli import _write_record
-from lorentz_corrugate.corrugation import CorrugationStepRecord
+from lorentz_corrugate.corrugation import CorrugationStepRecord, apply_corrugation, prepare_step
+from lorentz_corrugate.decomp import build_dictionary, decompose
 from lorentz_corrugate.errors import (
     ConfigError,
     DomainError,
@@ -38,7 +39,7 @@ from lorentz_corrugate.fields import (
     write_metric_csv,
 )
 from lorentz_corrugate.lorentz import minkowski_inner
-from lorentz_corrugate.scenarios import flat_inclusion
+from lorentz_corrugate.scenarios import STRIP_FORM, flat_inclusion, strip_eta_field
 from lorentz_corrugate.scheduler import RunLedger, StageRow
 
 
@@ -438,18 +439,91 @@ def _reference_grid_csv(columns):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (17, 4), (5, 2)])
+def _engine_output():
+    """A corrugated 33x33 jet (negative coordinates, |z| < 1e-4 and exact
+    zeros among its positions) and a decomposition's eta fields (exact zeros)."""
+    grid = Grid(33, 33)
+    eta = strip_eta_field(grid)
+    f, _ = apply_corrugation(prepare_step(flat_inclusion(grid), eta, LinearForm(0.6, -0.8)), 16)
+    delta = 0.25 * MetricField.identity(grid.shape) + STRIP_FORM.outer(eta)
+    etas = decompose(delta, build_dictionary(5)).etas
+    return f, {"eta_%d" % (q + 1): e for q, e in enumerate(etas)}
+
+
+@pytest.mark.parametrize(
+    "nx,ny", [(2, 2), (3, 5), (17, 4), (5, 2), pytest.param(None, None, id="engine")]
+)
 def test_writers_match_per_node_reference(tmp_path, nx, ny):
-    """Both grid writers write byte for byte what a per-node formatter writes."""
-    f = _special_jet(nx, ny, seed=nx * ny)
+    """Both grid writers write byte for byte what a per-node formatter writes,
+    on special values and on engine output, whose writes end in a short block."""
+    if nx is None:
+        f, etas = _engine_output()
+        pos = f.pos.reshape(-1)
+        assert np.any(pos < 0.0) and np.any((pos != 0.0) & (np.abs(pos) < 1e-4))
+        assert np.any(pos == 0.0) and np.any(np.array(list(etas.values())) == 0.0)
+        for cols in (3, 5, 7):
+            blocks = fields._row_blocks(f.grid.shape, cols)
+            assert np.diff(blocks[-1]) < np.diff(blocks[0])
+        tables = [etas]
+    else:
+        f = _special_jet(nx, ny, seed=nx * ny)
+        tables = []
     obj = tmp_path / "m.obj"
     export_obj(f, str(obj))
     assert obj.read_bytes() == _reference_obj(f.pos).encode()
     for k in (1, 3):
-        columns = {name: f.pos[..., c] for c, name in enumerate(["E", "F", "G"][:k])}
-        csv = tmp_path / ("g%d.csv" % k)
+        tables.append({name: f.pos[..., c] for c, name in enumerate(["E", "F", "G"][:k])})
+    for t, columns in enumerate(tables):
+        csv = tmp_path / ("g%d.csv" % t)
         write_grid_csv(str(csv), columns)
         assert csv.read_bytes() == _reference_grid_csv(columns).encode()
+
+
+def _float_cases(rng):
+    """Doubles that stress a %.17g formatter, both signs."""
+    ties = []
+    for m in range(1, 22):
+        # x = A / 2^(m+1) with A odd and 10^(16-m) <= x < 10^(17-m): x 10^m
+        # has 17 integer digits and a fraction of exactly one half
+        lo = -(-(2 ** (m + 1)) * 10**16 // 10**m)
+        hi = min(2 ** (m + 1) * 10**17 // 10**m, 2**53 - 1)
+        ties.append((rng.integers(lo, hi, size=2000) | 1) / 2.0 ** (m + 1))
+    powers = np.array([float("1e%d" % k) for k in range(-30, 31)])
+    digits = [
+        float("%de%d" % (rng.integers(10 ** (n - 1), 10**n), rng.integers(-12, 12)))
+        for n in range(1, 18)
+        for _ in range(500)
+    ]
+    extremes = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    cases = np.concatenate(
+        ties
+        + [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), digits, extremes]
+        + [np.array([0.0, np.inf, np.nan]), np.arange(300001.0)]
+    )
+    return np.concatenate([cases, -cases])
+
+
+def test_float_text_matches_percent_operator():
+    """The writers' float kernel writes exactly what FLOAT_FMT % x writes: a
+    million random bit patterns with exponents around the fixed-notation range
+    [1e-4, 1e16) and 10^5 with any exponent, exact 17-digit ties, powers of ten
+    and their neighbours (the edges 1e-4 and 1e16 among them), zeros,
+    subnormals, the largest double, inf, nan, integers and short decimals."""
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2**64, size=11 * 10**5, dtype=np.uint64)
+    # biased exponents 1009 .. 1077: 2^-14 <= |x| < 2^55
+    bits[: 10**6] &= ~np.uint64(0x7FF << 52)
+    bits[: 10**6] |= rng.integers(1009, 1078, size=10**6, dtype=np.uint64) << np.uint64(52)
+    values = np.concatenate([bits.view(float), _float_cases(rng)])
+    values = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
+    line = "v " + " ".join([fields.FLOAT_FMT] * 4) + "\n"
+    for i in range(0, len(values), 1024):
+        block = values[i : i + 1024]
+        got = bytes(fields._lines(b"v ", block, b" "))
+        want = (line * len(block) % tuple(block.ravel().tolist())).encode()
+        if got != want:
+            bad = next(j for j, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
+            pytest.fail("%r written as %r" % (want.split()[bad], got.split()[bad]))
 
 
 @pytest.mark.parametrize("shapes", [((3, 3), (3, 2)), ((3, 2), (3, 3)), ((3, 3), (9,))])
