@@ -50,6 +50,7 @@ the one the whole grid as one band gives.
 
 A region of several tiles runs them on WORKERS threads (two where the
 process may use two CPUs, else one), as prepare_step runs its row bands
+and the grid writers their bands, on the lane runner in fields
 (_in_lanes): the calling thread runs items 0, W, 2W, ... and a helper
 started for the call each other residue mod W; tiles and bands are cut
 into even runs of rows by one rule (_runs). Tiles write disjoint rows of
@@ -65,8 +66,6 @@ worth. A boundary line pair is one tile and runs on the calling thread.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -85,6 +84,9 @@ from .fields import (
     LONG_TOL,
     EmbeddingJet,
     MetricField,
+    _bands,
+    _in_lanes,
+    _runs,
     c1_increments,
     corrugation_frame,
     operator_norm_form,
@@ -107,11 +109,6 @@ LADDER_CAP = 2**20
 # of the region): a pair of 257-node boundary lines is one tile, a 257 x 257
 # grid four.
 TILE_NODES = 20000
-# A probe's tiles run on this many threads: two, or one where the process may
-# use a single CPU.
-WORKERS = min(
-    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 
 def phi_quadrature(alpha, samples=4096):
@@ -413,7 +410,7 @@ class CorrugationStepRecord:
 def prepare_step(f, eta, ell):
     """Frame, radius, amplitude, coefficient tables and audit terms for a step.
 
-    The grid is cut into WORKERS row bands (_runs), run on as many
+    The grid is cut into WORKERS row bands (_bands), run on as many
     threads (_in_lanes), and every per-node field is written by its band
     into one whole-grid array. Each node gets bitwise the value the whole
     grid would give it, although two decisions look at every node:
@@ -440,7 +437,7 @@ def prepare_step(f, eta, ell):
         raise DomainError("eta shape %s does not match grid" % (eta.shape,))
     if np.any(eta < 0.0):
         raise DomainError("eta must be nonnegative")
-    bands = _runs(f.grid.nx, min(WORKERS, f.grid.nx))
+    bands = _bands(f.grid.nx)
     if len(bands) > 1:
         try:
             return _prepare(f, eta, ell, bands)
@@ -639,12 +636,6 @@ def _whole(shape):
     return (slice(0, shape[0]), slice(0, shape[1]))
 
 
-def _runs(n, count):
-    """count runs of range(n) in order, as slices, as even as their count
-    allows: row bands and tiles are cut by this one rule."""
-    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
-
-
 def _tiles(region, shape):
     """Tiles covering a region (rows, cols) of a grid of this shape in order,
     each with its rows in an output shaped like the region: runs of the
@@ -653,40 +644,6 @@ def _tiles(region, shape):
     rows, cols = (range(n)[lines] for lines, n in zip(region, shape))
     count = -(-len(rows) // max(TILE_NODES // len(cols), 1))
     return [((_slice(rows[run]), region[1]), run) for run in _runs(len(rows), count)]
-
-
-def _in_lanes(run, items):
-    """[run(item) for item in items], in lanes: the calling thread runs items
-    0, W, 2W, ... and one helper thread for each other residue mod
-    W = WORKERS runs its items, each lane in order; one item runs on the
-    calling thread alone.
-
-    Every lane stops at its first error. The helpers are started for this
-    call and have stopped before it returns or raises, and it raises the
-    first error in item order, the one the serial walk raises; every item
-    before it has run.
-    """
-    results, errors = [None] * len(items), {}
-
-    def lane(first):
-        for index in range(first, len(items), WORKERS):
-            try:
-                results[index] = run(items[index])
-            except Exception as error:
-                errors[index] = error
-                return
-
-    lanes = range(min(WORKERS, len(items)))
-    # leaving the block waits for every helper, also when the calling lane raised
-    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="lane") as helpers:
-        helped = [helpers.submit(lane, first) for first in lanes[1:]]
-        lane(0)
-    for helper in helped:
-        # raises what is not an Exception, which the lane let through
-        helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def _metric_on(m, index):

@@ -6,7 +6,12 @@ derivatives are exact data, never finite differences of the positions.
 """
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -204,10 +209,7 @@ def apply_d(f, u):
     """df(u) for tangent vectors u with trailing axis of length 2, for a jet
     or any object with its dfx and dfy (the rows of a jet)."""
     u = np.asarray(u, dtype=float)
-    out = np.empty(np.broadcast_shapes(u.shape[:-1], f.dfx.shape[:-1]) + (3,))
-    for c in range(3):
-        out[..., c] = u[..., 0] * f.dfx[..., c] + u[..., 1] * f.dfy[..., c]
-    return out
+    return u[..., 0:1] * f.dfx + u[..., 1:2] * f.dfy
 
 
 def pullback_metric(f):
@@ -373,6 +375,64 @@ def corrugation_frame(f, ell, g):
     return FrameField(v=v, u=u, vhat=vhat, t=t, n=n, dlu=dlu)
 
 
+# ------------------------------------------------------------------ lanes
+#
+# Work cut into runs of rows goes to WORKERS threads (_in_lanes): a probe's
+# tiles and prepare_step's bands in the engine, and a large write's bands
+# below. numpy releases the GIL inside each call, so a thread pays where a
+# call's arithmetic outweighs its Python part.
+
+# Two, or one where the process may use a single CPU.
+WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _runs(n, count):
+    """count runs of range(n) in order, as slices, as even as their count
+    allows: row bands, tiles and write bands are cut by this one rule."""
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _bands(n):
+    """One run of range(n) a lane: min(WORKERS, n) of them (_runs)."""
+    return _runs(n, min(WORKERS, n))
+
+
+def _in_lanes(run, items):
+    """[run(item) for item in items], in lanes: the calling thread runs items
+    0, W, 2W, ... and one helper thread for each other residue mod
+    W = WORKERS runs its items, each lane in order; one item runs on the
+    calling thread alone.
+
+    Every lane stops at its first error. The helpers are started for this
+    call and have stopped before it returns or raises, and it raises the
+    first error in item order, the one the serial walk raises; every item
+    before it has run.
+    """
+    results, errors = [None] * len(items), {}
+
+    def lane(first):
+        for index in range(first, len(items), WORKERS):
+            try:
+                results[index] = run(items[index])
+            except Exception as error:
+                errors[index] = error
+                return
+
+    lanes = range(min(WORKERS, len(items)))
+    # leaving the block waits for every helper, also when the calling lane raised
+    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="lane") as helpers:
+        helped = [helpers.submit(lane, first) for first in lanes[1:]]
+        lane(0)
+    for helper in helped:
+        # raises what is not an Exception, which the lane let through
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 # ------------------------------------------------------------ float text
 #
 # The grid writers print every float exactly as FLOAT_FMT does ("%.17g", the
@@ -395,10 +455,17 @@ def corrugation_frame(f, ell, g):
 
 _WORD = np.dtype("<u8")  # byte i of a word is its bits 8i .. 8i+7
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
-# A block of whole grid rows holds about this many values (at least one row):
-# enough to spread numpy's per-call cost (about 40 us a block) thin, few
-# enough that the working arrays (about 110 bytes a value) stay in cache.
+# A write goes in blocks of whole grid rows, at least one. A write of fewer
+# than _LANE_VALUES values takes blocks of about _BLOCK_VALUES values, on one
+# lane: enough to spread numpy's per-call cost (about 40 us a block) thin,
+# few enough that the working arrays (about 110 bytes a value) stay small
+# beside the file. A larger write takes blocks of about _LANE_BLOCK_VALUES
+# values, on WORKERS lanes: a call's arithmetic runs without the GIL, and
+# blocks this large let it outweigh the call's Python part, while their
+# working arrays still fit in a core's cache.
 _BLOCK_VALUES = 2048
+_LANE_VALUES = 2**17
+_LANE_BLOCK_VALUES = 2**15
 
 
 def _by_exponent(f):
@@ -582,12 +649,98 @@ def _lines(prefix, values, sep):
     return raw[raw != 0][1:]
 
 
+def _int_tables(size):
+    """Byte masks of a value's size words for each digit count c, row c - 1:
+    the digits shown, and the space before the first of them."""
+    c = np.arange(1, 8 * size)[:, None]
+    place = np.arange(8 * size)
+    masks = (place >= 8 * size - c, place == 8 * size - 1 - c)
+    return [
+        np.ascontiguousarray((m.astype(np.uint8) * np.uint8(byte)).view(_WORD).T)
+        for m, byte in zip(masks, (0xFF, ord(" ")))
+    ]
+
+
+_INT_TABLES = [_int_tables(size) for size in (1, 2)]
+_POWERS = 10 ** np.arange(1, 16)
+
+
+def _int_lines(prefix, values):
+    """The text prefix + "".join(" %d" % n for n in row) + "\n" of every row
+    of the 2-D integer array values, 0 <= n < 10^15, as one uint8 array.
+    prefix has at most seven bytes.
+
+    A value fills a slot of one word, or of two when the block holds one of
+    10^7 or more: the _TEXT4 words of its groups of four digits, masked to
+    its digit count, with the space right before its first digit, so one
+    compress of the block's words drops every other byte.
+    """
+    lines, cols = values.shape
+    n = values.reshape(-1)
+    size = 1 + int(n.max() >= 10**7)
+    shown, space = _INT_TABLES[size - 1]
+    words = np.empty(lines * (1 + size * cols) + 1, _WORD)
+    words[-1] = _word(b"\n")
+    line = words[:-1].reshape(lines, 1 + size * cols)
+    line[:, 0] = _word(b"\n" + prefix)
+    slot = line[:, 1:].reshape(lines, cols, size)
+    count = np.searchsorted(_POWERS, n, side="right")
+    text = np.zeros((size, n.size), _WORD)
+    # group g (digits 4g .. 4g + 3 from the right) is the low half of word
+    # size - 1 - g // 2 when g is odd, the high half when it is even
+    rest = n
+    for g in range(2 * size):
+        q = rest // 10**4
+        group = _TEXT4[rest - q * 10**4]
+        if g % 2 == 0:
+            group <<= 32
+        text[size - 1 - g // 2] |= group
+        rest = q
+    for w in range(size):
+        text[w] &= shown[w][count]
+        text[w] |= space[w][count]
+        slot[..., w] = text[w].reshape(lines, cols)
+    raw = words.view(np.uint8)
+    return raw[raw != 0][1:]
+
+
 def _row_blocks(shape, columns):
-    """Row ranges [i0, i1) of about _BLOCK_VALUES values of columns values a
-    node, at least one grid row each."""
+    """Row ranges [i0, i1) of a write of columns values a node over a grid of
+    this shape, each of about _BLOCK_VALUES values, or _LANE_BLOCK_VALUES
+    in a write of at least _LANE_VALUES, and at least one grid row."""
     nx, ny = shape
-    step = max(1, _BLOCK_VALUES // (ny * columns))
+    values = _LANE_BLOCK_VALUES if nx * ny * columns >= _LANE_VALUES else _BLOCK_VALUES
+    step = max(1, values // (ny * columns))
     return [(i, min(i + step, nx)) for i in range(0, nx, step)]
+
+
+def _write_rows(fh, shape, columns, text):
+    """Write text(i0, i1), the uint8 text of rows i0 .. i1 - 1 of a grid of
+    this shape with columns values a node, to the open file fh for every
+    block of _row_blocks, in order.
+
+    A write of at least _LANE_VALUES values runs on WORKERS lanes: its
+    blocks are cut into one even run a lane (_bands), the calling lane
+    writes band 0 into fh and each other lane its band into an anonymous
+    temporary file in fh's directory, appended to fh in band order once
+    every band is written. An error in any band raises the first in band
+    order (_in_lanes); the temporary files are closed, which deletes them.
+    """
+    blocks = _row_blocks(shape, columns)
+    many = shape[0] * shape[1] * columns >= _LANE_VALUES
+    bands = _bands(len(blocks)) if many else [slice(0, len(blocks))]
+    folder = os.path.dirname(os.path.abspath(fh.name))
+    with ExitStack() as stack:
+        outs = [fh] + [stack.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in bands[1:]]
+
+        def band(b):
+            for i0, i1 in blocks[bands[b]]:
+                outs[b].write(text(i0, i1))
+
+        _in_lanes(band, range(len(bands)))
+        for spill in outs[1:]:
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)
 
 
 def export_obj(f, path):
@@ -596,22 +749,29 @@ def export_obj(f, path):
     Vertices appear in row-major node order; each grid quad is split into
     two triangles with consistent orientation. Floats are exactly
     FLOAT_FMT's 17 significant digits, so the mesh round-trips the double
-    values. The vertex lines are formatted in numpy blocks of whole grid
-    rows, about 2048 values each but at least one row. A block's working
-    arrays take about 110 bytes a value, so the write holds about 0.25 MB
-    beside the jet, more only when one grid row has over 2048 values. The
-    faces are written one row of quads per format call.
+    values; the face indices are integer text (_int_lines). The vertex
+    rows, then the rows of quads, are formatted in numpy blocks of whole
+    rows (_write_rows). A section of fewer than 2^17 values (vertex
+    coordinates or face indices) takes blocks of about 2048 values on one
+    lane, and its working arrays take about 110 bytes a value, about 0.25 MB
+    beside the jet. A larger one takes blocks of about 2^15 values on two
+    lanes where the process may use two CPUs, about 3.6 MB a lane. Either
+    holds more only when one grid row has more values than its block.
     """
     nx, ny = f.grid.shape
-    faces = "f %d %d %d\nf %d %d %d\n" * (ny - 1)
     # quad (0, j) has 1-based corner v = j + 1; two triangles each
     v = np.arange(1, ny)
     first = np.stack([v, v + ny, v + ny + 1, v, v + ny + 1, v + 1], axis=-1).ravel()
+
+    def vertices(i0, i1):
+        return _lines(b"v ", f.pos[i0:i1].reshape(-1, 3), b" ")
+
+    def faces(i0, i1):
+        return _int_lines(b"f", (np.arange(i0, i1)[:, None] * ny + first).reshape(-1, 3))
+
     with open(path, "wb") as fh:
-        for i0, i1 in _row_blocks(f.grid.shape, 3):
-            fh.write(_lines(b"v ", f.pos[i0:i1].reshape(-1, 3), b" "))
-        for i in range(nx - 1):
-            fh.write((faces % tuple((first + i * ny).tolist())).encode())
+        _write_rows(fh, f.grid.shape, 3, vertices)
+        _write_rows(fh, (nx - 1, ny - 1), 6, faces)
 
 
 def _cell(value):
@@ -641,10 +801,12 @@ def write_grid_csv(path, columns):
     exactly FLOAT_FMT's 17 significant digits, so read_grid_csv returns the
     doubles bitwise, and the indices are their integers (FLOAT_FMT prints an
     integral double below 10^16 as %d does). The rows are formatted in numpy
-    blocks of whole grid rows, about 2048 values each but at least one row.
-    A block's working arrays take about 110 bytes a value, so the write
-    holds about 0.25 MB beside the columns, more only when one grid row has
-    over 2048 values.
+    blocks of whole grid rows (_write_rows). A write of fewer than 2^17
+    values (indices included) takes blocks of about 2048 values on one lane,
+    and its working arrays take about 110 bytes a value, about 0.25 MB
+    beside the columns. A larger one takes blocks of about 2^15 values on
+    two lanes where the process may use two CPUs, about 3.6 MB a lane.
+    Either holds more only when one grid row has more values than its block.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -654,12 +816,15 @@ def write_grid_csv(path, columns):
             % ", ".join("%s %s" % (name, a.shape) for name, a in zip(names, arrays))
         )
     shape = arrays[0].shape
+
+    def rows(i0, i1):
+        idx = np.meshgrid(np.arange(i0, i1), np.arange(shape[1]), indexing="ij")
+        block = np.stack([*idx, *(a[i0:i1] for a in arrays)], axis=-1, dtype=float)
+        return _lines(b"", block.reshape(-1, 2 + len(arrays)), b",")
+
     with open(path, "wb") as fh:
         fh.write((",".join(["x_idx", "y_idx"] + names) + "\n").encode())
-        for i0, i1 in _row_blocks(shape, 2 + len(arrays)):
-            idx = np.meshgrid(np.arange(i0, i1), np.arange(shape[1]), indexing="ij")
-            block = np.stack([*idx, *(a[i0:i1] for a in arrays)], axis=-1, dtype=float)
-            fh.write(_lines(b"", block.reshape(-1, 2 + len(arrays)), b","))
+        _write_rows(fh, shape, 2 + len(arrays), rows)
 
 
 def read_grid_csv(path, names=None):

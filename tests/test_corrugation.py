@@ -514,7 +514,7 @@ def _assert_same_params(got, want):
 
 
 def _prepared(monkeypatch, workers, *step):
-    monkeypatch.setattr(corrugation, "WORKERS", workers)
+    monkeypatch.setattr(fields, "WORKERS", workers)
     return prepare_step(*step)
 
 
@@ -578,7 +578,7 @@ def _raised(monkeypatch, f, eta, ell=STRIP_FORM):
     """(type, message) that prepare_step raises in one, two and three bands."""
     seen = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        monkeypatch.setattr(fields, "WORKERS", workers)
         with pytest.raises(Exception) as info:
             prepare_step(f, eta, ell)
         seen.append((type(info.value), str(info.value)))
@@ -842,7 +842,7 @@ def test_applied_step_makes_each_tile_once(monkeypatch):
     tiles = len(corrugation._tiles(corrugation._whole(grid.shape), grid.shape))
     assert tiles == 5
     for workers in (1, 2):
-        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        monkeypatch.setattr(fields, "WORKERS", workers)
         calls.clear()
         apply_corrugation(params, 32)
         assert sorted(calls) == sorted(["_phase", "_loop_differential"] * tiles)
@@ -926,7 +926,7 @@ def test_step_makes_two_pullbacks(monkeypatch):
     monkeypatch.setattr(corrugation, "pullback_metric", counted)
     monkeypatch.setattr(fields, "pullback_metric", counted)
     grid, f, eta = strip_jet(17)
-    monkeypatch.setattr(corrugation, "WORKERS", 1)
+    monkeypatch.setattr(fields, "WORKERS", 1)
     out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
     assert len(calls) == 2
     # the one band is a view of the whole jet
@@ -936,7 +936,7 @@ def test_step_makes_two_pullbacks(monkeypatch):
         assert band.shape == whole.shape and band.tobytes() == whole.tobytes()
     assert np.array_equal(calls[1].pos, out.pos)
     calls.clear()
-    monkeypatch.setattr(corrugation, "WORKERS", 2)
+    monkeypatch.setattr(fields, "WORKERS", 2)
     out, _ = apply_corrugation(prepare_step(f, eta, LinearForm(1.0, 0.3)), 32)
     assert len(calls) == 3
     # the bands read views of the jet's rows, on two threads in either order
@@ -1204,7 +1204,7 @@ def test_probe_is_the_same_on_any_thread_count(monkeypatch, shape, tile_nodes, r
         for next_metric in (None, nxt):
             runs = []
             for workers in (1, 2, 3):
-                monkeypatch.setattr(corrugation, "WORKERS", workers)
+                monkeypatch.setattr(fields, "WORKERS", workers)
                 probe = corrugation._probe(params, N, params.mu, next_metric, region)
                 whole = region == corrugation._whole(shape)
                 runs.append((probe, corrugation._step_record(params, probe) if whole else None))
@@ -1236,7 +1236,7 @@ def test_probe_is_the_same_on_more_threads_than_cores(monkeypatch):
     def tile_run(params, N, tile, *args):
         index = tiles.index(tile)
         threads[index] = threading.get_ident()
-        if index < corrugation.WORKERS:
+        if index < fields.WORKERS:
             started.wait(timeout=30)
         return probe_tile(params, N, tile, *args)
 
@@ -1245,7 +1245,7 @@ def test_probe_is_the_same_on_more_threads_than_cores(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 5):
-            monkeypatch.setattr(corrugation, "WORKERS", workers)
+            monkeypatch.setattr(fields, "WORKERS", workers)
             started = threading.Barrier(workers)
             probes.append(corrugation._probe(params, 48, params.mu, None, whole))
     finally:
@@ -1272,7 +1272,7 @@ def test_select_is_the_same_on_one_and_two_threads(monkeypatch):
     nxt = MetricField.constant(0.4, 0.0, 0.4, grid.shape)
     steps = []
     for workers in (1, 2):
-        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        monkeypatch.setattr(fields, "WORKERS", workers)
         steps.append(
             select_corrugation_number(
                 f, eta, LinearForm(1.0, 0.3), 1e-3, c0_budget=3e-3, next_metric=nxt
@@ -1286,7 +1286,7 @@ def test_tiles_run_on_the_calling_thread_and_one_helper(monkeypatch):
     """On two threads a region of several tiles runs its even tiles on the
     calling thread and its odd tiles on a helper; a one-tile region, such
     as a boundary line pair, runs on the calling thread alone."""
-    monkeypatch.setattr(corrugation, "WORKERS", 2)
+    monkeypatch.setattr(fields, "WORKERS", 2)
     monkeypatch.setattr(corrugation, "TILE_NODES", 4 * 33)
     grid, f, eta = strip_jet(33)
     params = prepare_step(f, eta, LinearForm(1.0, 0.3))
@@ -1314,7 +1314,7 @@ def test_tile_errors_raise_as_the_serial_walk(monkeypatch, workers):
     """A probe whose tiles raise raises the first error in tile order, after
     every tile before it has run, and no tile is still running when the
     probe raises or returns. Tile 1 raises late, tile 2 at once."""
-    monkeypatch.setattr(corrugation, "WORKERS", workers)
+    monkeypatch.setattr(fields, "WORKERS", workers)
     monkeypatch.setattr(corrugation, "TILE_NODES", 4 * 33)
     grid, f, eta = strip_jet(33)
     params = prepare_step(f, eta, LinearForm(1.0, 0.3))
@@ -1353,7 +1353,7 @@ def test_tile_errors_raise_as_the_serial_walk(monkeypatch, workers):
 def test_a_helper_base_exception_reaches_the_caller(monkeypatch):
     """An error that is not an Exception, raised on a helper thread, ends
     that lane and is raised to the caller once no lane is running."""
-    monkeypatch.setattr(corrugation, "WORKERS", 2)
+    monkeypatch.setattr(fields, "WORKERS", 2)
 
     class Stop(BaseException):
         pass
@@ -1372,7 +1372,7 @@ def test_a_helper_base_exception_reaches_the_caller(monkeypatch):
             running.discard(index)
 
     with pytest.raises(Stop):
-        corrugation._in_lanes(run, list(range(6)))
+        fields._in_lanes(run, list(range(6)))
     assert not running and sorted(ran) == [0, 1, 2, 4]
 
 

@@ -526,6 +526,91 @@ def test_float_text_matches_percent_operator():
             pytest.fail("%r written as %r" % (want.split()[bad], got.split()[bad]))
 
 
+def test_int_text_matches_percent_operator():
+    """The face kernel writes exactly what " %d" % n writes: a million random
+    indices below 10^7, every power of ten and its neighbours, and indices
+    of 10^7 or more (two words a value), alone and mixed with small ones in
+    one block; 10^15, past its digits, raises."""
+    rng = np.random.default_rng(30)
+    powers = 10 ** np.arange(15)
+    near = np.concatenate([powers - 1, powers, powers + 1])
+    cases = [
+        rng.integers(1, 10**7, size=10**6),
+        near,
+        near[near < 10**7],
+        rng.integers(10**7, 10**15, size=10**5),
+        np.concatenate([rng.integers(1, 10**7, size=10**5), [10**7]]),
+    ]
+    for n in cases:
+        n = np.concatenate([n, np.ones(-len(n) % 3, n.dtype)]).reshape(-1, 3)
+        got = bytes(fields._int_lines(b"f", n))
+        want = ("f %d %d %d\n" * len(n) % tuple(n.ravel().tolist())).encode()
+        assert got == want
+    with pytest.raises(IndexError):
+        fields._int_lines(b"f", np.array([[1, 10**15, 2]]))
+
+
+@pytest.fixture
+def spills(monkeypatch):
+    """The temporary files the writers open, recorded as they are made."""
+    made, make = [], fields.tempfile.TemporaryFile
+
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fields.tempfile, "TemporaryFile", record)
+    return made
+
+
+def test_large_writes_are_the_same_on_any_lane_count(tmp_path, monkeypatch, spills):
+    """A grid large enough for the lane blocks is written byte for byte as
+    the per-node formatter writes it on one, two and three lanes; every lane
+    past the first writes its band through one temporary file a section,
+    closed when the write returns."""
+    f = _special_jet(209, 213, seed=30)
+    columns = {"E": f.pos[..., 0], "F": f.pos[..., 1], "G": f.pos[..., 2]}
+    assert 209 * 213 * 3 >= fields._LANE_VALUES
+    blocks = fields._row_blocks(f.grid.shape, 3)
+    assert blocks[0][1] * 213 * 3 > fields._BLOCK_VALUES
+    assert np.diff(blocks[-1]) < np.diff(blocks[0])
+    want_obj, want_csv = _reference_obj(f.pos).encode(), _reference_grid_csv(columns).encode()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fields, "WORKERS", workers)
+        spills.clear()
+        obj, csv = tmp_path / ("m%d.obj" % workers), tmp_path / ("g%d.csv" % workers)
+        export_obj(f, str(obj))
+        write_grid_csv(str(csv), columns)
+        assert obj.read_bytes() == want_obj
+        assert csv.read_bytes() == want_csv
+        assert len(spills) == 3 * (workers - 1)
+        assert all(spill.closed for spill in spills)
+
+
+@pytest.mark.parametrize("failing", [(1,), (0, 1)])
+def test_a_failing_band_raises_in_band_order(tmp_path, monkeypatch, spills, failing):
+    """On two lanes a grid CSV whose band 1, or both bands, raise raises the
+    first error in band order, and leaves no temporary file open or in the
+    output's directory."""
+    monkeypatch.setattr(fields, "WORKERS", 2)
+    pos = _special_jet(209, 213, seed=31).pos
+    blocks = fields._row_blocks(pos.shape[:2], 5)
+    second = blocks[fields._bands(len(blocks))[1].start][0]
+    lines = fields._lines
+
+    def raising(prefix, values, sep):
+        band = int(values[0, 0] >= second)  # the block's first x_idx
+        if band in failing:
+            raise RuntimeError("band %d" % band)
+        return lines(prefix, values, sep)
+
+    monkeypatch.setattr(fields, "_lines", raising)
+    with pytest.raises(RuntimeError, match="^band %d$" % failing[0]):
+        write_grid_csv(str(tmp_path / "g.csv"), {n: pos[..., c] for c, n in enumerate("EFG")})
+    assert len(spills) == 1 and spills[0].closed
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+
 @pytest.mark.parametrize("shapes", [((3, 3), (3, 2)), ((3, 2), (3, 3)), ((3, 3), (9,))])
 def test_write_grid_csv_rejects_mismatched_columns(tmp_path, shapes):
     """Columns of differing shapes raise before the file exists, in either order."""

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lorentz_corrugate import corrugation, scheduler
+from lorentz_corrugate import corrugation, fields, scheduler
 from lorentz_corrugate.decomp import build_dictionary
 from lorentz_corrugate.errors import BudgetExceeded, DomainError, NotLong, SingularMetric
 from lorentz_corrugate.fields import (
@@ -151,7 +151,7 @@ def test_run_stage_is_the_same_on_one_and_two_threads(monkeypatch):
     monkeypatch.setattr(corrugation, "TILE_NODES", 6 * 33)
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(corrugation, "WORKERS", workers)
+        monkeypatch.setattr(fields, "WORKERS", workers)
         runs.append(scheduler.run_stage(f0, 1, g, Delta, 0.05, dictionary))
     (f_1, row_1), (f_2, row_2) = runs
     for a, b in zip((f_1.pos, f_1.dfx, f_1.dfy), (f_2.pos, f_2.dfx, f_2.dfy)):
