@@ -33,20 +33,22 @@ pullback (one evaluation, shared by the frame, mu and the growth audit)
 and every N-independent audit term.
 
 Probes and audits run in tiles: a tile is a range of rows by a range of
-columns, of at most TILE_NODES nodes (at least one row). A tile reads the
-neighbour line on each side of it on both axes (its halo) for the
-frozen-phase differences, writes its nodes of an output jet, and reduces
-its maxima and minima, which are then reduced across tiles. Every
-operation is per node except those differences, so each node gets bitwise
-the value the whole grid would give it, and the whole grid is the
-one-tile case. A probe runs on one region of the grid, cut into tiles by
-one rule: the whole grid, whose probe measures the step audits in the
-same walk, or a pair of boundary lines (one stepped slice) that
-N-selection screens first. The prepared step's fields cover the whole
-grid; prepare_step makes them in WORKERS row bands, one per thread, and
-takes its two whole-grid decisions exactly across the bands (the Newton
-count and the stop of the series behind phi), so every field is bitwise
-the one the whole grid as one band gives.
+columns, of at most TILE_NODES nodes (at least one row). A tile reads its
+nodes of the step and of the probe's metrics, and writes its nodes of the
+output jet, through views cut by one rule from each per-node field's one
+declaration (_Nodes). It also reads the neighbour line on each side of it
+on both axes (its halo) for the frozen-phase differences, and reduces its
+maxima and minima, which are then reduced across tiles. Every operation is
+per node except those differences, so each node gets bitwise the value the
+whole grid would give it, and the whole grid is the one-tile case. A probe
+runs on one region of the grid, cut into tiles by one rule: the whole
+grid, whose probe measures the step audits in the same walk, or a pair of
+boundary lines (one stepped slice) that N-selection screens first. The
+prepared step's fields cover the whole grid; prepare_step writes them
+through the cuts of WORKERS row bands, one per thread, and takes its two
+whole-grid decisions exactly across the bands (the Newton count and the
+stop of the series behind phi), so every field is bitwise the one the
+whole grid as one band gives.
 
 A region of several tiles runs them on WORKERS threads (two where the
 process may use two CPUs, else one), as prepare_step runs its row bands
@@ -66,7 +68,7 @@ worth. A boundary line pair is one tile and runs on the calling thread.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -211,6 +213,7 @@ def bessel_table(alpha, orders, alpha_max=None, out=None):
         np.divide(z, r, out=r)
         if m <= orders:
             out[m] = r
+    del r  # the ratios go before phi's series allocates
     out[0] = phi(z)
     # a running product row by row; np.cumprod along axis 0 is slower here
     for m in range(1, orders + 1):
@@ -351,6 +354,55 @@ def remainder_quadrature(alpha, x, samples_per_period=64):
 
 
 @dataclass
+class _JetRows:
+    """A jet's arrays on some nodes, all that pullback_metric and c1_increments
+    read: a Grid needs two lines on each axis, so a tile cannot carry one."""
+
+    pos: np.ndarray
+    dfx: np.ndarray
+    dfy: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """A per-node field's axes, by which one rule allocates and cuts it: the
+    grid's two node axes, after the table's harmonic axis if harmonic (first:
+    a harmonic is one contiguous row), then the component axes tail. Given
+    of (a metric, a jet's rows), the field is an of whose fields have them."""
+
+    tail: tuple = ()
+    harmonic: bool = False
+    of: type | None = None
+
+    def arrays(self, value):
+        """value's arrays: value, or one for each field of of."""
+        return [value] if self.of is None else [getattr(value, f.name) for f in fields(self.of)]
+
+    def new(self, shape, orders=None):
+        """The field on a grid of this shape, uninitialised; orders + 1 harmonic rows."""
+        if self.of is not None:
+            return self.of(*(np.empty(shape + self.tail) for _ in fields(self.of)))
+        return np.empty(((orders + 1,) if self.harmonic else ()) + shape + self.tail)
+
+    def at(self, value, index):
+        """value on the nodes of index, rows or (rows, cols), as views; None stays None."""
+        if value is None:
+            return None
+        if self.of is not None:
+            return self.of(*(a[index] for a in self.arrays(value)))
+        return value[(_ALL,) + np.index_exp[index]] if self.harmonic else value[index]
+
+
+# a probe's output jet and metrics, cut to a tile by the rule of a step's fields
+_JET, _METRIC = _Nodes((3,), of=_JetRows), _Nodes(of=MetricField)
+
+
+def _nodes(*tail, harmonic=False, of=None):
+    """A per-node field of StepParams with its axes; None until allocated."""
+    return field(default=None, metadata={"nodes": _Nodes(tail, harmonic, of)})
+
+
+@dataclass
 class StepParams:
     """Everything about a corrugation step that does not depend on N.
 
@@ -362,33 +414,53 @@ class StepParams:
     norm of pullback. Of the adapted frame it keeps what probes and audits
     read: t, n and the tangent field u.
 
-    Every per-node field covers the whole grid: 19 arrays of nodes beside
-    the input jet, plus the orders + 1 of the coefficient table, each
-    written band by band (prepare_step), and the grid spacing is f.grid's.
-    Probes and audits read it one tile at a time (_tile_of): the tile's
-    nodes of each field as views, with f as a _JetRows; the differences
-    read the whole-grid fields and coefficient table around a tile (_cuts).
+    The input jet, eight arrays, the coefficient table and two metrics are
+    per-node fields over the whole grid, each declared once below with its
+    axes (_nodes), which alone allocate them and cut the step to some nodes
+    (at: views, f as a _JetRows, scalars kept). prepare_step's row bands
+    write through their cuts, a probe's tiles read through theirs, and the
+    differences read around a tile (_cuts). The grid spacing is f.grid's.
     """
 
-    f: EmbeddingJet
-    eta_max: float
-    ell: object
-    t: np.ndarray
-    n: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
-    alpha: np.ndarray
-    alpha_max: float
-    coeff: np.ndarray
-    phase0: np.ndarray
-    orders: int
-    mu: MetricField
-    pullback: MetricField
-    average_max: float
-    increment_constant: float
-    envelope: np.ndarray
-    growth_constant: float
-    base: np.ndarray
+    f: EmbeddingJet = _nodes(3, of=_JetRows)
+    t: np.ndarray = _nodes(3)
+    n: np.ndarray = _nodes(3)
+    u: np.ndarray = _nodes(2)
+    r: np.ndarray = _nodes()
+    alpha: np.ndarray = _nodes()
+    coeff: np.ndarray = _nodes(harmonic=True)
+    phase0: np.ndarray = _nodes()
+    mu: MetricField = _nodes(of=MetricField)
+    pullback: MetricField = _nodes(of=MetricField)
+    envelope: np.ndarray = _nodes()
+    base: np.ndarray = _nodes()
+    eta_max: float = None
+    ell: object = None
+    alpha_max: float = None
+    orders: int = None
+    average_max: float = None
+    increment_constant: float = None
+    growth_constant: float = None
+
+    def allocate(self):
+        """Allocate each per-node field that is None; a harmonic one once orders is set."""
+        for name, nodes in _DECLARED.items():
+            if getattr(self, name) is None and not (nodes.harmonic and self.orders is None):
+                setattr(self, name, nodes.new(self.f.grid.shape, self.orders))
+
+    def at(self, index):
+        """The step on the nodes of index, a (rows, cols) pair or rows."""
+        return replace(self, **{n: d.at(getattr(self, n), index) for n, d in _DECLARED.items()})
+
+    def write(self, **values):
+        """Copy each value into the per-node field of its name: through a cut's views."""
+        for name, value in values.items():
+            nodes = _DECLARED[name]
+            for view, array in zip(nodes.arrays(getattr(self, name)), nodes.arrays(value)):
+                view[...] = array
+
+
+_DECLARED = {f.name: f.metadata["nodes"] for f in fields(StepParams) if "nodes" in f.metadata}
 
 
 @dataclass
@@ -453,31 +525,8 @@ def _prepare(f, eta, ell, bands):
     the bands short of the largest count until all counts agree, then the
     coefficient table and the terms that read alpha or the grid's largest
     amplitude."""
-
-    def nodes(*tail):
-        return np.empty(f.grid.shape + tail)
-
-    step = StepParams(
-        f=f,
-        eta_max=float(np.max(eta)),
-        ell=ell,
-        t=nodes(3),
-        n=nodes(3),
-        u=nodes(2),
-        r=nodes(),
-        alpha=nodes(),
-        alpha_max=None,
-        coeff=None,
-        phase0=nodes(),
-        orders=None,
-        mu=MetricField(nodes(), nodes(), nodes()),
-        pullback=MetricField(nodes(), nodes(), nodes()),
-        average_max=None,
-        increment_constant=None,
-        envelope=nodes(),
-        growth_constant=None,
-        base=nodes(),
-    )
+    step = StepParams(f=f, eta_max=float(np.max(eta)), ell=ell)
+    step.allocate()
     ys, counts = zip(*_in_lanes(partial(_frame_band, step, eta), bands))
     count = max(counts)
     # the bands short of the largest count solve again until all counts agree
@@ -488,7 +537,7 @@ def _prepare(f, eta, ell, bands):
     del ys
     step.alpha_max = float(np.max(step.alpha))
     step.orders = series_orders(step.alpha_max)
-    step.coeff = np.empty((step.orders + 1,) + f.grid.shape)
+    step.allocate()
     amplitude = max(step.alpha_max, 1e-12)
     step.increment_constant = increment_constant(amplitude)
     step.growth_constant = growth_constant(amplitude)
@@ -499,34 +548,23 @@ def _prepare(f, eta, ell, bands):
 def _frame_band(step, eta, rows):
     """Write the step's fields that do not depend on alpha on a band of rows,
     and solve the band's amplitude; returns the solve's target y and count."""
-    f = _JetRows.of(step.f, rows)
-    eta = eta[rows]
-    g = pullback_metric(f)
-    frame = corrugation_frame(f, step.ell, g)
-    mu = g - step.ell.outer(eta)
-    grid = step.f.grid
-    for whole, band in (
-        (step.t, frame.t),
-        (step.n, frame.n),
-        (step.u, frame.u),
-        (step.phase0, step.ell.phase(grid.x[rows, None], grid.y)),
-        *((getattr(step.pullback, c), getattr(g, c)) for c in "EFG"),
-        *((getattr(step.mu, c), getattr(mu, c)) for c in "EFG"),
-    ):
-        whole[rows] = band
+    band, eta = step.at(rows), eta[rows]
+    g = pullback_metric(band.f)
+    frame = corrugation_frame(band.f, step.ell, g)
+    band.write(t=frame.t, n=frame.n, u=frame.u, pullback=g, mu=g - step.ell.outer(eta))
+    band.write(phase0=step.ell.phase(step.f.grid.x[rows, None], step.f.grid.y))
     dlu = frame.dlu
     # the frame's other fields go before the amplitude solve allocates
-    del frame, g, mu, band
+    del frame, g
     r = radial_factor(eta, dlu)
     # average condition: the loop average r phi(alpha) equals 1 / dl(u)
     y = 1.0 / (r * dlu)
     solve = phi_inverse(y)
-    step.alpha[rows] = solve.alpha
-    step.r[rows] = r
-    n_norm = euclidean_norm(step.n[rows])
-    step.base[rows] = operator_norm_map(f.dfx, f.dfy, _metric_on(step.pullback, rows)) + n_norm
+    band.write(alpha=solve.alpha, r=r)
+    n_norm = euclidean_norm(band.n)
+    band.write(base=operator_norm_map(band.f.dfx, band.f.dfy, band.pullback) + n_norm)
     # the frame's norms; _table_band scales them to the envelope
-    step.envelope[rows] = euclidean_norm(step.t[rows]) + n_norm
+    band.write(envelope=euclidean_norm(band.t) + n_norm)
     return y, solve.iterations
 
 
@@ -537,7 +575,7 @@ def _solve_band(step, at_least, band):
     rows, y, count = band
     if count < at_least:
         solve = phi_inverse(y, at_least=at_least)
-        step.alpha[rows] = solve.alpha
+        step.at(rows).write(alpha=solve.alpha)
         count = solve.iterations
     return count
 
@@ -545,11 +583,11 @@ def _solve_band(step, at_least, band):
 def _table_band(step, eta, rows):
     """Write the coefficient table's columns and the envelope on a band of
     rows; returns the band's average_max."""
-    table = bessel_table(step.alpha[rows], step.orders, step.alpha_max, step.coeff[:, rows])
-    dlu = step.ell.of(step.u[rows])
-    envelope = step.increment_constant * np.sqrt(eta[rows]) * dlu * step.envelope[rows]
-    step.envelope[rows] = envelope
-    return np.max(np.abs(step.r[rows] * table[0] - 1.0 / dlu))
+    band = step.at(rows)
+    table = bessel_table(band.alpha, step.orders, step.alpha_max, band.coeff)
+    dlu = step.ell.of(band.u)
+    band.envelope *= step.increment_constant * np.sqrt(eta[rows]) * dlu
+    return np.max(np.abs(band.r * table[0] - 1.0 / dlu))
 
 
 def _loop_differential(params, theta):
@@ -616,21 +654,6 @@ def _remainder_jet(params, tile, psi, cos_psi, out):
         _difference(*(a.swapaxes(0, axis) for a in (D, W, Wp, Wm)), lo, hi, h)
 
 
-@dataclass
-class _JetRows:
-    """A jet's arrays on some nodes. A Grid needs two lines on each axis, so
-    a tile or a boundary line cannot be an EmbeddingJet; pullback_metric and
-    c1_increments read only these arrays."""
-
-    pos: np.ndarray
-    dfx: np.ndarray
-    dfy: np.ndarray
-
-    @classmethod
-    def of(cls, jet, index):
-        return cls(jet.pos[index], jet.dfx[index], jet.dfy[index])
-
-
 def _whole(shape):
     """The region (rows, cols) that is a whole grid of this shape."""
     return (slice(0, shape[0]), slice(0, shape[1]))
@@ -644,32 +667,6 @@ def _tiles(region, shape):
     rows, cols = (range(n)[lines] for lines, n in zip(region, shape))
     count = -(-len(rows) // max(TILE_NODES // len(cols), 1))
     return [((_slice(rows[run]), region[1]), run) for run in _runs(len(rows), count)]
-
-
-def _metric_on(m, index):
-    """m on the nodes of index; None stays None."""
-    return None if m is None else MetricField(m.E[index], m.F[index], m.G[index])
-
-
-def _tile_of(params, tile):
-    """The step on a tile (rows, cols) of the grid: f as a _JetRows, every
-    other per-node field as views of the tile's nodes, and the step's
-    scalars kept."""
-    return replace(
-        params,
-        f=_JetRows.of(params.f, tile),
-        t=params.t[tile],
-        n=params.n[tile],
-        u=params.u[tile],
-        r=params.r[tile],
-        alpha=params.alpha[tile],
-        coeff=params.coeff[(_ALL,) + tile],
-        phase0=params.phase0[tile],
-        mu=_metric_on(params.mu, tile),
-        pullback=_metric_on(params.pullback, tile),
-        envelope=params.envelope[tile],
-        base=params.base[tile],
-    )
 
 
 def _phase(params, N):
@@ -716,7 +713,7 @@ def _probe_tile(params, N, tile, new, norm_metric, next_metric, audited):
     """Corrugate a tile of the grid at N into new, the tile's output arrays;
     the extremes of the acceptance values over its nodes and, when audited,
     the tile's step audits from the loop angle and differential made here."""
-    step = _tile_of(params, tile)
+    step = params.at(tile)
     psi, cos_psi = _phase(step, N)
     _remainder_jet(params, tile, psi, cos_psi, new)
     theta = step.alpha * cos_psi
@@ -726,7 +723,7 @@ def _probe_tile(params, N, tile, new, norm_metric, next_metric, audited):
         remainder /= float(N)
         remainder += base
     gF = pullback_metric(new)
-    norm_tile, next_tile = _metric_on(norm_metric, tile), _metric_on(next_metric, tile)
+    norm_tile, next_tile = _METRIC.at(norm_metric, tile), _METRIC.at(next_metric, tile)
     defect, spacelike, c0, long = _node_values(step, new, gF, norm_tile, next_tile)
     extremes = np.max(defect), np.min(spacelike), np.max(c0), None if long is None else np.min(long)
     return *extremes, _tile_audits(step, new, norm_tile, theta, Lx, Ly) if audited else None
@@ -746,13 +743,12 @@ def _probe(params, N, norm_metric, next_metric, region):
     if N < 1:
         raise DomainError("corrugation number must be positive")
     shape = params.f.grid.shape
-    out = _JetRows(*(np.empty(params.f.pos[region].shape) for _ in range(3)))
+    out = _JET.new(params.phase0[region].shape)
     audited = region == _whole(shape)
 
     def run(tile_rows):
         tile, rows = tile_rows
-        new = _JetRows.of(out, rows)
-        return _probe_tile(params, N, tile, new, norm_metric, next_metric, audited)
+        return _probe_tile(params, N, tile, _JET.at(out, rows), norm_metric, next_metric, audited)
 
     defect, spacelike, c0, long, audits = zip(*_in_lanes(run, _tiles(region, shape)))
     return _Probe(

@@ -796,8 +796,8 @@ def write_table(path, header, rows):
 def write_grid_csv(path, columns):
     """Write fields over a grid as x_idx,y_idx,<names...> rows in row-major order.
 
-    columns maps each name to an (nx, ny) array; columns of differing or
-    non-2-D shapes raise GridMismatch before the file is opened. Floats are
+    columns maps each name to an (nx, ny) array; columns of differing, empty
+    or non-2-D shapes raise GridMismatch before the file is opened. Floats are
     exactly FLOAT_FMT's 17 significant digits, so read_grid_csv returns the
     doubles bitwise, and the indices are their integers (FLOAT_FMT prints an
     integral double below 10^16 as %d does). The rows are formatted in numpy
@@ -810,9 +810,9 @@ def write_grid_csv(path, columns):
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
-    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 2:
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 2 or not arrays[0].size:
         raise GridMismatch(
-            "grid CSV columns need one 2-D shape, got %s"
+            "grid CSV columns need one nonempty 2-D shape, got %s"
             % ", ".join("%s %s" % (name, a.shape) for name, a in zip(names, arrays))
         )
     shape = arrays[0].shape
@@ -842,11 +842,13 @@ def read_grid_csv(path, names=None):
             raise ConfigError("%s: header must be x_idx,y_idx followed by distinct names" % path)
         try:
             with warnings.catch_warnings():
-                # an empty body only warns; make it an error like a bad cell
-                warnings.simplefilter("error")
+                # an empty body only warns; it is caught below
+                warnings.simplefilter("ignore")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except (ValueError, UserWarning) as exc:
+        except ValueError as exc:
             raise ConfigError("%s: %s" % (path, exc)) from None
+    if not len(data):
+        raise ConfigError("%s: no data rows" % path)
     if data.shape[1] != len(header):
         raise ConfigError("%s: %d header names but %d columns" % (path, len(header), data.shape[1]))
     names = header[2:] if names is None else list(names)

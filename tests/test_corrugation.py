@@ -513,6 +513,67 @@ def _assert_same_params(got, want):
             assert type(a) is type(b) and a == b, field.name
 
 
+def test_step_fields_are_allocated_and_cut_by_their_declaration():
+    """Walked from StepParams' declaration, every per-node field has its
+    node axes where the declaration puts them (after the harmonic axis,
+    before the component axes), allocated fresh and prepared; a tile, a
+    one-row band and the stepped boundary pairs cut each to views of
+    exactly that region's node shape, with the scalars kept; and a write
+    through a band's cut lands in the whole step."""
+    grid = Grid(33, 40)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    declared = {
+        fld.name: fld.metadata["nodes"]
+        for fld in dataclasses.fields(corrugation.StepParams)
+        if "nodes" in fld.metadata
+    }
+    assert list(declared) == [
+        "f", "t", "n", "u", "r", "alpha", "coeff", "phase0", "mu", "pullback", "envelope", "base",
+    ]
+    scalars = [fld.name for fld in dataclasses.fields(params) if fld.name not in declared]
+
+    def shapes(step, nodes_shape):
+        """{name: [shape of each array]} of step's per-node fields, and the
+        shapes their declarations give on nodes of nodes_shape."""
+        got, want = {}, {}
+        for name, nodes in declared.items():
+            lead = (step.orders + 1,) if nodes.harmonic else ()
+            got[name] = [a.shape for a in nodes.arrays(getattr(step, name))]
+            want[name] = [lead + nodes_shape + nodes.tail] * len(got[name])
+        return got, want
+
+    fresh = corrugation.StepParams(f=params.f)
+    fresh.allocate()
+    assert fresh.coeff is None and fresh.t.shape == grid.shape + (3,)
+    fresh.orders = 3
+    fresh.allocate()
+    assert fresh.f is params.f and fresh.coeff.shape == (4,) + grid.shape
+    for step in (fresh, params):
+        got, want = shapes(step, grid.shape)
+        assert got == want
+    regions = [
+        ((slice(8, 16), slice(0, 40)), (8, 40)),  # a tile
+        (slice(5, 6), (1, 40)),  # a one-row band
+        ((slice(0, 33, 32), slice(0, 40)), (2, 40)),  # the boundary rows
+        ((slice(0, 33), slice(0, 40, 39)), (33, 2)),  # the boundary columns
+    ]
+    for index, nodes_shape in regions:
+        cut = params.at(index)
+        got, want = shapes(cut, nodes_shape)
+        assert got == want
+        for name, nodes in declared.items():
+            for part, whole in zip(*(nodes.arrays(getattr(s, name)) for s in (cut, params))):
+                assert np.shares_memory(part, whole), name
+                assert np.array_equal(part, whole[(slice(None),) * nodes.harmonic + np.index_exp[index]])
+        assert type(cut.f) is corrugation._JetRows and type(cut.mu) is MetricField
+        assert all(getattr(cut, name) is getattr(params, name) for name in scalars)
+        assert corrugation._METRIC.at(None, index) is None
+    band = params.at(slice(5, 6))
+    band.write(r=np.full((1, 40), 7.0), mu=MetricField.constant(1.0, 2.0, 3.0, (1, 40)))
+    assert np.all(params.r[5] == 7.0) and np.all(params.mu.F[5] == 2.0)
+    assert not np.any(params.r[4] == 7.0)
+
+
 def _prepared(monkeypatch, workers, *step):
     monkeypatch.setattr(fields, "WORKERS", workers)
     return prepare_step(*step)

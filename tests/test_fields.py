@@ -611,9 +611,13 @@ def test_a_failing_band_raises_in_band_order(tmp_path, monkeypatch, spills, fail
     assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
 
 
-@pytest.mark.parametrize("shapes", [((3, 3), (3, 2)), ((3, 2), (3, 3)), ((3, 3), (9,))])
+@pytest.mark.parametrize(
+    "shapes",
+    [((3, 3), (3, 2)), ((3, 2), (3, 3)), ((3, 3), (9,)), ((3, 0), (3, 0)), ((0, 3), (0, 3))],
+)
 def test_write_grid_csv_rejects_mismatched_columns(tmp_path, shapes):
-    """Columns of differing shapes raise before the file exists, in either order."""
+    """Columns of differing shapes raise before the file exists, in either
+    order, and so do columns with no node on one axis."""
     path = tmp_path / "g.csv"
     columns = {"a": np.zeros(shapes[0]), "b": np.ones(shapes[1])}
     with pytest.raises(GridMismatch, match=re.escape("got a %s, b %s" % shapes)):
@@ -683,7 +687,7 @@ MALFORMED_METRIC_CSV = {
 def test_grid_csv_rejects_malformed(tmp_path, case):
     path = tmp_path / "bad.csv"
     path.write_text(MALFORMED_METRIC_CSV[case])
-    with pytest.raises(ConfigError, match="bad.csv"):
+    with pytest.raises(ConfigError, match="bad.csv: no data rows$" if case == "no rows" else "bad.csv"):
         read_metric_csv(str(path))
 
 
