@@ -156,7 +156,10 @@ def _cmd_corrugate(args):
     f = flat_inclusion(gr)
     eta = read_scalar_csv(args.eta_file) if args.eta_file else strip_eta_field(gr)
     if eta.shape != gr.shape:
-        raise ConfigError("eta field shape %s does not match --grid %d" % (eta.shape, args.grid))
+        raise ConfigError(
+            "%s: eta field shape %s does not match --grid %d"
+            % (args.eta_file, eta.shape, args.grid)
+        )
     if eta.min() < 0.0:
         raise ConfigError("%s: eta must be nonnegative, min %.3e" % (args.eta_file, eta.min()))
     ell = _parse_ell(args.ell)

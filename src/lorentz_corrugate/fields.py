@@ -6,6 +6,7 @@ derivatives are exact data, never finite differences of the positions.
 """
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import tempfile
@@ -447,11 +448,15 @@ def _in_lanes(run, items):
 # below. Zero is "0" or "-0". Every other value (nonzero |x| < 1e-4,
 # |x| >= 1e16, nan, inf) goes through FLOAT_FMT itself, in one call per block.
 #
-# A value fills a slot of four 8-byte words. Word 0 holds, right-aligned, the
-# separator, the sign, "0." and the zeros before the first digit when X < 0,
-# and the first digit d0; words 1-3 hold d1..d16 with the point after d_X
-# when X >= 0, up to the last digit printed. Every other byte is zero, and
-# one compress of the block's words drops them.
+# A line is its head words, then one slot a value. The head is "\n", ending
+# the line before, and the line's start: "v" in an OBJ, and in a grid CSV the
+# node's indices as integer text, one word from a table of the rows ("\ni")
+# and one from a table of the columns (",j"). A value fills a slot of four
+# 8-byte words. Word 0 holds, right-aligned, the separator, the sign, "0."
+# and the zeros before the first digit when X < 0, and the first digit d0;
+# words 1-3 hold d1..d16 with the point after d_X when X >= 0, up to the last
+# digit printed. Every other byte is zero, and one compress of the block's
+# words drops them.
 
 _WORD = np.dtype("<u8")  # byte i of a word is its bits 8i .. 8i+7
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
@@ -543,19 +548,30 @@ def _word(text):
     return np.frombuffer(text.rjust(8, b"\0"), _WORD)[0]
 
 
-def _lines(prefix, values, sep):
-    """The text prefix + sep.join(FLOAT_FMT % v for v in row) + "\n" of every
-    row of the 2-D float array values, byte for byte what % writes, as one
-    uint8 array. prefix has at most seven bytes and sep one."""
+def _texts(texts):
+    """Each of texts right-aligned in as many words as the longest needs, as
+    a (len(texts), words) array."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    text = b"".join(t.rjust(width, b"\0") for t in texts)
+    return np.frombuffer(text, _WORD).reshape(len(texts), -1)
+
+
+def _lines(heads, values, sep):
+    """The text heads + "".join(sep + FLOAT_FMT % v for v in row) + "\n" of
+    every row of the 2-D float array values, byte for byte what % writes, as
+    one uint8 array, with the zero bytes of heads dropped. heads holds each
+    line's head words, "\n" (ending the line before) first, as a (lines, h)
+    word array or one (1, h) row for every line; sep is one byte."""
     lines, cols = values.shape
+    h = heads.shape[1]
     v = values.reshape(-1)
-    # words 0 .. lines * (1 + 4 cols) - 1 are each line's head ("\n" ending
-    # the line before, then prefix) and slots; the last ends the last line
-    words = np.empty(lines * (1 + 4 * cols) + 1, _WORD)
+    # words 0 .. lines * (h + 4 cols) - 1 are each line's head and slots;
+    # the last ends the last line
+    words = np.empty(lines * (h + 4 * cols) + 1, _WORD)
     words[-1] = _word(b"\n")
-    line = words[:-1].reshape(lines, 1 + 4 * cols)
-    line[:, 0] = _word(b"\n" + prefix)
-    slot = line[:, 1:].reshape(lines, cols, 4)
+    line = words[:-1].reshape(lines, h + 4 * cols)
+    line[:, :h] = heads
+    slot = line[:, h:].reshape(lines, cols, 4)
 
     ax = np.abs(v)
     fast = ax >= 1e-4
@@ -594,9 +610,7 @@ def _lines(prefix, values, sep):
     D -= d0 * 10**16
     d0 += _LEAD[k]
     d0 += np.signbit(v) * 50
-    d0 = d0.reshape(lines, cols)
-    slot[:, 0, 0] = _heads(b"")[d0[:, 0]]
-    slot[:, 1:, 0] = _heads(sep)[d0[:, 1:]]
+    slot[..., 0] = _heads(sep)[d0].reshape(lines, cols)
     del d0
     # D is d1..d16: groups q of four digits make words 1 (d1..d8) and 2
     hi = D // 10**8
@@ -643,7 +657,7 @@ def _lines(prefix, values, sep):
         text = np.frombuffer(text.replace(" ", "\0").encode(), np.uint8).reshape(-1, 32)
         i, c = np.divmod(other, cols)
         raw = slot.view(np.uint8)
-        raw[i, c, 0] = np.where(c > 0, ord(sep), 0)
+        raw[i, c, 0] = ord(sep)
         raw[i, c, 1:] = text[:, :31]
     raw = words.view(np.uint8)
     return raw[raw != 0][1:]
@@ -764,7 +778,7 @@ def export_obj(f, path):
     first = np.stack([v, v + ny, v + ny + 1, v, v + ny + 1, v + 1], axis=-1).ravel()
 
     def vertices(i0, i1):
-        return _lines(b"v ", f.pos[i0:i1].reshape(-1, 3), b" ")
+        return _lines(_texts([b"\nv"]), f.pos[i0:i1].reshape(-1, 3), b" ")
 
     def faces(i0, i1):
         return _int_lines(b"f", (np.arange(i0, i1)[:, None] * ny + first).reshape(-1, 3))
@@ -799,14 +813,15 @@ def write_grid_csv(path, columns):
     columns maps each name to an (nx, ny) array; columns of differing, empty
     or non-2-D shapes raise GridMismatch before the file is opened. Floats are
     exactly FLOAT_FMT's 17 significant digits, so read_grid_csv returns the
-    doubles bitwise, and the indices are their integers (FLOAT_FMT prints an
-    integral double below 10^16 as %d does). The rows are formatted in numpy
-    blocks of whole grid rows (_write_rows). A write of fewer than 2^17
-    values (indices included) takes blocks of about 2048 values on one lane,
-    and its working arrays take about 110 bytes a value, about 0.25 MB
-    beside the columns. A larger one takes blocks of about 2^15 values on
-    two lanes where the process may use two CPUs, about 3.6 MB a lane.
-    Either holds more only when one grid row has more values than its block.
+    doubles bitwise, and the indices are integer text from a table of the
+    rows' and one of the columns' (what FLOAT_FMT prints for them as
+    doubles). The rows are formatted in numpy blocks of whole grid rows
+    (_write_rows). A write of fewer than 2^17 values (indices included)
+    takes blocks of about 2048 values on one lane, and its working arrays
+    take about 110 bytes a value, about 0.25 MB beside the columns. A larger
+    one takes blocks of about 2^15 values on two lanes where the process may
+    use two CPUs, about 3.6 MB a lane. Either holds more only when one grid
+    row has more values than its block.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -816,15 +831,324 @@ def write_grid_csv(path, columns):
             % ", ".join("%s %s" % (name, a.shape) for name, a in zip(names, arrays))
         )
     shape = arrays[0].shape
+    # a line's head: "\n" and its x_idx from the row, "," and its y_idx from the column
+    row_heads = _texts([b"\n%d" % i for i in range(shape[0])])
+    column_heads = _texts([b",%d" % j for j in range(shape[1])])
 
     def rows(i0, i1):
-        idx = np.meshgrid(np.arange(i0, i1), np.arange(shape[1]), indexing="ij")
-        block = np.stack([*idx, *(a[i0:i1] for a in arrays)], axis=-1, dtype=float)
-        return _lines(b"", block.reshape(-1, 2 + len(arrays)), b",")
+        heads = np.concatenate(
+            np.broadcast_arrays(row_heads[i0:i1, None], column_heads[None]), axis=-1
+        )
+        block = np.stack([a[i0:i1] for a in arrays], axis=-1)
+        return _lines(heads.reshape(-1, heads.shape[-1]), block.reshape(-1, len(arrays)), b",")
 
     with open(path, "wb") as fh:
         fh.write((",".join(["x_idx", "y_idx"] + names) + "\n").encode())
         _write_rows(fh, shape, 2 + len(arrays), rows)
+
+
+# ------------------------------------------------------------- cell text
+#
+# read_grid_csv parses a body's cells in numpy, a block of whole lines at a
+# time (_read_block), and gives each value bitwise what float() gives. A cell
+# -?digits[.digits] of at most _CELL bytes, with a digit and at most 22
+# digits after the point, is D / 10^f: D is its digits as one integer, f the
+# number of digits after the point.
+# - The cell's last _CELL bytes are three words, gathered at its end. The
+#   bytes before the cell and its sign become 0, and those left of the point
+#   move one place right, over it (_CELL_KEEP, _CELL_MOVE, by the cell's
+#   length and f). Every byte must then be a digit. Each word's eight digits
+#   give its value in three multiplies (SWAR), and the three values give D,
+#   which must be below 922 * 10^16 < 2^63.
+# - If D <= 2^53, fl(D) / 10^f is one IEEE division of exact operands, so it
+#   is correctly rounded (Clinger's fast path; 10^f is exact for f <= 22).
+# - Else y = fl(D) / 10^f is within 2^-53 y of D / 10^f, so q = fl(y) is the
+#   nearest double or one of its neighbours, unless q is a power of two
+#   (whose lower neighbour is half as far as its upper one). Dekker's
+#   two-product gives q 10^f = P + E exactly, P an integer. E -+ ulp(q) 10^f
+#   / 2 is exact too: it is a multiple of ulp(q) 2^(f-1), fewer than
+#   3 5^f < 2^53 of them. So comparing the integer D - P with it tells
+#   exactly on which side of the midpoint to q's neighbour D / 10^f lies. A
+#   tie goes to the even double.
+# A line with any other cell (exponents, nan, inf, spaces, "+", CR), or with
+# a cell whose q is a power of two, is read by np.loadtxt once every block is
+# parsed, and so is every line of a block in which a line has not as many
+# cells as the header. A line that np.loadtxt rejects or skips sends the
+# whole body to np.loadtxt, so the values and errors are those of np.loadtxt
+# on the body.
+
+_CELL = 24  # bytes of a cell's window, and of the room before a block
+# A body is read in blocks of whole lines of about a _READ_BLOCKS-th of its
+# bytes, and at least _READ_BYTES. A block's working arrays take about 9
+# bytes a byte of its text, so on a large body the lanes' arrays stay well
+# below the values (8 bytes a cell of about 13 bytes). The blocks are still
+# large enough that numpy's per-call cost, which holds the GIL, stays small
+# beside a call's arithmetic: on two lanes a 17.5 MB metric CSV took 1.25
+# times as long to read in blocks of 2^17 bytes as in blocks of 2^18. A read
+# of at least _LANE_VALUES cells runs on WORKERS lanes, one band of the body
+# each.
+_READ_BLOCKS = 64
+_READ_BYTES = 2**16
+
+
+def _cell_masks():
+    """_CELL_KEEP[25 L + f] and _CELL_MOVE[25 L + f]: the byte masks of a
+    cell's three words (the word farthest from its end first) that keep
+    their digit, and that take the digit one place left of them, for a cell
+    of L bytes after its sign with its point f bytes before its end
+    (f = 24 when it has none)."""
+    length = np.arange(25)[:, None, None]
+    f = np.arange(25)[None, :, None]
+    d = np.arange(_CELL - 1, -1, -1)  # each byte's place before the cell's end
+    masks = ((d < f) & (d < length), (d >= f) & (d + 1 < length))
+    return [(m.astype(np.uint8) * np.uint8(0xFF)).reshape(625, _CELL).view(_WORD) for m in masks]
+
+
+_CELL_KEEP, _CELL_MOVE = _cell_masks()
+_TENS = np.array([float(10**f) for f in range(23)])
+_TENS_HI = _TENS * _SPLITTER - (_TENS * _SPLITTER - _TENS)
+_TENS_LO = _TENS - _TENS_HI
+_U64 = np.uint64
+
+
+def _round_cells(D, f, ok):
+    """D / 10^f rounded to the nearest double, ties to even, for D < 2^63
+    and f <= 22; clears ok where D > 2^53 and fl(fl(D) / 10^f) is a power
+    of two."""
+    q = D.astype(float)
+    q /= _TENS[f]
+    big = np.flatnonzero(D > 2**53)
+    if not big.size:
+        return q
+    D, f, x = D[big], f[big], q[big]
+    bits = x.view(_WORD)
+    edge = bits & _U64(2**52 - 1)
+    edge = edge == 0
+    if edge.any():
+        ok[big[edge]] = False
+    # two-product: x 10^f = P + E, with x = xh + xl and 10^f = th + tl
+    th, tl, h = _TENS_HI[f], _TENS_LO[f], _TENS[f]
+    P = h * x
+    xh = x * _SPLITTER
+    xl = xh - x
+    xh -= xl
+    np.subtract(x, xh, out=xl)
+    E = xh * th
+    E -= P
+    xh *= tl
+    E += xh
+    th *= xl
+    E += th
+    xl *= tl
+    E += xl
+    del xh, xl, th, tl
+    a = D.view(np.int64) - P.astype(np.int64)
+    a = a.astype(float)
+    # D - x 10^f = a - E; the midpoint on its side is at E -+ h, h = ulp(x) 10^f / 2
+    g = a - E
+    u = bits & _U64(0x7FF << 52)
+    u = u.view(float)
+    u *= 2.0**-52
+    h *= 0.5
+    h *= u
+    np.copysign(h, g, out=h)
+    h += E
+    a -= h
+    tie = a == 0
+    a *= g
+    step = a > 0
+    if tie.any():
+        step |= tie & (bits & _U64(1)).astype(bool)
+    np.copysign(u, g, out=u)
+    u *= step
+    x += u
+    q[big] = x
+    return q
+
+
+def _read_block(a, end, cols):
+    """The values of the whole lines in a[_CELL:end], an array over the
+    bytes of a buffer that has _CELL bytes before them, as a (lines, cols)
+    array, with a mask of the lines they hold and the place of each line's
+    "\n" in a. A line outside the mask has no values: it has a cell not in
+    the form of "cell text", or some line of the block has not cols cells."""
+    b = a[_CELL:end]
+    sep = b == ord("\n")
+    lines = np.count_nonzero(sep)
+    sep |= b == ord(",")
+    sep = np.flatnonzero(sep)
+    sep += _CELL
+    ends = sep[cols - 1 :: cols]
+    if len(sep) != lines * cols or (a[ends] != ord("\n")).any():
+        # a line has not cols cells: np.loadtxt reads the block
+        return np.empty((lines, cols)), np.zeros(lines, bool), sep[a[sep] == ord("\n")]
+    starts = np.empty_like(sep)
+    starts[0] = _CELL
+    starts[1:] = sep[:-1] + 1
+    # each cell's point, and its place before the cell's end
+    point = np.flatnonzero(b == ord("."))
+    point += _CELL
+    cell = np.searchsorted(sep, point)
+    point = sep[cell] - 1 - point
+    f = np.zeros(len(sep), np.intp)
+    f[cell] = point
+    # each cell's row of the masks: 25 length + f, f = 24 for no point
+    form = np.full(len(sep), 24)
+    form[cell] = point
+    del point, cell
+    length = sep - starts
+    neg = a[starts] == ord("-")
+    length -= neg
+    ok = length > (form < 24)
+    ok &= length <= _CELL
+    ok &= f <= 22
+    np.minimum(length, _CELL, out=length)
+    np.minimum(f, 22, out=f)
+    np.minimum(form, 24, out=form)
+    length *= 25
+    form += length
+    del starts, length
+    window = np.ndarray((len(a) - _CELL + 1,), "V%d" % _CELL, buffer=a, strides=(1,))
+    x = window[sep - _CELL].view(_WORD)
+    del sep
+    x ^= _U64(0x3030303030303030)
+    y = np.take(_CELL_KEEP, form, axis=0).reshape(-1)
+    y &= x
+    # the byte before each word is the last byte of the word before it
+    carry = x[:-1] >> _U64(56)
+    x <<= _U64(8)
+    x[1:] |= carry
+    del carry
+    x &= np.take(_CELL_MOVE, form, axis=0).reshape(-1)
+    del form
+    y |= x
+    # a digit byte plus 0x76 stays below 0x80
+    np.add(y, _U64(0x7676767676767676), out=x)
+    x |= y
+    x = x.reshape(-1, 3)
+    bad = x[:, 0] | x[:, 1]
+    bad |= x[:, 2]
+    bad &= _U64(0x8080808080808080)
+    ok &= bad == 0
+    del x, bad
+    # eight digit bytes to their value: pairs, fours, eights
+    y *= _U64(10 << 8 | 1)
+    y >>= _U64(8)
+    y &= _U64(0x00FF00FF00FF00FF)
+    y *= _U64(100 << 16 | 1)
+    y >>= _U64(16)
+    y &= _U64(0x0000FFFF0000FFFF)
+    y *= _U64(10000 << 32 | 1)
+    y >>= _U64(32)
+    y = y.reshape(-1, 3)
+    ok &= y[:, 0] < 922
+    D = y[:, 0] * _U64(10**8)
+    D += y[:, 1]
+    D *= _U64(10**8)
+    D += y[:, 2]
+    del y
+    D *= ok
+    q = _round_cells(D, f, ok)
+    np.negative(q, out=q, where=neg)
+    return q.reshape(lines, cols), ok.reshape(lines, cols).all(axis=1), ends
+
+
+def _read_band(path, start, stop, data, block):
+    """Parse the lines in bytes start .. stop of the file at path into the
+    rows of data, in blocks of whole lines of about block bytes, and return
+    (row, text) for each line that np.loadtxt has to read.
+
+    stop ends a line or the file; the file's last line may lack its "\n".
+    """
+    cols = data.shape[1]
+    buffer = bytearray(_CELL + block + 1)
+    slow, row, held = [], 0, 0  # held: bytes of a line begun in the last read
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop or held:
+            room = len(buffer) - 1 - _CELL - held
+            with memoryview(buffer) as view:
+                got = fh.readinto(view[_CELL + held : _CELL + held + min(room, stop - start)])
+            start += got
+            end = _CELL + held + got
+            if start == stop and buffer[end - 1] != ord("\n"):
+                buffer[end] = ord("\n")
+                end += 1
+            last = buffer.rfind(b"\n", _CELL, end) + 1
+            if not last:  # a line longer than the buffer
+                held = end - _CELL
+                buffer.extend(bytes(len(buffer)))
+                continue
+            a = np.frombuffer(buffer, np.uint8)
+            values, fast, ends = _read_block(a, last, cols)
+            lines = len(values)
+            data[row : row + lines] = values
+            for i in np.flatnonzero(~fast):
+                slow.append((row + i, bytes(buffer[ends[i - 1] + 1 if i else _CELL : ends[i] + 1])))
+            row += lines
+            held = end - last
+            buffer[_CELL : _CELL + held] = buffer[last:end]
+            del a
+    return slow
+
+
+def _read_cells(path, start, cols):
+    """The lines of the file at path from byte start on as a (lines, cols)
+    float array, parsed in numpy (see "cell text"), or None when np.loadtxt
+    has to read them whole.
+
+    The body is cut at line ends into one band a lane, counted, and each band
+    parsed into its rows of the array (_read_band) on its lane (_in_lanes).
+    """
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        block = max((size - start) // _READ_BLOCKS, _READ_BYTES)
+        cuts = [start]
+        for band in _bands(size - start)[1:]:
+            fh.seek(max(start + band.start, cuts[-1]))
+            fh.readline()
+            cuts.append(fh.tell())
+        cuts.append(size)
+        fh.seek(start)
+        counts = [_count_lines(fh, lo, hi, block) for lo, hi in zip(cuts, cuts[1:])]
+        if size > start:
+            fh.seek(size - 1)
+            counts[-1] += fh.read(1) != b"\n"
+    rows = sum(counts)
+    if rows * cols < _LANE_VALUES:
+        cuts, counts = [start, size], [rows]
+    data = np.empty((rows, cols))
+    first = np.cumsum([0] + counts)
+    slow = _in_lanes(
+        lambda b: _read_band(path, cuts[b], cuts[b + 1], data[first[b] : first[b + 1]], block),
+        range(len(counts)),
+    )
+    slow = [(first[b] + row, text) for b, band in enumerate(slow) for row, text in band]
+    if slow:
+        rows, texts = zip(*slow)
+        try:
+            with warnings.catch_warnings():
+                # an empty result only warns; it is rejected below
+                warnings.simplefilter("ignore")
+                text = io.TextIOWrapper(io.BytesIO(b"".join(texts)))
+                values = np.loadtxt(text, delimiter=",", ndmin=2)
+        except ValueError:
+            return None
+        if values.shape != (len(rows), cols):
+            return None
+        data[list(rows)] = values
+    return data
+
+
+def _count_lines(fh, start, stop, block):
+    """The number of "\n" in bytes start .. stop of the open file fh, read
+    from start in blocks of block bytes."""
+    count, buffer = 0, bytearray(block)
+    while start < stop:
+        got = fh.readinto(memoryview(buffer)[: stop - start])
+        count += np.count_nonzero(np.frombuffer(buffer, np.uint8, got) == ord("\n"))
+        start += got
+    return count
 
 
 def read_grid_csv(path, names=None):
@@ -835,18 +1159,38 @@ def read_grid_csv(path, names=None):
     x_idx,y_idx followed by distinct names, every cell numeric, every value
     finite, and the rows must give each node of the grid exactly once with
     integral indices; anything else raises ConfigError naming the file.
+
+    The body's cells are parsed in numpy, a block of whole lines at a time
+    on the lanes (_read_cells), each bitwise as float() reads it.
+    np.loadtxt reads the lines of any other cells, and reads the whole body
+    when it rejects or skips one of them or when the header line has a CR
+    or a byte beyond ASCII, so what is accepted, and every error, is
+    np.loadtxt's. Beside the values read and the grids they fill, a read
+    holds a block's working arrays a lane, about 9 bytes a byte of its text.
     """
-    with open(path) as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
-        if header[:2] != ["x_idx", "y_idx"] or len(header) < 3 or len(set(header)) < len(header):
-            raise ConfigError("%s: header must be x_idx,y_idx followed by distinct names" % path)
-        try:
-            with warnings.catch_warnings():
-                # an empty body only warns; it is caught below
-                warnings.simplefilter("ignore")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (path, exc)) from None
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    # text mode reads an ASCII line without CR as it is
+    plain = head.isascii() and b"\r" not in head
+    if plain:
+        head = head.decode()
+    else:
+        with open(path) as fh:
+            head = fh.readline()
+    header = [name.strip() for name in head.split(",")]
+    if header[:2] != ["x_idx", "y_idx"] or len(header) < 3 or len(set(header)) < len(header):
+        raise ConfigError("%s: header must be x_idx,y_idx followed by distinct names" % path)
+    data = _read_cells(path, len(head), len(header)) if plain else None
+    if data is None:
+        with open(path) as fh:
+            fh.readline()
+            try:
+                with warnings.catch_warnings():
+                    # an empty body only warns; it is caught below
+                    warnings.simplefilter("ignore")
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigError("%s: %s" % (path, exc)) from None
     if not len(data):
         raise ConfigError("%s: no data rows" % path)
     if data.shape[1] != len(header):
@@ -861,17 +1205,20 @@ def read_grid_csv(path, names=None):
     idx = data[:, :2]
     if np.any(idx < 0.0) or np.any(idx >= rows) or np.any(idx != np.floor(idx)):
         raise ConfigError("%s: node indices must be integers in [0, %d)" % (path, rows))
-    xi, yi = idx.astype(np.intp).T
-    nx, ny = int(xi.max()) + 1, int(yi.max()) + 1
+    nx, ny = (int(n) + 1 for n in idx.max(axis=0))
+    # each row's node as its index in row-major order
+    node = idx[:, 0].astype(np.intp)
+    node *= ny
+    node += idx[:, 1].astype(np.intp)
     seen = np.zeros(rows, dtype=bool)
     if nx * ny == rows:
-        seen[xi * ny + yi] = True
+        seen[node] = True
     if not seen.all():
         raise ConfigError("%s: rows do not give each node of a %dx%d grid once" % (path, nx, ny))
     out = {}
     for name in names:
         out[name] = np.empty((nx, ny))
-        out[name][xi, yi] = data[:, header.index(name)]
+        out[name].reshape(-1)[node] = data[:, header.index(name)]
     return out
 
 

@@ -78,7 +78,7 @@ def test_corrugate_by_epsilon(tmp_path, capsys):
     assert obj.exists()
 
 
-def test_corrugate_eta_file(tmp_path):
+def test_corrugate_eta_file(tmp_path, capsys):
     grid = Grid(17, 17)
     eta_path = tmp_path / "eta.csv"
     write_grid_csv(str(eta_path), {"value": strip_eta_field(grid)})
@@ -87,12 +87,16 @@ def test_corrugate_eta_file(tmp_path):
         ["corrugate", "--grid", "17", "--eta-file", str(eta_path), "--N", "16", "--out", str(obj)]
     )
     assert code == 0
-    # shape mismatch is a configuration error
+    capsys.readouterr()
+    # shape mismatch is a configuration error that names the file
     assert (
         main(
             ["corrugate", "--grid", "33", "--eta-file", str(eta_path), "--N", "16", "--out", str(obj)]
         )
         == 2
+    )
+    assert capsys.readouterr().err == (
+        "config error: %s: eta field shape (17, 17) does not match --grid 33\n" % eta_path
     )
 
 

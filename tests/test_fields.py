@@ -519,7 +519,7 @@ def test_float_text_matches_percent_operator():
     line = "v " + " ".join([fields.FLOAT_FMT] * 4) + "\n"
     for i in range(0, len(values), 1024):
         block = values[i : i + 1024]
-        got = bytes(fields._lines(b"v ", block, b" "))
+        got = bytes(fields._lines(fields._texts([b"\nv"]), block, b" "))
         want = (line * len(block) % tuple(block.ravel().tolist())).encode()
         if got != want:
             bad = next(j for j, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
@@ -598,15 +598,18 @@ def test_a_failing_band_raises_in_band_order(tmp_path, monkeypatch, spills, fail
     second = blocks[fields._bands(len(blocks))[1].start][0]
     lines = fields._lines
 
-    def raising(prefix, values, sep):
-        band = int(values[0, 0] >= second)  # the block's first x_idx
+    def raising(heads, values, sep):
+        band = int(values[0, 0] >= second)  # the block's first grid row
         if band in failing:
             raise RuntimeError("band %d" % band)
-        return lines(prefix, values, sep)
+        return lines(heads, values, sep)
 
     monkeypatch.setattr(fields, "_lines", raising)
+    # the first column holds each node's grid row
+    rows = np.broadcast_to(np.arange(209.0)[:, None], (209, 213))
+    columns = {"i": rows, "E": pos[..., 0], "F": pos[..., 1]}
     with pytest.raises(RuntimeError, match="^band %d$" % failing[0]):
-        write_grid_csv(str(tmp_path / "g.csv"), {n: pos[..., c] for c, n in enumerate("EFG")})
+        write_grid_csv(str(tmp_path / "g.csv"), columns)
     assert len(spills) == 1 and spills[0].closed
     assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
 
@@ -749,3 +752,269 @@ def test_csv_writers_golden_format(tmp_path):
         "1,1,3,1,-3\n"
         "1,2,-0.5,-0.16666666666666666,0.5\n"
     )
+
+
+# ---------------------------------------------------------------- cell parser
+
+
+def _float_cells(values):
+    """Cell text of each double as FLOAT_FMT writes it."""
+    return [fields.FLOAT_FMT % v for v in values.tolist()]
+
+
+def _parse_lines(lines):
+    """fields._read_block over whole lines of cells: (values, lines it read)."""
+    text = "".join(",".join(line) + "\n" for line in lines).encode()
+    buffer = bytearray(fields._CELL) + text + bytearray(1)
+    a = np.frombuffer(buffer, np.uint8)
+    values, fast, _ = fields._read_block(a, len(buffer) - 1, len(lines[0]))
+    return values, fast
+
+
+# -?digits[.digits] with a digit, at most 24 bytes and 22 digits after the point
+FAST_CELL = re.compile(r"-?(\d*)(?:\.(\d{0,22}))?$")
+
+
+def _in_form(cell):
+    """Whether the parser reads cell itself: its form, and its digits below 922 * 10^16."""
+    m = FAST_CELL.match(cell)
+    digits = m and (m.group(1) + (m.group(2) or ""))
+    return bool(digits) and len(cell) <= 24 and int(digits) < 922 * 10**16
+
+
+def _check_cells(cells, columns=4):
+    """The parser reads lines of cells only in its form, each cell bitwise as
+    float() does, and sends every other line on; returns which lines it
+    read, and whether it read every line in its form."""
+    cells = cells + ["0"] * (-len(cells) % columns)
+    lines = [cells[i : i + columns] for i in range(0, len(cells), columns)]
+    values, fast = _parse_lines(lines)
+    want = np.array([[float(c) for c in line] for line in lines])
+    form = np.array([all(map(_in_form, line)) for line in lines])
+    assert not (fast & ~form).any()
+    assert np.array_equal(values[fast].view(np.uint64), want[fast].view(np.uint64))
+    return fast, np.array_equal(fast, form)
+
+
+def test_parser_reads_random_decimals_as_float():
+    """Decimals of 1 to 19 digits, leading zeros among them, with a point at
+    any place or none and either sign, are read bitwise as float() reads
+    them; those whose digits pass 922 * 10^16 go to np.loadtxt."""
+    rng = np.random.default_rng(33)
+    cells = []
+    for _ in range(60000):
+        digits = "".join(map(str, rng.integers(0, 10, size=rng.integers(1, 20))))
+        point = rng.integers(-1, len(digits) + 1)
+        text = digits if point < 0 else digits[:point] + "." + digits[point:]
+        cells.append("-" * rng.integers(0, 2) + text)
+    fast, every = _check_cells(cells)
+    assert every and 0.9 < fast.mean() < 1.0
+
+
+def _near_midpoints(rng, count):
+    """Decimals of 17 to 19 significant digits next to the midpoint of two
+    adjacent doubles, one rounded down from it and one up, in fixed
+    notation of at most 24 bytes; and exact midpoints of 17 to 19 digits."""
+    from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+
+    x = 10.0 ** rng.uniform(-4, 15, size=count)
+    ties = 2.0 ** rng.uniform(52, 63, size=count // 5)
+    cells = []
+    with localcontext() as ctx:
+        ctx.prec = 1100
+        for v, digits in zip(x.tolist(), rng.integers(17, 20, size=count).tolist()):
+            mid = (Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2
+            quantum = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+            for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                cells.append("{:f}".format(mid.quantize(quantum, rounding=rounding)))
+        for v in ties.tolist():
+            cells.append("{:f}".format((Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2))
+    return cells
+
+
+def test_parser_rounds_near_midpoints_as_float():
+    """Decimals just below and just above the exact midpoints between
+    adjacent doubles, where one wrong step of the rounding shows, and exact
+    midpoints, which go to the even neighbour, are read bitwise as float()
+    reads them."""
+    cells = _near_midpoints(np.random.default_rng(34), 10000)
+    assert len({len(c) for c in cells}) > 5 and max(map(len, cells)) <= 24
+    fast, every = _check_cells(cells, columns=2)
+    assert every and fast.mean() > 0.95
+
+
+def test_parser_rounds_next_to_powers_of_two():
+    """Decimals of 19 digits just below and above powers of two, where
+    fl(fl(D) / 10^f) can round up to the power of two, whose lower neighbour
+    is half as far as its upper one, are read bitwise as float() reads them;
+    the parser sends on each line whose quotient is a power of two."""
+    from fractions import Fraction
+
+    cells = []
+    for e in range(50, 61):
+        for f in range(1, 5):
+            for k in np.linspace(-1.5, 1.5, 301).tolist():
+                x = Fraction(2**e) + Fraction(k) * Fraction(2) ** (e - 53)
+                D = round(x * 10**f)
+                if 2**53 < D < 922 * 10**16:
+                    text = str(D)
+                    cells.append(text[:-f] + "." + text[-f:])
+    fast, every = _check_cells(cells, columns=1)
+    assert not every and fast.mean() > 0.5
+
+
+def test_grid_csv_round_trips_every_binade(tmp_path):
+    """Doubles of every binade, subnormals, +-0, the neighbours of 1e-4 and
+    1e16 and integers up to 2^53, written by write_grid_csv, read back
+    bitwise: the parser's cells and np.loadtxt's (exponent notation) alike."""
+    rng = np.random.default_rng(35)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, size=(2098, 4)), np.arange(-1074, 1024)[:, None])
+    edges = np.array([1e-4, 1e16])
+    values = np.concatenate(
+        [
+            binades.ravel(),
+            [0.0, -0.0, 5e-324, 2**53, 2**53 - 1, 2**53 + 2, 9007199254740993.0],
+            np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+            np.arange(0.0, 2.0**53, 2.0**53 / 3001),
+            np.ldexp(1.0, np.arange(-60, 60)),
+        ]
+    )
+    values = np.concatenate([values, -values])
+    values = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(-1, 3, 2)
+    columns = {"a": values[..., 0], "b": values[..., 1]}
+    path = tmp_path / "v.csv"
+    write_grid_csv(str(path), columns)
+    back = fields.read_grid_csv(str(path))
+    for name, column in columns.items():
+        assert np.array_equal(back[name].view(np.uint64), column.view(np.uint64))
+
+
+def _parse_as_loadtxt(monkeypatch, path):
+    """read_grid_csv with np.loadtxt reading the whole body: the arrays, or the
+    error's type and message."""
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_read_cells", lambda *args: None)
+        return _read_or_error(path)
+
+
+def _read_or_error(path):
+    try:
+        return fields.read_grid_csv(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same_read(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, dict) and got.keys() == want.keys() and all(
+        np.array_equal(got[k].view(np.uint64), want[k].view(np.uint64)) for k in want
+    )
+
+
+EDGE_BODIES = {
+    "crlf": "0,0,1,0,1\r\n0,1,1,0,1\r\n1,0,1,0,1\r\n1,1,1,0,1\r\n",
+    "no final newline": THREE_NODES + "1,1,1,0,1",
+    "blank line": THREE_NODES + "\n1,1,1,0,1\n",
+    "comment line": "# nodes\n" + THREE_NODES + "1,1,1,0,1 # last\n",
+    "spaces": THREE_NODES + "1, 1,1 ,0,  1\n",
+    "plus sign": THREE_NODES + "1,1,+1,0,1\n",
+    "trailing point": THREE_NODES + "1.,1,1.,0,1\n",
+    "leading point": THREE_NODES + "1,1,.5,-.5,1\n",
+    "negative zero": THREE_NODES + "1,1,-0,-0.0,1\n",
+    "leading zeros": THREE_NODES + "001,01,007.50,0,00.001\n",
+    "exponent cells": THREE_NODES + "1,1,1e-05,2.5E+20,-3e0\n",
+    "25-byte cell": THREE_NODES + "1,1,0.00012345678901234567891,0,1\n",
+    "40-byte cell": THREE_NODES + "1,1,0.000000000000000000000000000000000001,0,1\n",
+    "23 digits after the point": THREE_NODES + "1,1,.00000000000000000000001,0,1\n",
+    "23 digits": THREE_NODES + "1,1,.12345678901234567890123,0,1\n",
+    "22 digits after the point": THREE_NODES + "1,1,-.0000000000000000000001,.00000000000,1\n",
+    "19 digits": THREE_NODES + "1,1,9219999999999999999,-9220000000000000000,1\n",
+    "ragged row": THREE_NODES + "1,1,1,0\n",
+    "extra cell": THREE_NODES + "1,1,1,0,1,2\n",
+    "extra cell on every row": "0,0,1,0,1,9\n0,1,1,0,1,9\n1,0,1,0,1,9\n1,1,1,0,1,9\n",
+    "empty cell": THREE_NODES + "1,1,,0,1\n",
+    "lone sign": THREE_NODES + "1,1,-,0,1\n",
+    "lone point": THREE_NODES + "1,1,.,0,1\n",
+    "two points": THREE_NODES + "1,1,1.2.3,0,1\n",
+    "two signs": THREE_NODES + "1,1,--1,0,1\n",
+    "inner sign": THREE_NODES + "1,1,1-2,0,1\n",
+    "nan": THREE_NODES + "1,1,nan,0,1\n",
+    "fractional index": THREE_NODES + "1,1.0,1,0,1\n",
+    "not utf-8": THREE_NODES + "1,1,1\xe9,0,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_BODIES))
+def test_parser_reads_edge_files_as_loadtxt(tmp_path, monkeypatch, case):
+    """Each edge body gives bitwise the arrays, or the ConfigError, that
+    read_grid_csv gives when np.loadtxt reads the whole body."""
+    path = tmp_path / "edge.csv"
+    body = EDGE_BODIES[case]
+    if case == "crlf":
+        path.write_bytes((METRIC_HEADER.replace("\n", "\r\n") + body).encode())
+    else:
+        path.write_bytes(METRIC_HEADER.encode() + body.encode("latin-1"))
+    assert _same_read(_read_or_error(path), _parse_as_loadtxt(monkeypatch, path))
+
+
+def test_grid_csv_read_is_the_same_on_any_lane_count_and_block(tmp_path, monkeypatch):
+    """A grid CSV large enough for two bands, with lines for np.loadtxt in
+    both, reads bitwise the same on one, two and three lanes and in blocks
+    shorter than a line, and gives back what was written."""
+    f = _special_jet(209, 213, seed=36)
+    pos = np.where(np.isfinite(f.pos), f.pos, 1.5)
+    columns = {"E": pos[..., 0], "F": pos[..., 1], "G": pos[..., 2]}
+    assert 209 * 213 * 5 >= fields._LANE_VALUES
+    path = tmp_path / "g.csv"
+    write_grid_csv(str(path), columns)
+    assert path.read_text().count("e-") > 4
+    bands = []
+    read_band = fields._read_band
+
+    def counting(*args):
+        bands.append(args[1])
+        return read_band(*args)
+
+    monkeypatch.setattr(fields, "_read_band", counting)
+    for workers, least in ((1, 2**16), (2, 2**16), (3, 2**16), (2, 16)):
+        monkeypatch.setattr(fields, "WORKERS", workers)
+        monkeypatch.setattr(fields, "_READ_BYTES", least)
+        if least < 2**16:
+            monkeypatch.setattr(fields, "_READ_BLOCKS", 10**9)
+        bands.clear()
+        back = fields.read_grid_csv(str(path))
+        assert len(bands) == workers
+        for name, column in columns.items():
+            assert np.array_equal(back[name].view(np.uint64), column.view(np.uint64))
+
+
+def test_read_metric_csv_peak_stays_below_a_whole_file_parse(tmp_path):
+    """Reading a 257^2 metric CSV (4.4 MB) peaks below 5.1 MB of Python
+    allocations: the lanes' blocks stay small beside the values (the whole
+    body through np.loadtxt peaked at 5.36 MB)."""
+    rng = np.random.default_rng(37)
+    path = tmp_path / "m.csv"
+    write_metric_csv(str(path), random_pd_metric(rng, (257, 257)))
+    tracemalloc.start()
+    try:
+        read_metric_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.1e6
+
+
+def test_grid_csv_writes_indices_of_any_width(tmp_path):
+    """The indices of a grid with rows up to 10000 are written as the per-cell
+    rule writes them as floats, one to five digits."""
+    rng = np.random.default_rng(38)
+    a = rng.normal(size=(10001, 2))
+    path = tmp_path / "wide.csv"
+    write_grid_csv(str(path), {"a": a})
+    rows = ["x_idx,y_idx,a"] + [
+        ",".join(fields.FLOAT_FMT % v for v in (float(i), float(j), a[i, j]))
+        for i in range(10001)
+        for j in range(2)
+    ]
+    assert path.read_text() == "\n".join(rows) + "\n"
