@@ -1,6 +1,8 @@
 """Grid containers, metric fields, jets, norms and exchange formats."""
 import re
 import tracemalloc
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -757,11 +759,6 @@ def test_csv_writers_golden_format(tmp_path):
 # ---------------------------------------------------------------- cell parser
 
 
-def _float_cells(values):
-    """Cell text of each double as FLOAT_FMT writes it."""
-    return [fields.FLOAT_FMT % v for v in values.tolist()]
-
-
 def _parse_lines(lines):
     """fields._read_block over whole lines of cells: (values, lines it read)."""
     text = "".join(",".join(line) + "\n" for line in lines).encode()
@@ -814,9 +811,7 @@ def test_parser_reads_random_decimals_as_float():
 def _near_midpoints(rng, count):
     """Decimals of 17 to 19 significant digits next to the midpoint of two
     adjacent doubles, one rounded down from it and one up, in fixed
-    notation of at most 24 bytes; and exact midpoints of 17 to 19 digits."""
-    from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
-
+    notation of at most 24 bytes; and exact midpoints above 2^52."""
     x = 10.0 ** rng.uniform(-4, 15, size=count)
     ties = 2.0 ** rng.uniform(52, 63, size=count // 5)
     cells = []
@@ -848,8 +843,6 @@ def test_parser_rounds_next_to_powers_of_two():
     fl(fl(D) / 10^f) can round up to the power of two, whose lower neighbour
     is half as far as its upper one, are read bitwise as float() reads them;
     the parser sends on each line whose quotient is a power of two."""
-    from fractions import Fraction
-
     cells = []
     for e in range(50, 61):
         for f in range(1, 5):
@@ -947,8 +940,8 @@ EDGE_BODIES = {
 
 @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
 def test_parser_reads_edge_files_as_loadtxt(tmp_path, monkeypatch, case):
-    """Each edge body gives bitwise the arrays, or the ConfigError, that
-    read_grid_csv gives when np.loadtxt reads the whole body."""
+    """Each edge body gives bitwise the arrays, or the error (type and
+    message), that read_grid_csv gives when np.loadtxt reads the whole body."""
     path = tmp_path / "edge.csv"
     body = EDGE_BODIES[case]
     if case == "crlf":
@@ -964,17 +957,18 @@ def test_grid_csv_read_is_the_same_on_any_lane_count_and_block(tmp_path, monkeyp
     shorter than a line, and gives back what was written."""
     f = _special_jet(209, 213, seed=36)
     pos = np.where(np.isfinite(f.pos), f.pos, 1.5)
+    # exponent notation in the first and the last line
+    pos[0, 0, 0], pos[-1, -1, 2] = 1e-7, -2.5e-300
     columns = {"E": pos[..., 0], "F": pos[..., 1], "G": pos[..., 2]}
     assert 209 * 213 * 5 >= fields._LANE_VALUES
     path = tmp_path / "g.csv"
     write_grid_csv(str(path), columns)
-    assert path.read_text().count("e-") > 4
-    bands = []
+    slow = []
     read_band = fields._read_band
 
     def counting(*args):
-        bands.append(args[1])
-        return read_band(*args)
+        slow.append(read_band(*args))
+        return slow[-1]
 
     monkeypatch.setattr(fields, "_read_band", counting)
     for workers, least in ((1, 2**16), (2, 2**16), (3, 2**16), (2, 16)):
@@ -982,9 +976,9 @@ def test_grid_csv_read_is_the_same_on_any_lane_count_and_block(tmp_path, monkeyp
         monkeypatch.setattr(fields, "_READ_BYTES", least)
         if least < 2**16:
             monkeypatch.setattr(fields, "_READ_BLOCKS", 10**9)
-        bands.clear()
+        slow.clear()
         back = fields.read_grid_csv(str(path))
-        assert len(bands) == workers
+        assert len(slow) == workers and slow[0] and slow[-1]
         for name, column in columns.items():
             assert np.array_equal(back[name].view(np.uint64), column.view(np.uint64))
 
