@@ -703,9 +703,9 @@ def _node_values(params, out, gF, norm_metric, next_metric):
     d = out.pos - params.f.pos
     return (
         operator_norm_form(gF - params.mu, norm_metric),
-        gF.eigenvalues()[0],
+        gF.lower_eigenvalue(),
         euclidean_norm(d),
-        None if next_metric is None else (gF - next_metric).eigenvalues()[0],
+        None if next_metric is None else (gF - next_metric).lower_eigenvalue(),
     )
 
 

@@ -8,6 +8,10 @@ order, solves each candidate batched over a block of nodes and keeps the
 first one that passes the optimality conditions. This is deterministic,
 exact and vectorized per block. Least squares runs in the weighted coordinates
 (E, sqrt(2) F, G) so residuals are pointwise Frobenius norms.
+
+A call allocates the eta fields (the rows of one (k, nodes) array) and the
+residuals once and each block writes its solution into its slice, so beside
+its outputs a call holds one block's working set a thread.
 """
 from __future__ import annotations
 
@@ -163,8 +167,12 @@ def decompose(delta, dictionary, threads=None):
     Returns
     -------
     PrimitiveDecomposition
+        Its etas are row views of one (k, nodes) array.
 
-    Raises ConeViolation when the sup-node residual exceeds RESIDUAL_TOL.
+    Raises NotPSD (checked first) when delta is not PSD, and ConeViolation,
+    naming the first node of largest residual, when the sup-node residual
+    exceeds RESIDUAL_TOL. A call holds the eta fields, the residuals and one
+    block's working set a thread.
     """
     if threads is not None and threads < 1:
         raise DomainError("thread count must be at least 1")
@@ -173,15 +181,23 @@ def decompose(delta, dictionary, threads=None):
 
     A = dictionary.weighted_matrix()
     plan = _support_plan(A)
-    b = np.stack([delta.E, np.sqrt(2.0) * delta.F, delta.G], axis=-1).reshape(-1, 3)
-    blocks = np.split(b, range(BLOCK_NODES, b.shape[0], BLOCK_NODES))
+    E, F, G = (c.reshape(-1) for c in (delta.E, delta.F, delta.G))
+    coeff = np.empty((dictionary.k, E.size))
+    resid = np.empty(E.size)
 
+    def solve(start):
+        s = slice(start, start + BLOCK_NODES)
+        b = np.stack([E[s], np.sqrt(2.0) * F[s], G[s]], axis=-1)
+        block, resid[s] = _solve_chunk(b, A, plan)
+        coeff[:, s] = block.T
+
+    starts = range(0, E.size, BLOCK_NODES)
     if threads in (None, 1):
-        parts = [_solve_chunk(block, A, plan) for block in blocks]
+        for start in starts:
+            solve(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda block: _solve_chunk(block, A, plan), blocks))
-    coeff, resid = (np.concatenate(p) for p in zip(*parts))
+            list(pool.map(solve, starts))
 
     sup = float(np.max(resid)) if resid.size else 0.0
     if sup > RESIDUAL_TOL:
@@ -192,5 +208,5 @@ def decompose(delta, dictionary, threads=None):
             "matrix E=%.6g F=%.6g G=%.6g"
             % (sup, i, j, delta.E[i, j], delta.F[i, j], delta.G[i, j])
         )
-    etas = [coeff[:, j].reshape(shape) for j in range(dictionary.k)]
+    etas = [eta.reshape(shape) for eta in coeff]
     return PrimitiveDecomposition(forms=dictionary.forms, etas=etas, residual=sup)

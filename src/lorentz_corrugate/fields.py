@@ -111,14 +111,24 @@ class MetricField:
     def det(self):
         return self.E * self.G - self.F**2
 
+    def _mean_rad(self):
+        """Pointwise mean and radius of the eigenvalues."""
+        mean = 0.5 * (self.E + self.G)
+        return mean, np.sqrt((0.5 * (self.E - self.G)) ** 2 + self.F**2)
+
     def eigenvalues(self):
         """Pointwise symmetric eigenvalues (lmin, lmax)."""
-        mean = 0.5 * (self.E + self.G)
-        rad = np.sqrt((0.5 * (self.E - self.G)) ** 2 + self.F**2)
+        mean, rad = self._mean_rad()
         return mean - rad, mean + rad
 
+    def lower_eigenvalue(self):
+        """Pointwise lmin alone, bitwise eigenvalues()[0]."""
+        mean, rad = self._mean_rad()
+        mean -= rad
+        return mean
+
     def min_eigenvalue(self):
-        return float(np.min(self.eigenvalues()[0]))
+        return float(np.min(self.lower_eigenvalue()))
 
     def require_positive_definite(self, what="metric"):
         m = self.min_eigenvalue()
@@ -1201,18 +1211,12 @@ def read_grid_csv(path, names=None):
         raise ConfigError("%s: no column %s" % (path, ",".join(missing)))
     if not np.all(np.isfinite(data)):
         raise ConfigError("%s: NaN or infinite value" % path)
-    rows = len(data)
-    idx = data[:, :2]
-    if np.any(idx < 0.0) or np.any(idx >= rows) or np.any(idx != np.floor(idx)):
-        raise ConfigError("%s: node indices must be integers in [0, %d)" % (path, rows))
-    nx, ny = (int(n) + 1 for n in idx.max(axis=0))
-    # each row's node as its index in row-major order
-    node = idx[:, 0].astype(np.intp)
-    node *= ny
-    node += idx[:, 1].astype(np.intp)
-    seen = np.zeros(rows, dtype=bool)
-    if nx * ny == rows:
-        seen[node] = True
+    nx, ny, node = _grid_nodes(path, data[:, :2])
+    if (node[1:] > node[:-1]).all():
+        # rows increasing nodes in [0, rows): the rows are in row-major order
+        return {name: data[:, header.index(name)].reshape(nx, ny).copy() for name in names}
+    seen = np.zeros(len(node), dtype=bool)
+    seen[node] = True
     if not seen.all():
         raise ConfigError("%s: rows do not give each node of a %dx%d grid once" % (path, nx, ny))
     out = {}
@@ -1220,6 +1224,25 @@ def read_grid_csv(path, names=None):
         out[name] = np.empty((nx, ny))
         out[name].reshape(-1)[node] = data[:, header.index(name)]
     return out
+
+
+def _grid_nodes(path, idx):
+    """The grid (nx, ny) of a grid CSV's index columns idx and each row's
+    node as its index in row-major order; ConfigError unless the indices
+    are integers in [0, rows) and the grid has one node a row."""
+    rows = len(idx)
+    top = [col.max() for col in idx.T]
+    if min(col.min() for col in idx.T) < 0.0 or max(top) >= rows:
+        raise ConfigError("%s: node indices must be integers in [0, %d)" % (path, rows))
+    ij = idx.astype(np.intp)
+    if not (ij == idx).all():
+        raise ConfigError("%s: node indices must be integers in [0, %d)" % (path, rows))
+    nx, ny = (int(n) + 1 for n in top)
+    if nx * ny != rows:
+        raise ConfigError("%s: rows do not give each node of a %dx%d grid once" % (path, nx, ny))
+    node = ij[:, 0] * ny
+    node += ij[:, 1]
+    return nx, ny, node
 
 
 def write_metric_csv(path, mf):

@@ -1,4 +1,8 @@
 """Exact nonnegative decomposition over squared-form dictionaries."""
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +184,43 @@ def test_cone_violation_k5_between_directions():
         decompose(delta, dic)
 
 
+def test_cone_violation_names_first_node_of_largest_residual():
+    """Two nodes in different blocks leave the cone by the same largest
+    residual, a third earlier one by less: every thread count names the
+    first of the two, in the same message."""
+    dic = build_dictionary(5)
+    outside = LinearForm.from_angle(np.pi / 10.0)
+    eta = np.zeros((64, 160))
+    eta[3, 5] = eta[40, 9] = 1.0
+    eta[0, 1] = 0.5
+    assert 3 * 160 + 5 < decomp.BLOCK_NODES <= 40 * 160 + 9
+    delta = outside.outer(eta)
+    messages = set()
+    for threads in (None, 1, 4):
+        with pytest.raises(ConeViolation, match=r"at node \(3, 5\); matrix E=") as exc:
+            decompose(delta, dic, threads=threads)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def test_decompose_peak_is_the_etas_and_a_block_a_thread():
+    """On a 513^2 k = 5 cone field a call allocates at most 1.6 times the
+    bytes of its eta fields: the etas, the residuals and one block's working
+    set a thread."""
+    dic = build_dictionary(5)
+    delta = cone_field(np.random.default_rng(131), dic, (513, 513))
+    eta_bytes = dic.k * delta.E.nbytes
+    for threads in (None, 2):
+        tracemalloc.start()
+        try:
+            dec = decompose(delta, dic, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.residual <= decomp.RESIDUAL_TOL
+        assert peak < 1.6 * eta_bytes, (threads, peak / eta_bytes)
+
+
 def test_not_psd_rejected():
     dic = build_dictionary(5)
     with pytest.raises(NotPSD):
@@ -197,6 +238,29 @@ def test_decompose_independent_of_thread_count():
             for a, b in zip(serial.etas, dec.etas):
                 assert np.array_equal(a, b), (k, shape, threads)
             assert dec.residual == serial.residual
+
+
+def test_threads_write_every_block_when_switching_fast():
+    """Eight threads on nine blocks, switching every microsecond, each write
+    their blocks into the shared eta array: bitwise the serial result,
+    three times, within a minute."""
+    dic = build_dictionary(5)
+    delta = cone_field(np.random.default_rng(137), dic, (130, 257))
+    serial = decompose(delta, dic)
+    results = []
+    worker = threading.Thread(target=lambda: results.extend(decompose(delta, dic, threads=8) for _ in range(3)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(results) == 3
+    for dec in results:
+        for a, b in zip(serial.etas, dec.etas):
+            assert np.array_equal(a, b)
+        assert dec.residual == serial.residual
 
 
 def test_threads_bit_identical():

@@ -98,6 +98,22 @@ def test_metric_eigenvalues_against_eigvalsh():
     assert np.allclose(g.det(), np.linalg.det(mats), atol=1e-13)
 
 
+def test_lower_eigenvalue_is_eigenvalues_lmin_bitwise():
+    """lower_eigenvalue() is eigenvalues()[0] bit for bit on random fields of
+    any sign and scale, with F = 0 and E = G nodes among them."""
+    rng = np.random.default_rng(41)
+    for shape in ((1, 1), (7, 6), (64, 33)):
+        E, F, G = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape) for _ in range(3))
+        F[rng.random(shape) < 0.25] = 0.0
+        same = rng.random(shape) < 0.25
+        G[same] = E[same]
+        g = MetricField(E, F, G)
+        lo = g.lower_eigenvalue()
+        assert np.any(lo < 0.0) or shape == (1, 1)
+        assert np.array_equal(lo.view(np.uint64), g.eigenvalues()[0].view(np.uint64))
+        assert g.min_eigenvalue() == float(np.min(g.eigenvalues()[0]))
+
+
 def test_metric_arith_and_copy():
     g = MetricField.constant(2.0, 0.5, 1.0, (3, 3))
     h = MetricField.identity((3, 3))
@@ -694,6 +710,24 @@ def test_grid_csv_rejects_malformed(tmp_path, case):
     path.write_text(MALFORMED_METRIC_CSV[case])
     with pytest.raises(ConfigError, match="bad.csv: no data rows$" if case == "no rows" else "bad.csv"):
         read_metric_csv(str(path))
+
+
+def test_grid_csv_reads_rows_in_any_order(tmp_path):
+    """A grid CSV whose rows are shuffled or reversed reads bitwise the
+    arrays of the row-major file write_grid_csv makes."""
+    rng = np.random.default_rng(43)
+    columns = {name: rng.normal(size=(37, 23)) for name in ("a", "b", "c")}
+    path = tmp_path / "grid.csv"
+    write_grid_csv(str(path), columns)
+    head, *lines = path.read_text().splitlines(keepends=True)
+    expected = fields.read_grid_csv(str(path))
+    for order in (rng.permutation(len(lines)), np.arange(len(lines))[::-1]):
+        path.write_text(head + "".join(lines[i] for i in order))
+        back = fields.read_grid_csv(str(path), ("c", "a"))
+        assert list(back) == ["c", "a"]
+        for name, grid in back.items():
+            assert np.array_equal(grid.view(np.uint64), columns[name].view(np.uint64))
+            assert np.array_equal(grid.view(np.uint64), expected[name].view(np.uint64))
 
 
 def test_csv_writers_golden_format(tmp_path):
