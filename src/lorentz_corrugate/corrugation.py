@@ -17,9 +17,9 @@ whose average is gammabar = r phi(alpha) t with phi(alpha) the full-turn
 average of cosh(alpha cos 2 pi s). A_c and A_s are the primitives of the
 oscillating parts of cosh(theta) and sinh(theta); their harmonic expansions
 terminate the everywhere-periodic integrals exactly, so both are short
-harmonic sums whose coefficients are modified-Bessel values, tabulated once
-per step. The true differential is dF = L + (1/N) D where D collects the
-derivatives of the slowly varying fields at frozen oscillation phase; D is
+harmonic sums whose coefficients are modified-Bessel values. The true
+differential is dF = L + (1/N) D where D collects the derivatives of the
+slowly varying fields at frozen oscillation phase; D is
 formed by differencing the remainder field across neighbor nodes while
 holding the phase fixed at the center node, one-sided at the boundary.
 
@@ -29,8 +29,12 @@ instead of an (orders + 1) x nodes table. sin_table and remainder_series do
 the same arithmetic on whole tables as the tests' bitwise reference, and a
 trapezoid evaluator is kept as an independent cross-check. prepare_step
 makes everything that does not depend on N once per step: the input jet's
-pullback (one evaluation, shared by the frame, mu and the growth audit)
-and every N-independent audit term.
+pullback (one evaluation, shared by the frame, mu and the growth audit),
+every N-independent audit term and, of the coefficient table, its row 0,
+phi(alpha). Each probe tile runs the table's recurrence for the other rows
+on the lines it reads (_tile_rows), holding about 2 sqrt(orders) rows at a
+time (_bessel_rows), so neither a step nor a probe holds an (orders + 1) x
+nodes table.
 
 Probes and audits run in tiles: a tile is a range of rows by a range of
 columns, of at most TILE_NODES nodes (at least one row). A tile reads its
@@ -68,6 +72,7 @@ worth. A boundary line pair is one tile and runs on the calling thread.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -122,10 +127,12 @@ def phi_quadrature(alpha, samples=4096):
 
 @dataclass
 class AmplitudeSolveResult:
-    """Solution of phi(alpha) = y with its number of Newton steps."""
+    """Solution of phi(alpha) = y with its number of Newton steps, and
+    phi(alpha) as the last convergence check evaluated it."""
 
     alpha: np.ndarray
     iterations: int
+    phi: np.ndarray
 
 
 def phi_inverse(y, at_least=0):
@@ -150,9 +157,10 @@ def phi_inverse(y, at_least=0):
     tol = PHI_INVERSE_TOL * y
     a = np.arccosh(y)
     for iterations in range(PHI_INVERSE_MAX_ITER + 1):
-        fa = phi(a) - y
+        value = phi(a)
+        fa = value - y
         if iterations >= at_least and np.all(np.abs(fa) <= tol):
-            return AmplitudeSolveResult(alpha=np.asarray(a), iterations=iterations)
+            return AmplitudeSolveResult(np.asarray(a), iterations, np.asarray(value))
         # phi_prime vanishes only at alpha = 0, where y = 1 is solved exactly
         step = np.divide(fa, phi_prime(a), out=np.zeros_like(fa), where=fa != 0.0)
         a = np.minimum(a - step, ALPHA_CAP)
@@ -186,7 +194,7 @@ def series_orders(alpha_max):
     return max(10, min(m + 6, 120))
 
 
-def bessel_table(alpha, orders, alpha_max=None, out=None):
+def bessel_table(alpha, orders, alpha_max=None):
     """Modified Bessel values I_m(alpha) for m = 0..orders, per node.
 
     Downward recurrence on the ratios r_m = I_m / I_{m-1},
@@ -196,33 +204,66 @@ def bessel_table(alpha, orders, alpha_max=None, out=None):
     any array. Agrees with library Bessel evaluations to ~1e-15 and is an
     order of magnitude faster on grid-sized batches.
 
-    The start order follows alpha_max (default: the largest alpha), so a
-    row band given its grid's alpha_max gets bitwise the grid's rows, and
-    writes them into out (default: a new table) when given its columns.
+    The start order follows alpha_max (default: the largest alpha), and
+    every step is per node, so any part of a grid given the grid's
+    alpha_max gets bitwise the grid's rows there. A probe tile runs the
+    same recurrence (_bessel_rows) without storing the table; this table
+    serves the cross-checks.
     """
     z = np.asarray(alpha, dtype=float)
     top = float(np.max(z)) if alpha_max is None else alpha_max
-    start = orders + int(np.sqrt(40.0 * max(top, 1.0))) + 14
-    if out is None:
-        out = np.empty((orders + 1,) + z.shape)
-    r = np.zeros(z.shape)
-    for m in range(start, 0, -1):
-        # r = z / (2m + z r), in place
-        np.multiply(z, r, out=r)
-        r += 2.0 * m
-        np.divide(z, r, out=r)
-        if m <= orders:
-            out[m] = r
-    del r  # the ratios go before phi's series allocates
+    out = np.empty((orders + 1,) + z.shape)
     out[0] = phi(z)
-    # a running product row by row; np.cumprod along axis 0 is slower here
-    for m in range(1, orders + 1):
-        out[m] *= out[m - 1]
+    for m, row in enumerate(_bessel_rows(z, orders, top, out[0]), 1):
+        out[m] = row
     return out
 
 
-def _sine_rows(psi, cos_psi, orders):
-    """Yield sin(k psi) for k = 1..orders by the three-term recurrence.
+def _bessel_rows(z, orders, alpha_max, phi_alpha):
+    """Yield bessel_table's rows m = 1..orders of the amplitudes z (given
+    its alpha_max, and phi(z) as phi_alpha) in one row that is reused,
+    holding about 2 sqrt(orders) rows where the table holds orders + 1.
+
+    The orders are cut into blocks of about sqrt(orders). The ratio
+    recurrence runs once from the start order down to the first block,
+    keeping the ratio just above each block; then, block by block upward,
+    it runs again from the kept ratio down through the block, and the
+    running product I_m = I_{m-1} r_m goes up through it. Each ratio and
+    product is the same arithmetic on the same operands as in one pass, so
+    every row is bitwise the one-pass table's.
+    """
+    start = orders + int(np.sqrt(40.0 * max(alpha_max, 1.0))) + 14
+    width = math.isqrt(max(orders - 1, 0)) + 1
+    # block b holds the orders lows[b]..highs[b] - 1
+    lows = range(1, orders + 1, width)
+    highs = [min(low + width, orders + 1) for low in lows]
+    kept = {}
+    r = np.zeros(z.shape)
+    for m in range(start, min(highs, default=1) - 1, -1):
+        _ratio(z, r, m, r)
+        if m in highs:
+            kept[m] = r.copy()
+    row = np.array(phi_alpha, dtype=float)
+    # ratios[m - low, ...] stays an array where z is 0-d
+    ratios = np.empty((width,) + z.shape)
+    for low, high in zip(lows, highs):
+        r = kept.pop(high)
+        for m in range(high - 1, low - 1, -1):
+            r = _ratio(z, r, m, ratios[m - low, ...])
+        for m in range(low, high):
+            row *= ratios[m - low]
+            yield row
+
+
+def _ratio(z, r, m, out):
+    """r_m = z / (2m + z r_{m+1}) from r = r_{m+1}, written into out (which may be r)."""
+    np.multiply(z, r, out=out)
+    out += 2.0 * m
+    return np.divide(z, out, out=out)
+
+
+def _sine_rows(psi, cos_psi):
+    """Yield sin(k psi) for k = 1, 2, ... by the three-term recurrence.
 
     S_k = 2 cos(psi) S_{k-1} - S_{k-2} from S_0 = 0, S_1 = sin(psi), in
     three rows that are reused: a yielded row is overwritten two steps later.
@@ -232,11 +273,11 @@ def _sine_rows(psi, cos_psi, orders):
     # out= keeps a 0-d row an array, so every row can be written in place
     cur = np.sin(psi, out=np.empty(psi.shape))
     nxt = np.empty(psi.shape)
-    for k in range(1, orders + 1):
-        if k > 1:
-            np.multiply(twoc, cur, out=nxt)
-            nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
+    yield cur
+    while True:
+        np.multiply(twoc, cur, out=nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
         yield cur
 
 
@@ -249,7 +290,7 @@ def sin_table(x, orders):
     psi = 2.0 * np.pi * np.asarray(x, dtype=float)
     S = np.empty((orders + 1,) + psi.shape)
     S[0] = 0.0
-    for k, row in enumerate(_sine_rows(psi, np.cos(psi), orders), 1):
+    for k, row in zip(range(1, orders + 1), _sine_rows(psi, np.cos(psi))):
         S[k] = row
     return S
 
@@ -313,27 +354,72 @@ def _cuts(tile, shape):
     return cuts
 
 
+def _lines_read(lines, n):
+    """(index, move) for the lines a tile's cuts (_cuts) read on an n-line
+    axis, given the tile's lines there (a slice): those lines and their
+    neighbours inside the axis, in order.
+
+    index takes them from the axis: a slice where they are a run (a tile's
+    rows or columns with their halo), else a list (a stepped boundary pair
+    with its inner neighbours, four lines). move maps a cut's lines, a
+    slice of the axis, to the positions of the same lines in index, a
+    slice."""
+    lines = range(n)[lines]
+    if lines.step == 1:
+        read = range(max(lines.start - 1, 0), min(lines.stop + 1, n))
+        index = _slice(read)
+    else:
+        near = {m for line in lines for m in (line - 1, line, line + 1)}
+        read = index = sorted(m for m in near if 0 <= m < n)
+
+    def move(cut):
+        cut = range(n)[cut]
+        if not cut:
+            return slice(0, 0)
+        first, last = read.index(cut[0]), read.index(cut[-1])
+        return slice(first, last + 1, read.index(cut[1]) - first if len(cut) > 1 else 1)
+
+    return index, move
+
+
+def _tile_rows(params, tile, cuts):
+    """The coefficient rows 1..orders on the lines a tile's cuts read
+    (_cuts), as _bessel_rows yields them, and the cuts with their
+    coefficient cuts moved to those rows' nodes.
+
+    The rows start from the step's held phi row at the grid's alpha_max,
+    so they are bitwise the whole grid's bessel_table rows there.
+    """
+    (rows, rows_move), (cols, cols_move) = (
+        _lines_read(lines, n) for lines, n in zip(tile, params.f.grid.shape)
+    )
+    alpha, phi_alpha = (a[rows][:, cols] for a in (params.alpha, params.phi))
+    coeff = _bessel_rows(alpha, params.orders, params.alpha_max, phi_alpha)
+    return coeff, [((rows_move(ccut[0]), cols_move(ccut[1])), scut) for ccut, scut in cuts]
+
+
 def _harmonic_sums(coeff, psi, cos_psi, cuts):
     """(A_c, A_s) for each (coefficient cut, sine cut) of cuts (see _cuts), in
-    one pass over the harmonics.
+    one pass over the harmonics, from coeff, the coefficient rows 1..orders
+    in turn (a table's rows or _bessel_rows).
 
     psi is the phase angle of the nodes the sine cuts index. For each cut
-    this equals, bitwise, remainder_series on that cut of coeff and of
-    sin_table(x), where psi = 2 pi x: the same recurrence and the same
-    per-harmonic step, but three sine rows in place of an (orders + 1) x
-    nodes table.
+    this equals, bitwise, remainder_series on that cut of the coefficient
+    table and of sin_table(x), where psi = 2 pi x: the same recurrence and
+    the same per-harmonic step, but three sine rows in place of an
+    (orders + 1) x nodes table.
     """
     sums, work = [], []
     for ccut, scut in cuts:
-        table = coeff[(_ALL,) + ccut]
-        Ac, As = np.zeros(table.shape[1:]), np.zeros(table.shape[1:])
+        shape = psi[scut].shape
+        Ac, As = np.zeros(shape), np.zeros(shape)
         sums.append((Ac, As))
         # the cut past a grid edge is empty: a tile on that edge has no such neighbour
         if Ac.size:
-            work.append((table, scut, Ac, As, np.empty(Ac.shape)))
-    for k, row in enumerate(_sine_rows(psi, cos_psi, coeff.shape[0] - 1), 1):
-        for table, scut, Ac, As, term in work:
-            _add_harmonic(Ac, As, k, table[k], row[scut], term)
+            work.append((ccut, scut, Ac, As, np.empty(Ac.shape)))
+    for k, (coeff_k, sine_k) in enumerate(zip(coeff, _sine_rows(psi, cos_psi)), 1):
+        for ccut, scut, Ac, As, term in work:
+            _add_harmonic(Ac, As, k, coeff_k[ccut], sine_k[scut], term)
     return sums
 
 
@@ -366,23 +452,21 @@ class _JetRows:
 @dataclass(frozen=True)
 class _Nodes:
     """A per-node field's axes, by which one rule allocates and cuts it: the
-    grid's two node axes, after the table's harmonic axis if harmonic (first:
-    a harmonic is one contiguous row), then the component axes tail. Given
-    of (a metric, a jet's rows), the field is an of whose fields have them."""
+    grid's two node axes, then the component axes tail. Given of (a metric,
+    a jet's rows), the field is an of whose fields have them."""
 
     tail: tuple = ()
-    harmonic: bool = False
     of: type | None = None
 
     def arrays(self, value):
         """value's arrays: value, or one for each field of of."""
         return [value] if self.of is None else [getattr(value, f.name) for f in fields(self.of)]
 
-    def new(self, shape, orders=None):
-        """The field on a grid of this shape, uninitialised; orders + 1 harmonic rows."""
+    def new(self, shape):
+        """The field on a grid of this shape, uninitialised."""
         if self.of is not None:
             return self.of(*(np.empty(shape + self.tail) for _ in fields(self.of)))
-        return np.empty(((orders + 1,) if self.harmonic else ()) + shape + self.tail)
+        return np.empty(shape + self.tail)
 
     def at(self, value, index):
         """value on the nodes of index, rows or (rows, cols), as views; None stays None."""
@@ -390,16 +474,16 @@ class _Nodes:
             return None
         if self.of is not None:
             return self.of(*(a[index] for a in self.arrays(value)))
-        return value[(_ALL,) + np.index_exp[index]] if self.harmonic else value[index]
+        return value[index]
 
 
 # a probe's output jet and metrics, cut to a tile by the rule of a step's fields
 _JET, _METRIC = _Nodes((3,), of=_JetRows), _Nodes(of=MetricField)
 
 
-def _nodes(*tail, harmonic=False, of=None):
+def _nodes(*tail, of=None):
     """A per-node field of StepParams with its axes; None until allocated."""
-    return field(default=None, metadata={"nodes": _Nodes(tail, harmonic, of)})
+    return field(default=None, metadata={"nodes": _Nodes(tail, of)})
 
 
 @dataclass
@@ -412,11 +496,13 @@ class StepParams:
     bounds the u-direction C1 shift up to the O(1/N) slack, and the growth
     constant K times base bounds the new differential and normal in the
     norm of pullback. Of the adapted frame it keeps what probes and audits
-    read: t, n and the tangent field u.
+    read: t, n and the tangent field u. Of the coefficient table it keeps
+    row 0, phi = phi(alpha), from which each probe tile builds the other
+    rows (_tile_rows).
 
-    The input jet, eight arrays, the coefficient table and two metrics are
-    per-node fields over the whole grid, each declared once below with its
-    axes (_nodes), which alone allocate them and cut the step to some nodes
+    The input jet, nine arrays and two metrics are per-node fields over the
+    whole grid, each declared once below with its axes (_nodes), which
+    alone allocate them and cut the step to some nodes
     (at: views, f as a _JetRows, scalars kept). prepare_step's row bands
     write through their cuts, a probe's tiles read through theirs, and the
     differences read around a tile (_cuts). The grid spacing is f.grid's.
@@ -428,7 +514,7 @@ class StepParams:
     u: np.ndarray = _nodes(2)
     r: np.ndarray = _nodes()
     alpha: np.ndarray = _nodes()
-    coeff: np.ndarray = _nodes(harmonic=True)
+    phi: np.ndarray = _nodes()
     phase0: np.ndarray = _nodes()
     mu: MetricField = _nodes(of=MetricField)
     pullback: MetricField = _nodes(of=MetricField)
@@ -443,10 +529,10 @@ class StepParams:
     growth_constant: float = None
 
     def allocate(self):
-        """Allocate each per-node field that is None; a harmonic one once orders is set."""
+        """Allocate each per-node field that is None."""
         for name, nodes in _DECLARED.items():
-            if getattr(self, name) is None and not (nodes.harmonic and self.orders is None):
-                setattr(self, name, nodes.new(self.f.grid.shape, self.orders))
+            if getattr(self, name) is None:
+                setattr(self, name, nodes.new(self.f.grid.shape))
 
     def at(self, index):
         """The step on the nodes of index, a (rows, cols) pair or rows."""
@@ -480,7 +566,7 @@ class CorrugationStepRecord:
 
 
 def prepare_step(f, eta, ell):
-    """Frame, radius, amplitude, coefficient tables and audit terms for a step.
+    """Frame, radius, amplitude, phi(amplitude) and audit terms for a step.
 
     The grid is cut into WORKERS row bands (_bands), run on as many
     threads (_in_lanes), and every per-node field is written by its band
@@ -494,9 +580,10 @@ def prepare_step(f, eta, ell):
       every band has converged at one count. That is the first count at
       which all nodes have converged, the whole grid's count.
     - The series behind phi stops on its largest term over the nodes it is
-      given, and that stop is exact on any band (bounds._bessel_series).
-      The coefficient table's orders and its recurrence start follow the
-      grid's largest amplitude.
+      given, and that stop is exact on any band (bounds._bessel_series),
+      so the phi row that phi_inverse returns is bitwise phi(alpha). The
+      coefficient table's orders follow the grid's largest amplitude; the
+      step holds no table, only its row 0 (phi).
 
     A band checks only its own rows, and an EngineError's message names an
     extreme over the nodes checked. So when a band raises one, the step is
@@ -523,8 +610,7 @@ def _prepare(f, eta, ell, bands):
     """prepare_step on these row bands, in walks over them: the fields that
     do not depend on alpha with a first Newton solve, the solves again of
     the bands short of the largest count until all counts agree, then the
-    coefficient table and the terms that read alpha or the grid's largest
-    amplitude."""
+    terms that read alpha or the grid's largest amplitude."""
     step = StepParams(f=f, eta_max=float(np.max(eta)), ell=ell)
     step.allocate()
     ys, counts = zip(*_in_lanes(partial(_frame_band, step, eta), bands))
@@ -533,15 +619,14 @@ def _prepare(f, eta, ell, bands):
     while min(counts) < count:
         counts = _in_lanes(partial(_solve_band, step, count), list(zip(bands, ys, counts)))
         count = max(counts)
-    # the targets go before the coefficient table allocates
+    # the targets go before the last walk allocates
     del ys
     step.alpha_max = float(np.max(step.alpha))
     step.orders = series_orders(step.alpha_max)
-    step.allocate()
     amplitude = max(step.alpha_max, 1e-12)
     step.increment_constant = increment_constant(amplitude)
     step.growth_constant = growth_constant(amplitude)
-    step.average_max = float(np.max(_in_lanes(partial(_table_band, step, eta), bands)))
+    step.average_max = float(np.max(_in_lanes(partial(_audit_band, step, eta), bands)))
     return step
 
 
@@ -560,10 +645,10 @@ def _frame_band(step, eta, rows):
     # average condition: the loop average r phi(alpha) equals 1 / dl(u)
     y = 1.0 / (r * dlu)
     solve = phi_inverse(y)
-    band.write(alpha=solve.alpha, r=r)
+    band.write(alpha=solve.alpha, phi=solve.phi, r=r)
     n_norm = euclidean_norm(band.n)
     band.write(base=operator_norm_map(band.f.dfx, band.f.dfy, band.pullback) + n_norm)
-    # the frame's norms; _table_band scales them to the envelope
+    # the frame's norms; _audit_band scales them to the envelope
     band.write(envelope=euclidean_norm(band.t) + n_norm)
     return y, solve.iterations
 
@@ -575,25 +660,23 @@ def _solve_band(step, at_least, band):
     rows, y, count = band
     if count < at_least:
         solve = phi_inverse(y, at_least=at_least)
-        step.at(rows).write(alpha=solve.alpha)
+        step.at(rows).write(alpha=solve.alpha, phi=solve.phi)
         count = solve.iterations
     return count
 
 
-def _table_band(step, eta, rows):
-    """Write the coefficient table's columns and the envelope on a band of
-    rows; returns the band's average_max."""
+def _audit_band(step, eta, rows):
+    """Write the envelope on a band of rows; returns the band's average_max."""
     band = step.at(rows)
-    table = bessel_table(band.alpha, step.orders, step.alpha_max, band.coeff)
     dlu = step.ell.of(band.u)
     band.envelope *= step.increment_constant * np.sqrt(eta[rows]) * dlu
-    return np.max(np.abs(band.r * table[0] - 1.0 / dlu))
+    return np.max(np.abs(band.r * band.phi - 1.0 / dlu))
 
 
 def _loop_differential(params, theta):
     """Corrugated differential pair (L dx, L dy) at loop angle theta, one
     vector component at a time."""
-    ch = np.cosh(theta) - params.coeff[0]
+    ch = np.cosh(theta) - params.phi
     sh = np.sinh(theta)
     Lx = np.empty(params.f.dfx.shape)
     Ly = np.empty(params.f.dfy.shape)
@@ -639,11 +722,12 @@ def _remainder_jet(params, tile, psi, cos_psi, out):
     and those of its four neighbours at the centre's phase, so only the
     slow fields are differenced, both axes by one routine (_difference).
     Neighbours outside the tile are its halo, read from the step's
-    whole-grid fields.
+    whole-grid fields; the tile's coefficient rows cover it (_tile_rows).
     """
     grid = params.f.grid
     cuts = _cuts(tile, grid.shape)
-    sums = _harmonic_sums(params.coeff, psi, cos_psi, cuts)
+    coeff, coeff_cuts = _tile_rows(params, tile, cuts)
+    sums = _harmonic_sums(coeff, psi, cos_psi, coeff_cuts)
     W, *neighbours = [
         _remainder_field(params, Ac, As, ccut, out.pos if i == 0 else np.empty(Ac.shape + (3,)))
         for i, ((Ac, As), (ccut, _)) in enumerate(zip(sums, cuts))

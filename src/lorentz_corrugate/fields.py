@@ -128,6 +128,9 @@ class MetricField:
         return mean
 
     def min_eigenvalue(self):
+        """The least eigenvalue over the nodes; DomainError on a field with none."""
+        if not self.E.size:
+            raise DomainError("min eigenvalue of a field with no nodes")
         return float(np.min(self.lower_eigenvalue()))
 
     def require_positive_definite(self, what="metric"):

@@ -313,19 +313,47 @@ def test_bessel_table_library_oracle():
 
 
 def test_bessel_table_bands_given_the_grid_alpha_max():
-    """Given the grid's alpha_max, a row band's table, written into its
-    columns of one table, is bitwise the whole grid's."""
+    """Given the grid's alpha_max, row bands' tables join to bitwise the
+    whole grid's."""
     rng = np.random.default_rng(29)
     alpha = rng.uniform(0.0, 20.8, (11, 7))
     alpha[0, 0], alpha[3, 2], alpha[10, 6] = 0.0, 1e-300, ALPHA_CAP
     alpha_max = float(np.max(alpha))
     orders = series_orders(alpha_max)
     whole = bessel_table(alpha, orders)
-    banded = np.empty_like(whole)
-    for rows in (slice(0, 1), slice(1, 4), slice(4, 5), slice(5, 11)):
-        out = bessel_table(alpha[rows], orders, alpha_max, banded[:, rows])
-        assert np.shares_memory(out, banded)
-    assert banded.tobytes() == whole.tobytes()
+    bands = [slice(0, 1), slice(1, 4), slice(4, 5), slice(5, 11)]
+    banded = [bessel_table(alpha[rows], orders, alpha_max) for rows in bands]
+    assert np.concatenate(banded, axis=1).tobytes() == whole.tobytes()
+
+
+def _bessel_one_pass(alpha, orders):
+    """bessel_table's recurrence in one pass, every ratio held in the table."""
+    start = orders + int(np.sqrt(40.0 * max(float(np.max(alpha)), 1.0))) + 14
+    out = np.empty((orders + 1,) + alpha.shape)
+    r = np.zeros(alpha.shape)
+    for m in range(start, 0, -1):
+        r = alpha / (2.0 * m + alpha * r)
+        if m <= orders:
+            out[m] = r
+    out[0] = phi(alpha)
+    for m in range(1, orders + 1):
+        out[m] *= out[m - 1]
+    return out
+
+
+@pytest.mark.parametrize("orders", [1, 2, 4, 5, 10, 24, 55, 120])
+def test_bessel_rows_in_blocks_equal_one_pass(orders):
+    """Run again block by block from the ratios kept above each block, the
+    rows are bitwise the one-pass recurrence's, and the generator holds
+    one row it reuses."""
+    alpha = np.random.default_rng(7).uniform(0.0, 20.8, (5, 9))
+    alpha[0, 0], alpha[4, 8] = 0.0, 1e-300
+    want = _bessel_one_pass(alpha, orders)
+    assert bessel_table(alpha, orders).tobytes() == want.tobytes()
+    rows = corrugation._bessel_rows(alpha, orders, float(np.max(alpha)), want[0])
+    seen = [(row, row.copy()) for row in rows]
+    assert len(seen) == orders and len({id(row) for row, _ in seen}) == 1
+    assert np.stack([copy for _, copy in seen]).tobytes() == want[1:].tobytes()
 
 
 def test_phi_inverse_holds_at_least():
@@ -384,7 +412,7 @@ def test_remainder_series_in_place_matches_reference():
     params = prepare_step(f, eta, LinearForm(1.0, 0.3))
     x = params.phase0 * 48.0
     sines = sin_table(x - np.floor(x), params.orders)
-    C = params.coeff
+    C = bessel_table(params.alpha, params.orders)
     pairs = [
         (C, sines),
         (C[:, 1:, :], sines[:, :-1, :]),
@@ -415,7 +443,7 @@ def test_harmonic_sums_equal_remainder_series_per_cut(shape, N):
     xhat = x - np.floor(x)
     psi = 2.0 * np.pi * xhat
     cuts = corrugation._cuts(corrugation._whole(shape), shape)
-    sums = corrugation._harmonic_sums(coeff, psi, np.cos(psi), cuts)
+    sums = corrugation._harmonic_sums(coeff[1:], psi, np.cos(psi), cuts)
     sines = sin_table(xhat, orders)
     every, head, tail = slice(None), slice(None, -1), slice(1, None)
     cuts = [
@@ -454,6 +482,55 @@ def test_probe_peak_does_not_grow_with_orders():
     assert small_orders == 10 and large_orders >= 30
     table_growth = (large_orders - small_orders) * 129 * 129 * 8
     assert abs(large_peak - small_peak) < 0.25 * table_growth
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 257), (257, 257)])
+def test_tile_rows_are_the_whole_grid_table_on_each_cut(monkeypatch, shape):
+    """In every region a probe walks, each tile's coefficient rows, read
+    through its five cuts moved to them, are bitwise bessel_table of the
+    whole grid's alpha on those cuts: whole-grid tiles at one and two
+    lanes, one-row tiles, and the stepped row-pair and column-pair rungs
+    (one-row tiles there too). The held phi row is bitwise phi(alpha)."""
+    grid = Grid(*shape)
+    params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
+    assert _same_bits(params.phi, phi(params.alpha))
+    table = bessel_table(params.alpha, params.orders)
+    built = []
+    tile_rows = corrugation._tile_rows
+
+    def spy(step, tile, cuts):
+        coeff, coeff_cuts = tile_rows(step, tile, cuts)
+        rows = [row.copy() for row in coeff]
+        built.append((cuts, rows, coeff_cuts))
+        return iter(rows), coeff_cuts
+
+    monkeypatch.setattr(corrugation, "_tile_rows", spy)
+    rows_rung, cols_rung, whole = corrugation._rungs(shape)
+    tile_nodes = corrugation.TILE_NODES
+    walks = [
+        (1, tile_nodes, whole),
+        (2, tile_nodes, whole),
+        (2, shape[1], whole),
+        (2, tile_nodes, rows_rung),
+        (2, tile_nodes, cols_rung),
+        (2, 1, cols_rung),
+    ]
+    for workers, tile_nodes, region in walks:
+        monkeypatch.setattr(fields, "WORKERS", workers)
+        monkeypatch.setattr(corrugation, "TILE_NODES", tile_nodes)
+        built.clear()
+        corrugation._probe(params, 64, params.mu, None, region)
+        tiles = corrugation._tiles(region, shape)
+        assert sorted(cuts[0][0] for cuts, _, _ in built) == sorted(t for t, _ in tiles)
+        for cuts, rows, coeff_cuts in built:
+            assert len(rows) == params.orders
+            for (ccut, _), (tcut, _) in zip(cuts, coeff_cuts, strict=True):
+                for k, row in enumerate(rows, 1):
+                    assert _same_bits(row[tcut], table[k][ccut])
 
 
 def test_remainder_vanishes_at_integer_phase():
@@ -515,8 +592,8 @@ def _assert_same_params(got, want):
 
 def test_step_fields_are_allocated_and_cut_by_their_declaration():
     """Walked from StepParams' declaration, every per-node field has its
-    node axes where the declaration puts them (after the harmonic axis,
-    before the component axes), allocated fresh and prepared; a tile, a
+    node axes where the declaration puts them (before the component axes),
+    allocated fresh and prepared, phi holding phi(alpha); a tile, a
     one-row band and the stepped boundary pairs cut each to views of
     exactly that region's node shape, with the scalars kept; and a write
     through a band's cut lands in the whole step."""
@@ -528,7 +605,7 @@ def test_step_fields_are_allocated_and_cut_by_their_declaration():
         if "nodes" in fld.metadata
     }
     assert list(declared) == [
-        "f", "t", "n", "u", "r", "alpha", "coeff", "phase0", "mu", "pullback", "envelope", "base",
+        "f", "t", "n", "u", "r", "alpha", "phi", "phase0", "mu", "pullback", "envelope", "base",
     ]
     scalars = [fld.name for fld in dataclasses.fields(params) if fld.name not in declared]
 
@@ -537,17 +614,14 @@ def test_step_fields_are_allocated_and_cut_by_their_declaration():
         shapes their declarations give on nodes of nodes_shape."""
         got, want = {}, {}
         for name, nodes in declared.items():
-            lead = (step.orders + 1,) if nodes.harmonic else ()
             got[name] = [a.shape for a in nodes.arrays(getattr(step, name))]
-            want[name] = [lead + nodes_shape + nodes.tail] * len(got[name])
+            want[name] = [nodes_shape + nodes.tail] * len(got[name])
         return got, want
 
     fresh = corrugation.StepParams(f=params.f)
     fresh.allocate()
-    assert fresh.coeff is None and fresh.t.shape == grid.shape + (3,)
-    fresh.orders = 3
-    fresh.allocate()
-    assert fresh.f is params.f and fresh.coeff.shape == (4,) + grid.shape
+    assert fresh.f is params.f and fresh.phi.shape == fresh.t.shape[:-1] == grid.shape
+    assert params.phi.tobytes() == phi(params.alpha).tobytes()
     for step in (fresh, params):
         got, want = shapes(step, grid.shape)
         assert got == want
@@ -564,7 +638,7 @@ def test_step_fields_are_allocated_and_cut_by_their_declaration():
         for name, nodes in declared.items():
             for part, whole in zip(*(nodes.arrays(getattr(s, name)) for s in (cut, params))):
                 assert np.shares_memory(part, whole), name
-                assert np.array_equal(part, whole[(slice(None),) * nodes.harmonic + np.index_exp[index]])
+                assert np.array_equal(part, whole[index])
         assert type(cut.f) is corrugation._JetRows and type(cut.mu) is MetricField
         assert all(getattr(cut, name) is getattr(params, name) for name in scalars)
         assert corrugation._METRIC.at(None, index) is None
@@ -572,6 +646,29 @@ def test_step_fields_are_allocated_and_cut_by_their_declaration():
     band.write(r=np.full((1, 40), 7.0), mu=MetricField.constant(1.0, 2.0, 3.0, (1, 40)))
     assert np.all(params.r[5] == 7.0) and np.all(params.mu.F[5] == 2.0)
     assert not np.any(params.r[4] == 7.0)
+
+
+def test_prepared_step_holds_no_coefficient_table():
+    """At 129x129 prepare_step on a strip step holds under 24 doubles a
+    node (with the (orders + 1) x nodes table about 20 + orders + 1), and
+    no array of the step has (orders + 1) x nodes elements."""
+    grid = Grid(129, 129)
+    f, eta = flat_inclusion(grid), strip_eta_field(grid)
+    tracemalloc.start()
+    try:
+        params = prepare_step(f, eta, STRIP_FORM)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nodes = grid.nx * grid.ny
+    assert params.orders >= 20
+    assert held < 24 * 8 * nodes
+    arrays = [
+        array
+        for name, declared in corrugation._DECLARED.items()
+        for array in declared.arrays(getattr(params, name))
+    ]
+    assert arrays and all(array.size != (params.orders + 1) * nodes for array in arrays)
 
 
 def _prepared(monkeypatch, workers, *step):

@@ -27,6 +27,22 @@ def cone_field(rng, dictionary, shape, scale=1.0):
     return dec.reconstruct()
 
 
+def test_field_with_no_nodes_raises_domain_error():
+    """A (0, 4) field has no least eigenvalue: min_eigenvalue, both
+    definiteness checks and decompose raise DomainError, not numpy's
+    ValueError."""
+    empty = MetricField.identity((0, 4))
+    calls = [
+        empty.min_eigenvalue,
+        empty.require_psd,
+        empty.require_positive_definite,
+        lambda: decompose(empty, build_dictionary(3)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="no nodes"):
+            call()
+
+
 def test_build_dictionary_angles():
     dic = build_dictionary(5)
     assert dic.k == 5
