@@ -32,19 +32,20 @@ makes everything that does not depend on N once per step: the input jet's
 pullback (one evaluation, shared by the frame, mu and the growth audit),
 every N-independent audit term and, of the coefficient table, its row 0,
 phi(alpha). Each probe tile runs the table's recurrence for the other rows
-on the lines it reads (_tile_rows), holding about 2 sqrt(orders) rows at a
-time (_bessel_rows), so neither a step nor a probe holds an (orders + 1) x
-nodes table.
+on the lines it reads (_near), holding about 2 sqrt(orders) rows at a time
+(_bessel_rows), so neither a step nor a probe holds an (orders + 1) x nodes
+table.
 
 Probes and audits run in tiles: a tile is a range of rows by a range of
 columns, of at most TILE_NODES nodes (at least one row). A tile reads its
 nodes of the step and of the probe's metrics, and writes its nodes of the
 output jet, through views cut by one rule from each per-node field's one
 declaration (_Nodes). It also reads the neighbour line on each side of it
-on both axes (its halo) for the frozen-phase differences, and reduces its
-maxima and minima, which are then reduced across tiles. Every operation is
-per node except those differences, so each node gets bitwise the value the
-whole grid would give it, and the whole grid is the one-tile case. A probe
+on both axes (its halo) for the frozen-phase differences, from the step's
+fields cut once to the lines it reads (_near), and reduces its maxima and
+minima, which are then reduced across tiles. Every operation is per node
+except those differences, so each node gets bitwise the value the whole
+grid would give it, and the whole grid is the one-tile case. A probe
 runs on one region of the grid, cut into tiles by one rule: the whole
 grid, whose probe measures the step audits in the same walk, or a pair of
 boundary lines (one stepped slice) that N-selection screens first. The
@@ -338,9 +339,10 @@ def _cuts(tile, shape):
     """(coefficient cut, sine cut) of the centre and of its +x, -x, +y and -y
     neighbours on a tile (rows, cols) of a grid of this shape: a neighbour's
     coefficients read at the centre node's phase. Coefficient cuts index the
-    whole grid, sine cuts the tile. Both axes follow one rule on the lines
-    a slice selects (range(n)[slice]), stepped or not: a neighbour's cut
-    covers the tile's lines that have that neighbour inside the grid."""
+    grid (for a probe, the lines a tile reads: _near), sine cuts the tile.
+    Both axes follow one rule on the lines a slice selects (range(n)[slice]),
+    stepped or not: a neighbour's cut covers the tile's lines that have that
+    neighbour inside the grid."""
     cuts = [(tile, (_ALL, _ALL))]
     for axis, n in enumerate(shape):
         lines = range(n)[tile[axis]]
@@ -354,48 +356,27 @@ def _cuts(tile, shape):
     return cuts
 
 
-def _lines_read(lines, n):
-    """(index, move) for the lines a tile's cuts (_cuts) read on an n-line
-    axis, given the tile's lines there (a slice): those lines and their
-    neighbours inside the axis, in order.
-
-    index takes them from the axis: a slice where they are a run (a tile's
-    rows or columns with their halo), else a list (a stepped boundary pair
-    with its inner neighbours, four lines). move maps a cut's lines, a
-    slice of the axis, to the positions of the same lines in index, a
-    slice."""
-    lines = range(n)[lines]
-    if lines.step == 1:
-        read = range(max(lines.start - 1, 0), min(lines.stop + 1, n))
-        index = _slice(read)
-    else:
-        near = {m for line in lines for m in (line - 1, line, line + 1)}
-        read = index = sorted(m for m in near if 0 <= m < n)
-
-    def move(cut):
-        cut = range(n)[cut]
-        if not cut:
-            return slice(0, 0)
-        first, last = read.index(cut[0]), read.index(cut[-1])
-        return slice(first, last + 1, read.index(cut[1]) - first if len(cut) > 1 else 1)
-
-    return index, move
-
-
-def _tile_rows(params, tile, cuts):
-    """The coefficient rows 1..orders on the lines a tile's cuts read
-    (_cuts), as _bessel_rows yields them, and the cuts with their
-    coefficient cuts moved to those rows' nodes.
-
-    The rows start from the step's held phi row at the grid's alpha_max,
-    so they are bitwise the whole grid's bessel_table rows there.
-    """
-    (rows, rows_move), (cols, cols_move) = (
-        _lines_read(lines, n) for lines, n in zip(tile, params.f.grid.shape)
-    )
-    alpha, phi_alpha = (a[rows][:, cols] for a in (params.alpha, params.phi))
-    coeff = _bessel_rows(alpha, params.orders, params.alpha_max, phi_alpha)
-    return coeff, [((rows_move(ccut[0]), cols_move(ccut[1])), scut) for ccut, scut in cuts]
+def _near(tile, shape):
+    """(index, region) for a tile (rows, cols) of a grid of this shape:
+    index takes from the grid the lines the tile reads (_cuts), on each axis
+    its lines and their neighbours inside the grid in order (a slice where
+    they are a run, else a list: a stepped boundary pair's four lines), and
+    region is the tile as a region of those lines. A line of the tile has a
+    neighbour among them exactly where it has one in the grid, so _cuts and
+    _neighbours select the same nodes on either."""
+    index, region = [], []
+    for lines, n in zip(tile, shape):
+        lines = range(n)[lines]
+        if lines.step == 1 or len(lines) == 1:
+            first = max(lines[0] - 1, 0)
+            index.append(slice(first, min(lines[-1] + 2, n)))
+            region.append(slice(lines[0] - first, lines[-1] + 1 - first))
+        else:
+            near = sorted({m for line in lines for m in (line - 1, line, line + 1) if 0 <= m < n})
+            at = [near.index(line) for line in lines]
+            index.append(near)
+            region.append(slice(at[0], at[-1] + 1, at[1] - at[0]))
+    return tuple(index), tuple(region)
 
 
 def _harmonic_sums(coeff, psi, cos_psi, cuts):
@@ -498,14 +479,15 @@ class StepParams:
     norm of pullback. Of the adapted frame it keeps what probes and audits
     read: t, n and the tangent field u. Of the coefficient table it keeps
     row 0, phi = phi(alpha), from which each probe tile builds the other
-    rows (_tile_rows).
+    rows on the lines it reads (_near).
 
     The input jet, nine arrays and two metrics are per-node fields over the
     whole grid, each declared once below with its axes (_nodes), which
     alone allocate them and cut the step to some nodes
     (at: views, f as a _JetRows, scalars kept). prepare_step's row bands
-    write through their cuts, a probe's tiles read through theirs, and the
-    differences read around a tile (_cuts). The grid spacing is f.grid's.
+    write through their cuts and a probe's tiles read through theirs. The
+    remainder of a tile reads five of them on the lines the tile reads
+    (_near), which hold its halo. The grid spacing is f.grid's.
     """
 
     f: EmbeddingJet = _nodes(3, of=_JetRows)
@@ -718,23 +700,30 @@ def _remainder_jet(params, tile, psi, cos_psi, out):
     frozen-phase derivatives on a tile of the grid, written into out's pos,
     dfx and dfy.
 
-    One pass over the harmonics (_harmonic_sums) gives the centre's sums
-    and those of its four neighbours at the centre's phase, so only the
-    slow fields are differenced, both axes by one routine (_difference).
-    Neighbours outside the tile are its halo, read from the step's
-    whole-grid fields; the tile's coefficient rows cover it (_tile_rows).
+    The step's alpha, phi, r, t and n are cut once to the lines the tile
+    reads (_near), which stand for the grid from then on: the tile's halo
+    and its coefficient rows (_bessel_rows, from the grid's alpha_max, so
+    bitwise the whole grid's) come from them. One pass over the harmonics
+    (_harmonic_sums) gives the centre's sums and those of its four
+    neighbours at the centre's phase, so only the slow fields are
+    differenced, both axes by one routine (_difference).
     """
-    grid = params.f.grid
-    cuts = _cuts(tile, grid.shape)
-    coeff, coeff_cuts = _tile_rows(params, tile, cuts)
-    sums = _harmonic_sums(coeff, psi, cos_psi, coeff_cuts)
+    (rows, cols), region = _near(tile, params.f.grid.shape)
+    near = StepParams(
+        **{name: getattr(params, name)[rows][:, cols] for name in ("alpha", "phi", "r", "t", "n")}
+    )
+    shape = near.alpha.shape
+    cuts = _cuts(region, shape)
+    coeff = _bessel_rows(near.alpha, params.orders, params.alpha_max, near.phi)
+    sums = _harmonic_sums(coeff, psi, cos_psi, cuts)
     W, *neighbours = [
-        _remainder_field(params, Ac, As, ccut, out.pos if i == 0 else np.empty(Ac.shape + (3,)))
+        _remainder_field(near, Ac, As, ccut, out.pos if i == 0 else np.empty(Ac.shape + (3,)))
         for i, ((Ac, As), (ccut, _)) in enumerate(zip(sums, cuts))
     ]
+    grid = params.f.grid
     for axis, (D, h) in enumerate(((out.dfx, grid.hx), (out.dfy, grid.hy))):
         Wp, Wm = neighbours[2 * axis : 2 * axis + 2]
-        lo, hi = _neighbours(tile[axis], grid.shape[axis])
+        lo, hi = _neighbours(region[axis], shape[axis])
         _difference(*(a.swapaxes(0, axis) for a in (D, W, Wp, Wm)), lo, hi, h)
 
 

@@ -10,19 +10,20 @@ exact and vectorized per block. Least squares runs in the weighted coordinates
 (E, sqrt(2) F, G) so residuals are pointwise Frobenius norms.
 
 A call allocates the eta fields (the rows of one (k, nodes) array) and the
-residuals once and each block writes its solution into its slice, so beside
-its outputs a call holds one block's working set a thread.
+residuals once and each block writes its solution into its slice. The
+blocks run on the lane runner (fields._in_lanes) on as many lanes as the
+call's threads, so beside its outputs a call holds one block's working set
+a lane.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConeViolation, DomainError
-from .fields import LinearForm
+from .fields import LinearForm, _in_lanes
 
 MAX_FORMS = 12
 
@@ -160,9 +161,9 @@ def decompose(delta, dictionary, threads=None):
         Pointwise positive semidefinite field (within fields.LONG_TOL).
     dictionary : FormDictionary
     threads : int or None
-        Worker threads over the node blocks, at least 1; None means one.
-        The nodes are solved in fixed blocks of BLOCK_NODES, so results
-        are identical for any value.
+        Lanes over the node blocks (fields._in_lanes), at least 1; None
+        means one, the calling thread. The nodes are solved in fixed blocks
+        of BLOCK_NODES, so results are identical for any value.
 
     Returns
     -------
@@ -172,7 +173,7 @@ def decompose(delta, dictionary, threads=None):
     Raises NotPSD (checked first) when delta is not PSD, and ConeViolation,
     naming the first node of largest residual, when the sup-node residual
     exceeds RESIDUAL_TOL. A call holds the eta fields, the residuals and one
-    block's working set a thread.
+    block's working set a lane.
     """
     if threads is not None and threads < 1:
         raise DomainError("thread count must be at least 1")
@@ -191,13 +192,7 @@ def decompose(delta, dictionary, threads=None):
         block, resid[s] = _solve_chunk(b, A, plan)
         coeff[:, s] = block.T
 
-    starts = range(0, E.size, BLOCK_NODES)
-    if threads in (None, 1):
-        for start in starts:
-            solve(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve, starts))
+    _in_lanes(solve, range(0, E.size, BLOCK_NODES), threads or 1)
 
     sup = float(np.max(resid)) if resid.size else 0.0
     if sup > RESIDUAL_TOL:

@@ -10,8 +10,8 @@ import io
 import os
 import shutil
 import tempfile
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -393,7 +393,8 @@ def corrugation_frame(f, ell, g):
 #
 # Work cut into runs of rows goes to WORKERS threads (_in_lanes): a probe's
 # tiles and prepare_step's bands in the engine, and a large write's bands
-# below. numpy releases the GIL inside each call, so a thread pays where a
+# below; the decomposition's node blocks go to as many lanes as its threads
+# count. numpy releases the GIL inside each call, so a thread pays where a
 # call's arithmetic outweighs its Python part.
 
 # Two, or one where the process may use a single CPU.
@@ -413,35 +414,39 @@ def _bands(n):
     return _runs(n, min(WORKERS, n))
 
 
-def _in_lanes(run, items):
+def _in_lanes(run, items, lanes=None):
     """[run(item) for item in items], in lanes: the calling thread runs items
-    0, W, 2W, ... and one helper thread for each other residue mod
-    W = WORKERS runs its items, each lane in order; one item runs on the
-    calling thread alone.
+    0, W, 2W, ... and one helper thread for each other residue mod W runs
+    its items, each lane in order, where W is lanes, or WORKERS (read at
+    the call) when lanes is None; one item runs on the calling thread alone.
 
     Every lane stops at its first error. The helpers are started for this
     call and have stopped before it returns or raises, and it raises the
     first error in item order, the one the serial walk raises; every item
     before it has run.
     """
+    width = WORKERS if lanes is None else lanes
     results, errors = [None] * len(items), {}
 
     def lane(first):
-        for index in range(first, len(items), WORKERS):
+        for index in range(first, len(items), width):
             try:
                 results[index] = run(items[index])
-            except Exception as error:
+            except BaseException as error:
                 errors[index] = error
                 return
 
-    lanes = range(min(WORKERS, len(items)))
-    # leaving the block waits for every helper, also when the calling lane raised
-    with ThreadPoolExecutor(max(len(lanes) - 1, 1), thread_name_prefix="lane") as helpers:
-        helped = [helpers.submit(lane, first) for first in lanes[1:]]
+    helpers = []
+    try:
+        for first in range(1, min(width, len(items))):
+            helper = threading.Thread(target=lane, args=(first,), name="lane")
+            helper.start()
+            helpers.append(helper)
         lane(0)
-    for helper in helped:
-        # raises what is not an Exception, which the lane let through
-        helper.result()
+    finally:
+        # the started helpers, also when a start or the calling lane raised
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return results

@@ -260,6 +260,16 @@ def test_run_needs_numpy_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_out_concurrent_futures():
+    """Importing the CLI, and with it the package, loads no concurrent.futures:
+    the lane runner starts plain threads."""
+    code = "import sys, lorentz_corrugate.cli\nsys.exit('concurrent.futures' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": 33, "nonsense": 1}))

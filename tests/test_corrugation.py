@@ -490,25 +490,32 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 257), (257, 257)])
 def test_tile_rows_are_the_whole_grid_table_on_each_cut(monkeypatch, shape):
-    """In every region a probe walks, each tile's coefficient rows, read
-    through its five cuts moved to them, are bitwise bessel_table of the
-    whole grid's alpha on those cuts: whole-grid tiles at one and two
-    lanes, one-row tiles, and the stepped row-pair and column-pair rungs
-    (one-row tiles there too). The held phi row is bitwise phi(alpha)."""
+    """In every region a probe walks, each tile's coefficient rows, built on
+    the lines it reads (_near) and read through its five cuts of those
+    lines, are bitwise bessel_table of the whole grid's alpha on the same
+    cuts of the grid: whole-grid tiles at one and two lanes, one-row tiles,
+    and the stepped row-pair and column-pair rungs (one-row tiles there
+    too). The held phi row is bitwise phi(alpha)."""
     grid = Grid(*shape)
     params = prepare_step(flat_inclusion(grid), strip_eta_field(grid), LinearForm(1.0, 0.3))
     assert _same_bits(params.phi, phi(params.alpha))
     table = bessel_table(params.alpha, params.orders)
-    built = []
-    tile_rows = corrugation._tile_rows
+    near, bessel_rows = corrugation._near, corrugation._bessel_rows
+    # a tile's region of its lines, by the thread that walks it, until its rows are built
+    pending, built = {}, []
 
-    def spy(step, tile, cuts):
-        coeff, coeff_cuts = tile_rows(step, tile, cuts)
-        rows = [row.copy() for row in coeff]
-        built.append((cuts, rows, coeff_cuts))
-        return iter(rows), coeff_cuts
+    def near_spy(tile, grid_shape):
+        index, region = near(tile, grid_shape)
+        pending[threading.get_ident()] = tile, region
+        return index, region
 
-    monkeypatch.setattr(corrugation, "_tile_rows", spy)
+    def rows_spy(*args):
+        rows = [row.copy() for row in bessel_rows(*args)]
+        built.append((*pending.pop(threading.get_ident()), rows))
+        return iter(rows)
+
+    monkeypatch.setattr(corrugation, "_near", near_spy)
+    monkeypatch.setattr(corrugation, "_bessel_rows", rows_spy)
     rows_rung, cols_rung, whole = corrugation._rungs(shape)
     tile_nodes = corrugation.TILE_NODES
     walks = [
@@ -525,12 +532,56 @@ def test_tile_rows_are_the_whole_grid_table_on_each_cut(monkeypatch, shape):
         built.clear()
         corrugation._probe(params, 64, params.mu, None, region)
         tiles = corrugation._tiles(region, shape)
-        assert sorted(cuts[0][0] for cuts, _, _ in built) == sorted(t for t, _ in tiles)
-        for cuts, rows, coeff_cuts in built:
+        assert not pending
+        assert sorted(tile for tile, _, _ in built) == sorted(t for t, _ in tiles)
+        for tile, lines_region, rows in built:
             assert len(rows) == params.orders
-            for (ccut, _), (tcut, _) in zip(cuts, coeff_cuts, strict=True):
+            lines_cuts = corrugation._cuts(lines_region, rows[0].shape)
+            grid_cuts = corrugation._cuts(tile, shape)
+            for (lines_cut, _), (grid_cut, _) in zip(lines_cuts, grid_cuts, strict=True):
                 for k, row in enumerate(rows, 1):
-                    assert _same_bits(row[tcut], table[k][ccut])
+                    assert _same_bits(row[lines_cut], table[k][grid_cut])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (3, 257), (257, 257)])
+@pytest.mark.parametrize("one_row", [False, True])
+def test_near_lines_of_each_tile_select_its_grid_nodes(monkeypatch, shape, one_row):
+    """For every tile of every rung, at the default tile size and at one
+    row a tile, _near's index picks the tile's lines and their neighbours
+    inside the grid, in order (a slice where the tile's lines are a run),
+    and _neighbours and _cuts on its region of those lines select the grid
+    nodes they select on the tile."""
+    if one_row:
+        monkeypatch.setattr(corrugation, "TILE_NODES", 1)
+    ids = np.arange(shape[0] * shape[1]).reshape(shape)
+    for rung in corrugation._rungs(shape):
+        for tile, _ in corrugation._tiles(rung, shape):
+            index, region = corrugation._near(tile, shape)
+            for lines, picked, n in zip(tile, index, shape):
+                lines = range(n)[lines]
+                # line m marks m - 1, m and m + 1 of an axis padded by one line each side
+                marked = np.zeros(n + 2, dtype=bool)
+                for shift in (0, 1, 2):
+                    marked[np.asarray(lines) + shift] = True
+                want = np.flatnonzero(marked[1:-1]).tolist()
+                if isinstance(picked, slice):
+                    picked = list(range(n)[picked])
+                else:
+                    assert lines.step > 1 and len(lines) > 1
+                assert picked == want
+            near_ids = ids[index[0]][:, index[1]]
+            assert np.array_equal(near_ids[region], ids[tile])
+            for axis in (0, 1):
+                assert corrugation._neighbours(
+                    region[axis], near_ids.shape[axis]
+                ) == corrugation._neighbours(tile[axis], shape[axis])
+            lines_cuts = corrugation._cuts(region, near_ids.shape)
+            grid_cuts = corrugation._cuts(tile, shape)
+            for (lines_cut, lines_scut), (grid_cut, grid_scut) in zip(
+                lines_cuts, grid_cuts, strict=True
+            ):
+                assert lines_scut == grid_scut
+                assert np.array_equal(near_ids[lines_cut], ids[grid_cut])
 
 
 def test_remainder_vanishes_at_integer_phase():

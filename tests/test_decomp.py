@@ -72,23 +72,42 @@ def test_weighted_matrix_columns():
         assert np.linalg.norm(A[:, j]) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_resolve_threads(monkeypatch):
-    """An explicit count of 2 or more starts the pool on any grid; no count means one thread."""
-
-    def no_pool(max_workers):
-        raise RuntimeError("pool of %d" % max_workers)
-
-    monkeypatch.setattr(decomp, "ThreadPoolExecutor", no_pool)
-    rng = np.random.default_rng(127)
+def test_decompose_runs_its_blocks_in_lanes(monkeypatch):
+    """No count and a count of 1 run every block on the calling thread; 2
+    and 4 run the blocks on that many lanes, round-robin (block i on lane
+    i mod count), with bitwise the same etas and residual. A count of 0 is
+    rejected."""
+    monkeypatch.setattr(decomp, "BLOCK_NODES", 512)
     dic = build_dictionary(5)
-    delta = cone_field(rng, dic, (65, 65))
-    assert decompose(delta, dic).residual <= decomp.RESIDUAL_TOL
-    decompose(delta, dic, threads=1)
-    with pytest.raises(RuntimeError, match="pool of 4"):
-        decompose(delta, dic, threads=4)
-    # one block of nodes still goes to the pool the count asks for
-    with pytest.raises(RuntimeError, match="pool of 4"):
-        decompose(cone_field(rng, dic, (17, 17)), dic, threads=4)
+    delta = cone_field(np.random.default_rng(127), dic, (65, 65))
+    in_lanes, ran = decomp._in_lanes, {}
+
+    def spy(run, items, lanes):
+        started = threading.Barrier(min(lanes, len(items)))
+
+        def record(start):
+            block = start // decomp.BLOCK_NODES
+            ran[block] = threading.get_ident()
+            # each lane's first block waits for every lane, so the lanes run at once
+            if block < lanes:
+                started.wait(timeout=30)
+            return run(start)
+
+        return in_lanes(record, items, lanes)
+
+    monkeypatch.setattr(decomp, "_in_lanes", spy)
+    serial = None
+    for threads in (None, 1, 2, 4):
+        ran.clear()
+        dec = decompose(delta, dic, threads=threads)
+        lanes = threads or 1
+        assert sorted(ran) == list(range(9)) and ran[0] == threading.get_ident()
+        assert len({ran[block] for block in range(lanes)}) == lanes
+        assert all(ran[block] == ran[block % lanes] for block in ran)
+        serial = serial or dec
+        for a, b in zip(serial.etas, dec.etas, strict=True):
+            assert np.array_equal(a, b)
+        assert dec.residual == serial.residual <= decomp.RESIDUAL_TOL
     with pytest.raises(DomainError):
         decompose(delta, dic, threads=0)
 
